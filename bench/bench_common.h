@@ -3,14 +3,8 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <iostream>
 #include <string>
-#include <vector>
 
-#include "corpus/generator.h"
-#include "corpus/ingest.h"
-#include "corpus/profile.h"
-#include "corpus/report.h"
 #include "obs/alloc_tracker.h"
 #include "obs/json_writer.h"
 
@@ -53,44 +47,6 @@ inline double ScaleFromEnv(double fallback = 0.0002) {
     if (v > 0) return v;
   }
   return fallback;
-}
-
-/// Runs the full Table 1 pipeline over all 13 datasets, feeding every
-/// unique (or valid, when `use_valid_corpus`) query into `analyzer`.
-/// Returns per-dataset pipeline stats.
-struct DatasetRun {
-  std::string name;
-  corpus::CorpusStats stats;
-};
-
-inline std::vector<DatasetRun> RunCorpus(corpus::CorpusAnalyzer& analyzer,
-                                         double scale,
-                                         bool use_valid_corpus = false,
-                                         uint64_t min_entries = 300) {
-  std::vector<DatasetRun> runs;
-  auto profiles = corpus::PaperProfiles();
-  uint64_t seed = 2017;
-  for (const auto& profile : profiles) {
-    corpus::GeneratorOptions options;
-    options.scale = scale;
-    options.min_entries = min_entries;
-    options.seed = seed++;
-    corpus::SyntheticLogGenerator gen(profile, options);
-    corpus::LogIngestor ingestor;
-    const std::string dataset = profile.name;
-    if (use_valid_corpus) {
-      ingestor.set_valid_sink([&analyzer, dataset](const sparql::Query& q) {
-        analyzer.AddQuery(q, dataset);
-      });
-    } else {
-      ingestor.set_unique_sink([&analyzer, dataset](const sparql::Query& q) {
-        analyzer.AddQuery(q, dataset);
-      });
-    }
-    ingestor.ProcessLog(gen.GenerateLog());
-    runs.push_back({profile.name, ingestor.stats()});
-  }
-  return runs;
 }
 
 }  // namespace sparqlog::bench

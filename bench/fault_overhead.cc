@@ -29,6 +29,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "corpus/generator.h"
+#include "corpus/profile.h"
 #include "pipeline/pipeline.h"
 #include "util/strings.h"
 #include "util/table.h"

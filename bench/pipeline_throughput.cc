@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "corpus/generator.h"
+#include "corpus/ingest.h"
+#include "corpus/profile.h"
 #include "corpus/report.h"
 #include "pipeline/merge.h"
 #include "pipeline/pipeline.h"

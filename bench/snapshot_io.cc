@@ -33,6 +33,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "corpus/generator.h"
+#include "corpus/profile.h"
 #include "pipeline/journal.h"
 #include "pipeline/merge.h"
 #include "pipeline/pipeline.h"

@@ -25,6 +25,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "corpus/generator.h"
+#include "corpus/profile.h"
 #include "obs/alloc_hooks.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"

@@ -1,6 +1,7 @@
 // Parallel log analysis: streams a query log through the sharded
 // multi-threaded pipeline (src/pipeline/) and prints the Table 1
-// counters, keyword mix, and throughput. With --verify, the same input
+// counters, a compact query report (forms, fragments, CQ shapes,
+// treewidth, property paths) and throughput. With --verify, the same input
 // is re-run through the serial LogIngestor/CorpusAnalyzer path and the
 // merged statistics are checked for exact equality.
 //
@@ -23,11 +24,6 @@
 //                             is read as one query per line; --generate
 //                             plants refinement sessions; --chunk-size
 //                             becomes queries per streak chunk)
-//   --analysis-bench          serial per-stage timing breakdown of the
-//                             whole workload (ingest+dedup / streak
-//                             detection / structural analysis of the
-//                             unique corpus) so end-to-end hot-path
-//                             wins are visible from the CLI
 //   --metrics                 collect per-stage telemetry and print the
 //                             stall/skew summary after the run
 //   --metrics-json[=PATH]     write the telemetry registry as JSON
@@ -59,8 +55,6 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "corpus/generator.h"
@@ -72,9 +66,9 @@
 #include "obs/trace.h"
 #include "pipeline/journal.h"
 #include "pipeline/merge.h"
+#include "pipeline/paper_report.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/streak_stage.h"
-#include "sparql/serializer.h"
 #include "streaks/streaks.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -219,79 +213,6 @@ int RunStreakStage(const std::vector<std::string>& queries,
   return 0;
 }
 
-/// --analysis-bench mode: times the three serial hot paths — ingest
-/// (decode + parse + canonical hash + dedup), streak detection over the
-/// decoded query texts, and structural analysis (shapes, fragments,
-/// widths, paths) of the unique corpus — and prints the breakdown.
-int RunAnalysisBench(const std::vector<std::string>& lines,
-                     const std::string& source) {
-  using namespace sparqlog;
-
-  // ---- Stage 1: ingest (ParseLogLine + dedup), keeping the survivors ----
-  sparql::Parser parser;
-  std::string decode_buf;
-  std::unordered_set<uint64_t> seen;
-  std::vector<sparql::Query> unique_queries;
-  std::vector<std::string> query_texts;  // every valid occurrence, in order
-  corpus::CorpusStats stats;
-  auto start = std::chrono::steady_clock::now();
-  for (const std::string& line : lines) {
-    corpus::ParsedLine parsed =
-        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
-    if (!parsed.is_query) continue;
-    ++stats.total;
-    if (!parsed.valid) continue;
-    ++stats.valid;
-    query_texts.push_back(sparql::Serialize(*parsed.query));
-    if (seen.insert(parsed.canonical_hash).second) {
-      ++stats.unique;
-      unique_queries.push_back(std::move(*parsed.query));
-    }
-  }
-  double ingest_s = Seconds(start);
-
-  // ---- Stage 2: streak detection over the ordered valid queries ----
-  start = std::chrono::steady_clock::now();
-  streaks::StreakDetector detector;
-  for (const std::string& q : query_texts) detector.Add(q);
-  streaks::StreakReport streak_report = detector.Finish();
-  double streaks_s = Seconds(start);
-
-  // ---- Stage 3: structural analysis of the unique corpus ----
-  start = std::chrono::steady_clock::now();
-  corpus::CorpusAnalyzer analyzer;
-  for (const sparql::Query& q : unique_queries) analyzer.AddQuery(q, "all");
-  double analysis_s = Seconds(start);
-
-  double total = ingest_s + streaks_s + analysis_s;
-  std::cout << "Per-stage serial timing over " << source << " ("
-            << util::WithThousands(static_cast<long long>(lines.size()))
-            << " lines -> " << util::WithThousands(stats.valid) << " valid, "
-            << util::WithThousands(stats.unique) << " unique)\n\n";
-  util::Table table({"Stage", "Items", "Time (s)", "Items/sec", "Share"});
-  auto row = [&](const char* stage, uint64_t items, double seconds) {
-    char time_buf[32], share_buf[16];
-    std::snprintf(time_buf, sizeof(time_buf), "%.3f", seconds);
-    std::snprintf(share_buf, sizeof(share_buf), "%.1f%%",
-                  total > 0 ? 100.0 * seconds / total : 0.0);
-    table.AddRow({stage, util::WithThousands(items), time_buf,
-                  util::WithThousands(static_cast<long long>(
-                      seconds > 0 ? static_cast<double>(items) / seconds : 0)),
-                  share_buf});
-  };
-  row("ingest", static_cast<uint64_t>(lines.size()), ingest_s);
-  row("streaks", streak_report.queries_processed, streaks_s);
-  row("analysis", stats.unique, analysis_s);
-  table.Print(std::cout);
-  std::cout << "\nStreaks found: "
-            << util::WithThousands(
-                   static_cast<long long>(streak_report.total_streaks))
-            << "; analysis tables cover "
-            << util::WithThousands(analyzer.fragments().select_ask)
-            << " Select/Ask bodies\n";
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,7 +223,6 @@ int main(int argc, char** argv) {
   uint64_t entries = 5000;
   bool verify = false;
   bool streaks_mode = false;
-  bool analysis_bench = false;
   bool chunk_size_set = false;
   bool use_mmap = true;
   TelemetryOutputs outputs;
@@ -377,8 +297,6 @@ int main(int argc, char** argv) {
       verify = true;
     } else if (arg == "--streaks") {
       streaks_mode = true;
-    } else if (arg == "--analysis-bench") {
-      analysis_bench = true;
     } else if (!arg.empty() && arg[0] != '-') {
       logfile = arg;
     } else {
@@ -441,20 +359,6 @@ int main(int argc, char** argv) {
     source = "synthetic:" + generate;
   } else {
     source = logfile;
-  }
-
-  // ---- Per-stage serial breakdown (--analysis-bench) ----
-  if (analysis_bench) {
-    if (lines.empty() && !logfile.empty()) {
-      std::ifstream in(logfile);
-      if (!in) {
-        std::cerr << "cannot open " << logfile << "\n";
-        return 2;
-      }
-      std::string line;
-      while (std::getline(in, line)) lines.push_back(std::move(line));
-    }
-    return RunAnalysisBench(lines, source);
   }
 
   // ---- Run the pipeline ----
@@ -585,12 +489,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const corpus::KeywordCounts& kw = result.analysis.keywords();
-  std::cout << "\nForms: Select "
-            << util::Percent(kw.select, kw.total) << ", Ask "
-            << util::Percent(kw.ask, kw.total) << ", Describe "
-            << util::Percent(kw.describe, kw.total) << ", Construct "
-            << util::Percent(kw.construct, kw.total) << "\n";
+  std::cout << "\n";
+  pipeline::PrintQuerySummary(std::cout, result.analysis);
+  std::cout << "\n";
   std::cout << "Throughput: "
             << util::WithThousands(static_cast<long long>(
                    elapsed > 0 ? result.stats.total / elapsed : 0))

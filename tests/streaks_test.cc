@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "pipeline/paper_report.h"
+#include "pipeline/streak_stage.h"
 #include "streaks/streaks.h"
+#include "testing/reference_streaks.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -22,98 +23,8 @@ StreakReport Detect(const std::vector<std::string>& log,
   return detector.Finish();
 }
 
-// -----------------------------------------------------------------------
-// Pre-fast-path reference implementations, kept verbatim so the
-// optimized code is regression-tested for byte-identical behavior.
-// -----------------------------------------------------------------------
-
-std::string OldStripPrologue(const std::string& query) {
-  static const char* kForms[] = {"SELECT", "ASK", "CONSTRUCT", "DESCRIBE"};
-  size_t best = std::string::npos;
-  for (const char* form : kForms) {
-    size_t len = std::string(form).size();
-    for (size_t i = 0; i + len <= query.size(); ++i) {
-      if (util::EqualsIgnoreCase(std::string_view(query).substr(i, len),
-                                 form)) {
-        bool left_ok =
-            i == 0 || !(std::isalnum(static_cast<unsigned char>(
-                            query[i - 1])) ||
-                        query[i - 1] == ':' || query[i - 1] == '/' ||
-                        query[i - 1] == '#' || query[i - 1] == '_');
-        bool right_ok =
-            i + len == query.size() ||
-            !std::isalnum(static_cast<unsigned char>(query[i + len]));
-        if (left_ok && right_ok) {
-          best = std::min(best, i);
-          break;
-        }
-      }
-    }
-  }
-  if (best == std::string::npos) return query;
-  return query.substr(best);
-}
-
-/// The pre-fast-path detector: per-pair SimilarByLevenshtein with no
-/// prefilters, per-query std::string copies — the exact algorithm the
-/// optimized SimilarityWindow + StreakChainTracker pair must reproduce.
-class ReferenceDetector {
- public:
-  explicit ReferenceDetector(StreakOptions options) : options_(options) {}
-
-  void Add(const std::string& raw_query) {
-    Entry entry;
-    entry.text =
-        options_.strip_prologue ? OldStripPrologue(raw_query) : raw_query;
-    entry.index = next_index_++;
-    ++report_.queries_processed;
-    while (!window_.empty() &&
-           next_index_ - window_.front().index > options_.window) {
-      const Entry& old = window_.front();
-      if (!old.extended) report_.AddStreakLength(old.streak_length);
-      window_.pop_front();
-    }
-    bool matched_any = false;
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-      bool similar = util::SimilarByLevenshtein(
-          it->text, entry.text, options_.similarity_threshold);
-      if (!similar) continue;
-      if (!it->has_later_similar) {
-        if (!matched_any || it->streak_length + 1 > entry.streak_length) {
-          entry.streak_length = it->streak_length + 1;
-        }
-        it->extended = true;
-        matched_any = true;
-      }
-      it->has_later_similar = true;
-    }
-    window_.push_back(std::move(entry));
-  }
-
-  StreakReport Finish() {
-    for (const Entry& e : window_) {
-      if (!e.extended) report_.AddStreakLength(e.streak_length);
-    }
-    window_.clear();
-    StreakReport out = report_;
-    report_ = StreakReport();
-    next_index_ = 0;
-    return out;
-  }
-
- private:
-  struct Entry {
-    std::string text;
-    size_t index;
-    bool has_later_similar = false;
-    uint64_t streak_length = 1;
-    bool extended = false;
-  };
-  StreakOptions options_;
-  std::deque<Entry> window_;
-  size_t next_index_ = 0;
-  StreakReport report_;
-};
+using sparqlog::testing::reference::OldStripPrologue;
+using sparqlog::testing::reference::ReferenceDetector;
 
 void ExpectReportsEqual(const StreakReport& a, const StreakReport& b,
                         const std::string& context) {
@@ -420,6 +331,33 @@ TEST(StreakTest, FastPathMatchesReferenceOnFuzzedLogs) {
     ExpectReportsEqual(fast, reference.Finish(),
                        "round " + std::to_string(round) + " window " +
                            std::to_string(options.window));
+  }
+}
+
+// The paper's Table 6 workload: the reference detector, the serial fast
+// path and the sharded stage must report identically on all three day
+// logs (Table6DayLogs sizes them proportionally to the paper's logs).
+TEST(StreakTest, Table6DayLogsMatchReferenceOnEveryPath) {
+  const std::vector<std::vector<std::string>> days =
+      pipeline::Table6DayLogs(1500);
+  for (size_t d = 0; d < days.size(); ++d) {
+    StreakOptions options;
+    ReferenceDetector reference(options);
+    for (const std::string& q : days[d]) reference.Add(q);
+    const StreakReport expected = reference.Finish();
+
+    pipeline::StreakStageOptions stage_options;
+    stage_options.streak = options;
+    stage_options.threads = 4;
+    const StreakReport serial = Detect(days[d], options);
+    const StreakReport sharded =
+        pipeline::StreakStage(stage_options).Run(days[d]).report;
+    const std::string context = "day " + std::to_string(d);
+    ExpectReportsEqual(serial, expected, context + " serial");
+    ExpectReportsEqual(sharded, expected, context + " sharded");
+    // operator== also covers any field ExpectReportsEqual does not list.
+    EXPECT_TRUE(serial == expected) << context;
+    EXPECT_TRUE(sharded == expected) << context;
   }
 }
 
