@@ -30,6 +30,13 @@ struct ClassCase {
   PathType expected;
 };
 
+// Names each case by its syntax and expected class. Without this gtest prints
+// the struct's raw bytes, which hold the literal's address and so change from
+// one process to the next, and the discovered ctest names with them.
+void PrintTo(const ClassCase& c, std::ostream* os) {
+  *os << c.syntax << " as " << PathTypeName(c.expected);
+}
+
 class PathClassTest : public ::testing::TestWithParam<ClassCase> {};
 
 TEST_P(PathClassTest, ClassifiesAsPaper) {
