@@ -5,21 +5,13 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/alloc_tracker.h"
 #include "obs/json_writer.h"
 
 namespace sparqlog::bench {
 
-/// The streaming JSON writer behind every BENCH_*.json emitter and the
-/// allocation-phase helpers now live in src/obs/ (the telemetry
-/// subsystem shares them); these aliases keep bench code reading
-/// naturally. A bench that wants live allocation counts must still
-/// include obs/alloc_hooks.h from exactly one translation unit.
+/// The streaming JSON writer behind the BENCH_*.json emitters (shared
+/// with the telemetry exporters in src/obs/).
 using JsonWriter = obs::JsonWriter;
-using PhaseResult = obs::PhaseResult;
-using obs::AllocatedBytes;
-using obs::AllocationCount;
-using obs::RunPhase;
 
 /// Path for a bench's JSON artifact: SPARQLOG_BENCH_JSON overrides the
 /// per-bench default so CI runs can redirect without editing code.

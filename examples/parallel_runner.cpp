@@ -70,6 +70,7 @@
 #include "pipeline/pipeline.h"
 #include "pipeline/streak_stage.h"
 #include "streaks/streaks.h"
+#include "testing/invariants.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -416,7 +417,7 @@ int main(int argc, char** argv) {
         std::cerr << "cannot open " << logfile << "\n";
         return 2;
       }
-      pipeline::IstreamLineSource file_source(in);
+      pipeline::IstreamChunkSource file_source(in);
       result = pl.Run(file_source);
     }
   } else {
@@ -524,7 +525,7 @@ int main(int argc, char** argv) {
     if (used_mmap) {
       std::ifstream in(logfile);
       if (in) {
-        pipeline::IstreamLineSource file_source(in);
+        pipeline::IstreamChunkSource file_source(in);
         other = pl.Run(file_source);
         ran_other = true;
       }
@@ -566,25 +567,28 @@ int main(int argc, char** argv) {
     verify = false;
   }
   if (verify) {
-    corpus::LogIngestor ingestor;
-    corpus::CorpusAnalyzer serial;
-    ingestor.set_unique_sink(
-        [&serial](const sparql::Query& q) { serial.AddQuery(q, "all"); });
     start = std::chrono::steady_clock::now();
+    testing::SerialResult serial;
     if (!logfile.empty()) {
-      std::ifstream in(logfile);  // second pass over the file
+      // Second pass over the file, streamed rather than loaded.
+      corpus::LogIngestor ingestor;
+      ingestor.set_unique_sink([&serial](const sparql::Query& q) {
+        serial.analysis.AddQuery(q, "all");
+      });
+      std::ifstream in(logfile);
       std::string line;
       while (std::getline(in, line)) ingestor.ProcessLine(line);
+      serial.stats = ingestor.stats();
     } else {
-      ingestor.ProcessLog(lines);
+      serial = testing::RunSerial(lines);
     }
     double serial_elapsed = Seconds(start);
 
     // Exact equality over every aggregate, not just the Table 1 counts.
-    bool ok = ingestor.stats().total == result.stats.total &&
-              ingestor.stats().valid == result.stats.valid &&
-              ingestor.stats().unique == result.stats.unique &&
-              pipeline::StatisticsDigest(serial) ==
+    bool ok = serial.stats.total == result.stats.total &&
+              serial.stats.valid == result.stats.valid &&
+              serial.stats.unique == result.stats.unique &&
+              pipeline::StatisticsDigest(serial.analysis) ==
                   pipeline::StatisticsDigest(result.analysis);
     std::cout << "\nSerial path: " << serial_elapsed << " s; statistics "
               << (ok ? "MATCH" : "DIFFER") << "\n";
@@ -592,12 +596,11 @@ int main(int argc, char** argv) {
       std::cout << obs::OneLineSummary(*result.telemetry) << "\n";
     }
     if (!ok) {
-      std::cerr << "serial/parallel divergence: total "
-                << ingestor.stats().total << " vs " << result.stats.total
-                << ", valid " << ingestor.stats().valid << " vs "
-                << result.stats.valid << ", unique "
-                << ingestor.stats().unique << " vs " << result.stats.unique
-                << "\n";
+      std::cerr << "serial/parallel divergence: total " << serial.stats.total
+                << " vs " << result.stats.total << ", valid "
+                << serial.stats.valid << " vs " << result.stats.valid
+                << ", unique " << serial.stats.unique << " vs "
+                << result.stats.unique << "\n";
       return 1;
     }
   }

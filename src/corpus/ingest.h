@@ -85,12 +85,13 @@ struct ParsedLine {
   std::optional<sparql::Query> query;
 };
 
-/// The cleaning stage of `ParseLogLine`, shared with the benches so
-/// they measure exactly the production input: strips the "query="
-/// prefix and trailing CGI parameters (first raw '&'), URL-decoding
-/// into `decode_buf` only when `%`/`+` escapes are present (otherwise
-/// the returned view slices `line` directly). Returns nullopt for
-/// non-query noise lines. The view dies with `line`/`decode_buf`.
+/// The cleaning stage of `ParseLogLine`, shared with perfbench's layer
+/// pass and the allocation test so they see exactly the production
+/// input: strips the "query=" prefix and trailing CGI parameters (first
+/// raw '&'), URL-decoding into `decode_buf` only when `%`/`+` escapes
+/// are present (otherwise the returned view slices `line` directly).
+/// Returns nullopt for non-query noise lines. The view dies with
+/// `line`/`decode_buf`.
 std::optional<std::string_view> ExtractQueryText(std::string_view line,
                                                  std::string& decode_buf);
 

@@ -3,16 +3,14 @@
 
 // Allocation counters readable from anywhere in the library. The
 // counters only move when a binary installs the replacement operator
-// new/delete from obs/alloc_hooks.h (benches and parallel_runner do);
-// everywhere else they read zero and allocation telemetry is simply
-// absent. Promoted from bench/alloc_tracker.h so the telemetry registry
-// can report allocations/stage with the same counters the hot-path
-// benches gate on.
+// new/delete from obs/alloc_hooks.h (perfbench, the fuzz driver,
+// parallel_runner and the allocation test do); everywhere else they
+// read zero and allocation telemetry is simply absent. The telemetry
+// registry reports allocations/stage from these counters, and
+// tests/parse_alloc_test.cc gates the parse paths on them.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace sparqlog::obs {
 
@@ -87,31 +85,6 @@ inline uint64_t ThreadAllocatedBytes() {
 }
 inline uint64_t ThreadAllocationCount() {
   return alloc_internal::t_alloc_count;
-}
-
-/// One timed + allocation-counted section of a bench run.
-struct PhaseResult {
-  std::string name;
-  double seconds = 0;
-  uint64_t bytes_allocated = 0;
-  uint64_t allocations = 0;
-};
-
-/// Times `fn` and charges it with the allocations it performed.
-template <typename Fn>
-PhaseResult RunPhase(std::string name, Fn&& fn) {
-  PhaseResult r;
-  r.name = std::move(name);
-  uint64_t bytes0 = AllocatedBytes();
-  uint64_t count0 = AllocationCount();
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  r.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  r.bytes_allocated = AllocatedBytes() - bytes0;
-  r.allocations = AllocationCount() - count0;
-  return r;
 }
 
 }  // namespace sparqlog::obs

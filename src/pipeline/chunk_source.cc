@@ -5,8 +5,6 @@
 #include <fstream>
 #include <utility>
 
-#include "pipeline/pipeline.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define SPARQLOG_HAVE_MMAP 1
 #include <fcntl.h>
@@ -81,12 +79,19 @@ bool ReadAllRetryEintr(int fd, size_t size, std::string& buffer) {
 Result<std::unique_ptr<MmapChunkSource>> MmapChunkSource::Open(
     const std::string& path, Options options) {
 #if SPARQLOG_HAVE_MMAP
+  // Refuse a FIFO or device before open(2): opening a FIFO blocks until
+  // a writer arrives, and closing it again can leave that writer with
+  // no reader (EPIPE) before the stream fallback reopens the path.
+  struct stat st;
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    return Status::InvalidArgument("mmap source: '" + path +
+                                   "' is not a regular file");
+  }
   int fd = OpenRetryEintr(path.c_str());
   if (fd < 0) {
     return Status::NotFound("mmap source: cannot open '" + path +
                             "': " + std::strerror(errno));
   }
-  struct stat st;
   if (::fstat(fd, &st) != 0) {
     const int err = errno;
     ::close(fd);
@@ -188,15 +193,21 @@ bool MmapChunkSource::NextChunk(size_t max_lines, LineChunk& out) {
   return !out.lines.empty();
 }
 
-bool LineSourceAdapter::NextChunk(size_t max_lines, LineChunk& out) {
+bool IstreamChunkSource::NextChunk(size_t max_lines, LineChunk& out) {
   out.Clear();
-  if (!source_.NextChunk(max_lines, out.owned)) return false;
-  out.lines.reserve(out.owned.size());
-  for (const std::string& line : out.owned) {
-    out.lines.emplace_back(line);
-    out.bytes += line.size();
+  std::string line;
+  while (out.owned.size() < max_lines && std::getline(in_, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF
+    out.owned.push_back(std::move(line));
   }
-  return true;
+  // Views only after the last push: growing `owned` may move the
+  // strings (and relocate short-string buffers).
+  out.lines.reserve(out.owned.size());
+  for (const std::string& owned : out.owned) {
+    out.lines.emplace_back(owned);
+    out.bytes += owned.size();
+  }
+  return !out.lines.empty();
 }
 
 bool VectorChunkSource::NextChunk(size_t max_lines, LineChunk& out) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <istream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -12,8 +13,6 @@
 #include "util/result.h"
 
 namespace sparqlog::pipeline {
-
-class LineSource;
 
 /// A chunk read failed in a way that may succeed on retry (short read,
 /// EINTR, injected transient fault). The pipeline reader retries a
@@ -60,9 +59,9 @@ struct LineChunk {
   }
 };
 
-/// Streaming source of log-line chunks. The zero-copy generalization of
-/// LineSource: implementations that own stable memory hand out views
-/// into it and never build per-line strings.
+/// Streaming source of log-line chunks — the pipeline's one input
+/// contract. Implementations that own stable memory hand out views into
+/// it and never build per-line strings.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
@@ -145,16 +144,19 @@ class MmapChunkSource : public ChunkSource {
   Options options_;
 };
 
-/// Adapts a legacy LineSource: lines land in the chunk's `owned`
-/// storage and the views point at them. Keeps stream/pipe inputs
-/// working against the ChunkSource pipeline core.
-class LineSourceAdapter : public ChunkSource {
+/// Streams lines from an istream — a pipe, FIFO, socket, or any file
+/// that cannot be mapped. Line semantics match MmapChunkSource:
+/// std::getline splitting plus CRLF handling (a trailing '\r' is
+/// stripped), so both sources yield identical lines — and identical
+/// digests — for the same bytes. Lines land in the chunk's `owned`
+/// storage and the views point at them (one copy per line).
+class IstreamChunkSource : public ChunkSource {
  public:
-  explicit LineSourceAdapter(LineSource& source) : source_(source) {}
+  explicit IstreamChunkSource(std::istream& in) : in_(in) {}
   bool NextChunk(size_t max_lines, LineChunk& out) override;
 
  private:
-  LineSource& source_;
+  std::istream& in_;
 };
 
 /// Serves an in-memory log zero-copy: views point at the caller's

@@ -14,27 +14,6 @@
 
 namespace sparqlog::pipeline {
 
-bool IstreamLineSource::NextChunk(size_t max_lines,
-                                  std::vector<std::string>& out) {
-  out.clear();
-  std::string line;
-  while (out.size() < max_lines && std::getline(in_, line)) {
-    // CRLF parity with MmapChunkSource: same bytes, same lines.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    out.push_back(std::move(line));
-  }
-  return !out.empty();
-}
-
-bool VectorLineSource::NextChunk(size_t max_lines,
-                                 std::vector<std::string>& out) {
-  out.clear();
-  while (out.size() < max_lines && next_ < lines_.size()) {
-    out.push_back(lines_[next_++]);
-  }
-  return !out.empty();
-}
-
 ParallelLogPipeline::ParallelLogPipeline(PipelineOptions options)
     : options_(std::move(options)) {
   threads_ = options_.threads > 0
@@ -483,11 +462,6 @@ PipelineResult ParallelLogPipeline::Run(
     }
   }
   return result;
-}
-
-PipelineResult ParallelLogPipeline::Run(LineSource& source) {
-  LineSourceAdapter adapter(source);
-  return Run(static_cast<ChunkSource&>(adapter));
 }
 
 PipelineResult ParallelLogPipeline::Run(const std::vector<std::string>& lines) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <istream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -110,42 +109,6 @@ class BoundedQueue {
   obs::QueueCounters stats_;
 };
 
-/// Streaming source of raw log lines, consumed chunk by chunk so a log
-/// never has to fit in memory.
-class LineSource {
- public:
-  virtual ~LineSource() = default;
-
-  /// Replaces `out` with up to `max_lines` lines. Returns false when
-  /// the source is exhausted and `out` is empty.
-  virtual bool NextChunk(size_t max_lines, std::vector<std::string>& out) = 0;
-};
-
-/// Streams lines from an istream (file, pipe, socket). Line semantics
-/// match MmapChunkSource: std::getline splitting plus CRLF handling (a
-/// trailing '\r' is stripped), so both sources yield identical lines —
-/// and identical digests — for the same bytes.
-class IstreamLineSource : public LineSource {
- public:
-  explicit IstreamLineSource(std::istream& in) : in_(in) {}
-  bool NextChunk(size_t max_lines, std::vector<std::string>& out) override;
-
- private:
-  std::istream& in_;
-};
-
-/// Serves an in-memory log (tests, synthetic corpora).
-class VectorLineSource : public LineSource {
- public:
-  explicit VectorLineSource(const std::vector<std::string>& lines)
-      : lines_(lines) {}
-  bool NextChunk(size_t max_lines, std::vector<std::string>& out) override;
-
- private:
-  const std::vector<std::string>& lines_;
-  size_t next_ = 0;
-};
-
 /// One quarantined line, captured for offline reproduction.
 struct QuarantineSample {
   uint64_t chunk = 0;       ///< chunk id (reader sequence number)
@@ -243,7 +206,8 @@ class ParallelLogPipeline {
 
   /// Streams `source` through the pipeline and merges shard results.
   /// This is the core entry point: workers consume string_view lines
-  /// straight out of the chunks (zero-copy for mmap/vector sources).
+  /// straight out of the chunks (zero-copy for mmap/vector sources;
+  /// IstreamChunkSource serves pipes and other unmappable input).
   PipelineResult Run(ChunkSource& source);
 
   /// Same, over caller-owned shards. Empty `shards` is populated with
@@ -254,10 +218,6 @@ class ParallelLogPipeline {
   /// the shards' cumulative state.
   PipelineResult Run(ChunkSource& source,
                      std::vector<std::unique_ptr<Shard>>& shards);
-
-  /// Legacy line sources run through a LineSourceAdapter (lines are
-  /// owned by each chunk; still one copy total per line).
-  PipelineResult Run(LineSource& source);
 
   /// Convenience overload for in-memory logs; zero-copy views of
   /// `lines`, which must outlive the call.

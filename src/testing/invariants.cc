@@ -3,9 +3,12 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <utility>
 
+#include "corpus/generator.h"
 #include "corpus/ingest.h"
+#include "corpus/profile.h"
 #include "corpus/report.h"
 #include "graph/canonical.h"
 #include "graph/shapes.h"
@@ -168,6 +171,39 @@ std::optional<Violation> CheckLogLineScratch(sparql::Parser& parser,
   return std::nullopt;
 }
 
+std::vector<std::string> PaperCorpusLog(uint64_t entries_per_dataset) {
+  std::vector<std::string> lines;
+  uint64_t seed = 2017;
+  for (const corpus::DatasetProfile& profile : corpus::PaperProfiles()) {
+    corpus::GeneratorOptions options;
+    options.scale = 0;
+    options.min_entries = entries_per_dataset;
+    options.seed = seed++;
+    std::vector<std::string> log =
+        corpus::SyntheticLogGenerator(profile, options).GenerateLog();
+    lines.insert(lines.end(), std::make_move_iterator(log.begin()),
+                 std::make_move_iterator(log.end()));
+  }
+  return lines;
+}
+
+SerialResult RunSerial(const std::vector<std::string>& lines,
+                       bool use_valid_corpus) {
+  SerialResult result;
+  corpus::LogIngestor ingestor;
+  auto sink = [&result](const sparql::Query& q) {
+    result.analysis.AddQuery(q, "all");
+  };
+  if (use_valid_corpus) {
+    ingestor.set_valid_sink(sink);
+  } else {
+    ingestor.set_unique_sink(sink);
+  }
+  ingestor.ProcessLog(lines);
+  result.stats = ingestor.stats();
+  return result;
+}
+
 EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng) {
   EquivalenceConfig config;
   config.threads = static_cast<int>(1 + rng.Below(5));
@@ -190,18 +226,7 @@ std::optional<Violation> CheckSerialParallelEquivalence(
            " corpus=" + (config.use_valid_corpus ? "valid" : "unique");
   };
 
-  // Serial reference: the same wiring a Shard uses, single-threaded.
-  corpus::LogIngestor ingestor;
-  corpus::CorpusAnalyzer analyzer;
-  auto sink = [&analyzer](const sparql::Query& q) {
-    analyzer.AddQuery(q, "all");
-  };
-  if (config.use_valid_corpus) {
-    ingestor.set_valid_sink(sink);
-  } else {
-    ingestor.set_unique_sink(sink);
-  }
-  ingestor.ProcessLog(log);
+  const SerialResult oracle = RunSerial(log, config.use_valid_corpus);
 
   pipeline::PipelineOptions options;
   options.threads = config.threads;
@@ -215,7 +240,7 @@ std::optional<Violation> CheckSerialParallelEquivalence(
   pipeline::ParallelLogPipeline parallel(options);
   pipeline::PipelineResult result = parallel.Run(log);
 
-  const corpus::CorpusStats& serial = ingestor.stats();
+  const corpus::CorpusStats& serial = oracle.stats;
   if (result.stats.total != serial.total ||
       result.stats.valid != serial.valid ||
       result.stats.unique != serial.unique) {
@@ -236,7 +261,8 @@ std::optional<Violation> CheckSerialParallelEquivalence(
                        describe() + ")",
                    "");
   }
-  std::vector<uint64_t> serial_digest = pipeline::StatisticsDigest(analyzer);
+  std::vector<uint64_t> serial_digest =
+      pipeline::StatisticsDigest(oracle.analysis);
   std::vector<uint64_t> parallel_digest =
       pipeline::StatisticsDigest(result.analysis);
   if (serial_digest != parallel_digest) {
@@ -642,9 +668,8 @@ std::optional<Violation> CheckSourceEquivalence(
     return Violate("source-io", "cannot reopen temp file " + path.string(),
                    "");
   }
-  pipeline::IstreamLineSource stream_source(in);
-  pipeline::PipelineResult st =
-      pipe.Run(static_cast<pipeline::LineSource&>(stream_source));
+  pipeline::IstreamChunkSource stream_source(in);
+  pipeline::PipelineResult st = pipe.Run(stream_source);
 
   auto compare = [&](const pipeline::PipelineResult& a,
                      const pipeline::PipelineResult& b, const char* an,
@@ -791,8 +816,7 @@ std::optional<Violation> CheckAnalysisEquivalence(
     return fail("alpha-acyclicity differs");
   }
   // The exact GHW search is exponential in the worst case; bound the
-  // differential run to query-sized hypergraphs (the production gate —
-  // bench_analysis_hotpath — replays the full corpus distribution).
+  // differential run to query-sized hypergraphs.
   if (ref_hg.num_edges() <= 24) {
     width::GhwResult ref_ghw = reference::GeneralizedHypertreeWidth(ref_hg);
     width::GhwResult new_ghw =

@@ -9,6 +9,7 @@
 
 #include "corpus/analysis_scratch.h"
 #include "corpus/ingest.h"
+#include "corpus/report.h"
 #include "sparql/ast.h"
 #include "sparql/parser.h"
 #include "util/rng.h"
@@ -60,6 +61,24 @@ std::optional<Violation> CheckLogLineScratch(sparql::Parser& parser,
                                              std::string_view line,
                                              corpus::ParseScratch& scratch);
 
+/// The 13-profile synthetic paper corpus: every PaperProfiles() dataset
+/// generated with at least `entries_per_dataset` entries (scale 0),
+/// seeded 2017, 2018, ... in profile order, concatenated.
+std::vector<std::string> PaperCorpusLog(uint64_t entries_per_dataset);
+
+/// Output of the serial oracle.
+struct SerialResult {
+  corpus::CorpusStats stats;
+  corpus::CorpusAnalyzer analysis;
+};
+
+/// The serial oracle every serial-vs-parallel check compares against:
+/// `lines` through one LogIngestor feeding one CorpusAnalyzer from the
+/// unique sink (the valid sink when `use_valid_corpus`) — the wiring a
+/// Shard uses, single-threaded.
+SerialResult RunSerial(const std::vector<std::string>& lines,
+                       bool use_valid_corpus = false);
+
 /// One randomized pipeline configuration for the serial-vs-parallel
 /// equivalence check.
 struct EquivalenceConfig {
@@ -76,10 +95,9 @@ struct EquivalenceConfig {
 /// chunk boundaries move, shards != threads half the time).
 EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng);
 
-/// Runs `log` through the serial path (LogIngestor + CorpusAnalyzer)
-/// and through ParallelLogPipeline under `config`, then compares
-/// Total/Valid/Unique, the line count, and the full StatisticsDigest.
-/// Any difference is a violation.
+/// Runs `log` through RunSerial and through ParallelLogPipeline under
+/// `config`, then compares Total/Valid/Unique, the line count, and the
+/// full StatisticsDigest. Any difference is a violation.
 std::optional<Violation> CheckSerialParallelEquivalence(
     const std::vector<std::string>& log, const EquivalenceConfig& config);
 
@@ -133,7 +151,7 @@ struct SourceEquivalenceConfig {
 SourceEquivalenceConfig RandomSourceConfig(util::Rng& rng);
 
 /// Writes `lines` to a temporary file and pipelines it three ways —
-/// in-memory vector, MmapChunkSource, IstreamLineSource — under
+/// in-memory vector, MmapChunkSource, IstreamChunkSource — under
 /// `config`, comparing Total/Valid/Unique, line counts, the full
 /// StatisticsDigest, and the TelemetryDigest across all three. Bytes
 /// that the line framing would consume ('\n', '\r') are stripped from

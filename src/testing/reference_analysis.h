@@ -19,9 +19,9 @@ namespace sparqlog::testing::reference {
 // (modulo renames) as the differential oracle for the allocation-lean
 // rewrite: std::map-keyed term interning over concatenated NodeKey
 // strings, std::set adjacency, set-copying kernelization, and the
-// set-based det-k-decomp search. bench_analysis_hotpath times them as
-// the baseline; the property tests and fuzz phase 5 replay old-vs-new
-// on random graphs and fuzzed queries. Do not "improve" this code — its
+// set-based det-k-decomp search. The property tests replay old-vs-new
+// on random graphs and on every unique query of the paper corpus, and
+// fuzz phase 5 on fuzzed queries. Do not "improve" this code — its
 // value is that it stays exactly what shipped before the rewrite.
 // ---------------------------------------------------------------------------
 

@@ -2,68 +2,15 @@
 #define SPARQLOG_UTIL_SERDE_H_
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <string_view>
 
 namespace sparqlog::util::serde {
 
-/// Fixed-width little-endian primitives for the run-journal state blobs
-/// (pipeline/journal.h). The encoding is deliberately dumb: u64 words
-/// and length-prefixed byte strings, written in a fixed field order by
-/// each component's SaveState. Byte order is pinned so a journal written
-/// on one machine loads on another.
-
-inline void PutU64(std::ostream& out, uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.write(bytes, sizeof(bytes));
-}
-
-inline bool GetU64(std::istream& in, uint64_t& v) {
-  char bytes[8];
-  if (!in.read(bytes, sizeof(bytes))) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return true;
-}
-
-inline void PutI64(std::ostream& out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-inline bool GetI64(std::istream& in, int64_t& v) {
-  uint64_t u;
-  if (!GetU64(in, u)) return false;
-  v = static_cast<int64_t>(u);
-  return true;
-}
-
-inline void PutString(std::ostream& out, std::string_view s) {
-  PutU64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-/// Reads a length-prefixed string; `max_len` guards against loading a
-/// corrupt/truncated journal as a multi-gigabyte allocation.
-inline bool GetString(std::istream& in, std::string& s,
-                      uint64_t max_len = 1ULL << 30) {
-  uint64_t len;
-  if (!GetU64(in, len) || len > max_len) return false;
-  s.resize(static_cast<size_t>(len));
-  return len == 0 ||
-         static_cast<bool>(in.read(s.data(), static_cast<std::streamsize>(len)));
-}
-
-/// Buffer-based twins of the iostream primitives, for code that builds
-/// a blob in memory before checksumming it (util/snapshot_io.h uses
-/// these for the fixed-width header and manifest words). Same wire
-/// format: little-endian u64, so a value written by either overload
-/// reads back through either.
+/// Fixed-width little-endian u64 words for code that builds a blob in
+/// memory before checksumming it (util/snapshot_io.h uses these for the
+/// snapshot header and manifest words). Byte order is pinned so a file
+/// written on one machine loads on another.
 
 inline void PutU64(std::string& out, uint64_t v) {
   char bytes[8];

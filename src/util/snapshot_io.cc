@@ -179,7 +179,6 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
 }
 
 void SnapshotWriter::AddSection(uint64_t id, std::string payload) {
-  payload_bytes_ += payload.size();
   sections_.emplace_back(id, std::move(payload));
 }
 

@@ -79,12 +79,8 @@ class SnapshotWriter {
   /// Renders header + sections with all checksums.
   std::string Finish() const;
 
-  /// Sum of payload bytes added so far (bench bookkeeping).
-  uint64_t payload_bytes() const { return payload_bytes_; }
-
  private:
   std::vector<std::pair<uint64_t, std::string>> sections_;
-  uint64_t payload_bytes_ = 0;
 };
 
 enum class LoadMode {
@@ -113,7 +109,8 @@ class Snapshot {
 
   size_t section_count() const { return sections_.size(); }
   /// (id, payload) pairs in file order — for tools that rewrite a
-  /// snapshot preserving its layout (bench/snapshot_io.cc).
+  /// snapshot preserving its layout (perfbench's save pass, the
+  /// re-encode check in tests/fault_test.cc).
   const std::vector<std::pair<uint64_t, std::string_view>>& sections() const {
     return sections_;
   }

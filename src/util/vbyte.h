@@ -9,10 +9,10 @@
 namespace sparqlog::util::vbyte {
 
 /// Variable-byte (LEB128) integer streams for snapshot section payloads
-/// (util/snapshot_io.h). Unlike util/serde.h — fixed-width words over
-/// iostreams for the few, small journal framing fields — these encode
-/// into an in-memory buffer that is checksummed and published as one
-/// section, and they compress: counter-dominated shard state is mostly
+/// (util/snapshot_io.h). Unlike util/serde.h — fixed-width words for the
+/// few snapshot header and manifest fields — these encode into an
+/// in-memory buffer that is checksummed and published as one section,
+/// and they compress: counter-dominated shard state is mostly
 /// small integers, and sorted 64-bit hash sets gap-encode well.
 ///
 /// Decoders take the input as a std::string_view& and consume what they
@@ -63,7 +63,8 @@ inline void PutLenPrefixed(std::string& out, std::string_view s) {
 }
 
 /// `max_len` guards a corrupt length prefix from turning into a
-/// multi-gigabyte allocation, mirroring serde::GetString.
+/// multi-gigabyte allocation, as Snapshot::Load refuses a section
+/// length that overruns the file.
 inline bool GetLenPrefixed(std::string_view& in, std::string_view& s,
                            uint64_t max_len = 1ULL << 30) {
   uint64_t len;

@@ -3,14 +3,18 @@
 // GHW) must agree with the retained pre-change implementations in
 // testing/reference_analysis on random graphs — including self-loops,
 // disconnected forests, K4 (treewidth 3), and the 64/65-node boundary
-// where Graph switches from bitset masks to sorted-vector adjacency.
+// where Graph switches from bitset masks to sorted-vector adjacency —
+// and on every unique query of the generated paper corpus.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "corpus/analysis_scratch.h"
+#include "corpus/ingest.h"
 #include "graph/canonical.h"
 #include "graph/graph.h"
 #include "graph/hypergraph.h"
@@ -229,6 +233,30 @@ TEST(AnalysisEquivalenceTest, CanonicalBuildersMatchOnHandwrittenQueries) {
     EXPECT_FALSE(v.has_value())
         << text << ": " << (v ? v->detail : std::string());
   }
+}
+
+// Every unique query of the 13-profile paper corpus, in ingest order,
+// through one long-lived scratch: canonical graph, shape flags, girth,
+// treewidth and GHW must match the reference implementations query by
+// query. (The Table 4 / Section 6 cells built from them are pinned by
+// the paper_report golden.)
+TEST(AnalysisEquivalenceTest, EveryUniquePaperCorpusQueryMatchesReference) {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(1000);
+  sparql::Parser parser;
+  std::string decode_buf;
+  std::unordered_set<uint64_t> seen;
+  corpus::AnalysisScratch scratch;
+  size_t checked = 0;
+  for (const std::string& line : lines) {
+    corpus::ParsedLine parsed =
+        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+    if (!parsed.valid || !seen.insert(parsed.canonical_hash).second) continue;
+    ++checked;
+    auto v = testing::CheckAnalysisEquivalence(*parsed.query, scratch);
+    ASSERT_FALSE(v.has_value())
+        << v->invariant << ": " << v->detail << "\n" << v->input;
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 TEST(AnalysisEquivalenceTest, RandomHypergraphsAgreeOnGhw) {

@@ -6,11 +6,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pipeline/chunk_source.h"
 #include "pipeline/pipeline.h"
 #include "testing/invariants.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
 
 namespace sparqlog::pipeline {
 namespace {
@@ -205,14 +211,40 @@ TEST(VectorChunkSourceTest, ViewsAliasCallerStrings) {
   EXPECT_EQ(chunk.lines[0].data(), lines[0].data());
 }
 
-TEST(LineSourceAdapterTest, CopiesStreamLinesIntoOwnedStorage) {
+TEST(IstreamChunkSourceTest, CopiesStreamLinesIntoOwnedStorage) {
   std::istringstream in("first\r\nsecond\nthird");
-  IstreamLineSource stream(in);
-  LineSourceAdapter adapter(stream);
-  Drained d = Drain(adapter, 64);
+  IstreamChunkSource stream(in);
+  Drained d = Drain(stream, 64);
   EXPECT_EQ(d.lines, (std::vector<std::string>{"first", "second", "third"}));
   EXPECT_EQ(d.bytes, 16u);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+// A FIFO cannot be mapped; the stream source is how such input reaches
+// the pipeline.
+TEST(IstreamChunkSourceTest, ServesAFifo) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("sparqlog_chunk_fifo_" + std::to_string(::getpid()));
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
+  EXPECT_FALSE(MmapChunkSource::Open(path.string()).ok());
+
+  std::thread writer([&path] {
+    std::ofstream out(path, std::ios::binary);  // blocks until opened
+    for (int i = 0; i < 1000; ++i) out << "line " << i << "\r\n";
+  });
+  std::ifstream in(path, std::ios::binary);
+  IstreamChunkSource source(in);
+  Drained d = Drain(source, 64);
+  writer.join();
+  std::filesystem::remove(path);
+  ASSERT_EQ(d.lines.size(), 1000u);
+  EXPECT_EQ(d.lines.front(), "line 0");
+  EXPECT_EQ(d.lines.back(), "line 999");
+  EXPECT_EQ(d.chunk_sizes.size(), 16u);  // 15 full chunks of 64, then 40
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Source equivalence: vector == mmap == stream, full digest

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -753,6 +754,46 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
     EXPECT_TRUE(r.value().complete);
     EXPECT_EQ(pipeline::StatisticsDigest(r.value().result.analysis),
               pipeline::StatisticsDigest(expect.analysis));
+  }
+  // Load-vs-recompute: the journal is now finished, so resuming it reads
+  // no input and must restore the plain run's state exactly, whether
+  // the checkpoint is streamed or mapped.
+  for (const bool mmap : {false, true}) {
+    SCOPED_TRACE(mmap ? "mmap load" : "stream load");
+    pipeline::VectorChunkSource source(log);
+    pipeline::JournalOptions finished = jopts;
+    finished.mmap_load = mmap;
+    auto r = pipeline::RunWithJournal(options, source, finished);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value().resumed);
+    EXPECT_TRUE(r.value().complete);
+    const pipeline::PipelineResult& got = r.value().result;
+    EXPECT_EQ(got.lines, expect.lines);
+    EXPECT_EQ(got.stats.total, expect.stats.total);
+    EXPECT_EQ(got.stats.valid, expect.stats.valid);
+    EXPECT_EQ(got.stats.unique, expect.stats.unique);
+    EXPECT_EQ(pipeline::StatisticsDigest(got.analysis),
+              pipeline::StatisticsDigest(expect.analysis));
+  }
+  // Re-encoding the current generation's loaded sections through
+  // SnapshotWriter reproduces the file byte for byte.
+  {
+    util::snapshot::SnapshotStore store(path.string());
+    auto gens = store.ReadManifest();
+    ASSERT_TRUE(gens.ok()) << gens.status().ToString();
+    const std::string gen_path = store.GenerationPath(gens.value().current);
+    std::ifstream in(gen_path, std::ios::binary);
+    const std::string image((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    auto loaded = util::snapshot::Snapshot::Load(
+        gen_path, util::snapshot::LoadMode::kStream);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    util::snapshot::SnapshotWriter writer;
+    for (const auto& [id, payload] : loaded.value().sections()) {
+      writer.AddSection(id, std::string(payload));
+    }
+    EXPECT_TRUE(writer.Finish() == image)
+        << "re-encoded snapshot differs from " << gen_path;
   }
   RemoveJournal(path);
 }

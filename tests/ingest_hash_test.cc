@@ -3,18 +3,26 @@
 // serialization byte for byte. These pin down exactly the cases where
 // view-vs-copy lexing and streaming-vs-materialized serialization could
 // diverge: escaped literals, long strings, prefixed names, paths,
-// numeric signs, aggregates, and subqueries.
+// numeric signs, aggregates, and subqueries. The last case runs the
+// whole paper corpus through every ingest path and requires each to
+// count exactly what LogIngestor counts.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
+#include "pipeline/chunk_source.h"
 #include "sparql/parser.h"
 #include "sparql/serializer.h"
+#include "testing/invariants.h"
 #include "util/strings.h"
 
 namespace sparqlog {
@@ -163,6 +171,84 @@ TEST(IngestHashTest, ParseScratchSurvivesThousandsOfSequentialLines) {
           << "line " << i << ": " << line;
     }
   }
+}
+
+/// Table 1 counters accumulated from ParseLogLine results, deduplicated
+/// on the canonical hash exactly as LogIngestor does.
+struct IngestCounter {
+  corpus::CorpusStats stats;
+  std::unordered_set<uint64_t> seen;
+
+  void Add(const corpus::ParsedLine& parsed) {
+    if (!parsed.is_query) return;
+    ++stats.total;
+    if (!parsed.valid) return;
+    ++stats.valid;
+    if (seen.insert(parsed.canonical_hash).second) ++stats.unique;
+  }
+};
+
+void ExpectSameCounts(const corpus::CorpusStats& reference,
+                      const IngestCounter& got, const char* path) {
+  EXPECT_EQ(got.stats.total, reference.total) << path;
+  EXPECT_EQ(got.stats.valid, reference.valid) << path;
+  EXPECT_EQ(got.stats.unique, reference.unique) << path;
+}
+
+// The 13-profile paper corpus through the decode-buffer ParseLogLine,
+// the arena ParseScratch overload, and the mmap chunk source: each must
+// count the same Total/Valid/Unique as LogIngestor, and every valid
+// line's streamed hash must equal FNV-1a of its serialization.
+TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(1000);
+  corpus::LogIngestor ingestor;
+  ingestor.ProcessLog(lines);
+  const corpus::CorpusStats& reference = ingestor.stats();
+  ASSERT_GT(reference.unique, 0u);
+  ASSERT_LT(reference.valid, reference.total);  // invalid entries present
+
+  sparql::Parser parser;
+  std::string decode_buf;
+  IngestCounter buffered;
+  uint64_t hash_mismatches = 0;
+  for (const std::string& line : lines) {
+    corpus::ParsedLine parsed =
+        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+    if (parsed.valid &&
+        parsed.canonical_hash != HashBytes(Serialize(*parsed.query))) {
+      ++hash_mismatches;
+    }
+    buffered.Add(parsed);
+  }
+  EXPECT_EQ(hash_mismatches, 0u) << "hashing sink != string sink";
+  ExpectSameCounts(reference, buffered, "decode-buffer ParseLogLine");
+
+  IngestCounter arena;
+  corpus::ParseScratch scratch;
+  for (const std::string& line : lines) {
+    scratch.Reset();
+    arena.Add(corpus::ParseLogLine(parser, line, scratch));
+  }
+  ExpectSameCounts(reference, arena, "arena ParseLogLine");
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("sparqlog_ingest_corpus_" + std::to_string(::getpid()) + ".log");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+  auto source = pipeline::MmapChunkSource::Open(path.string());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  IngestCounter mapped;
+  pipeline::LineChunk chunk;
+  while (source.value()->NextChunk(512, chunk)) {
+    for (std::string_view line : chunk.lines) {
+      mapped.Add(corpus::ParseLogLine(parser, line, decode_buf));
+    }
+  }
+  std::filesystem::remove(path);
+  ExpectSameCounts(reference, mapped, "mmap source");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "pipeline/merge.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/shard.h"
+#include "testing/invariants.h"
 #include "util/strings.h"
 
 namespace sparqlog::pipeline {
@@ -174,54 +175,48 @@ std::vector<std::string> BuildMixedLog(uint64_t min_entries_per_dataset) {
   return lines;
 }
 
-struct SerialResult {
-  CorpusStats stats;
-  CorpusAnalyzer analysis;
-};
-
-SerialResult RunSerial(const std::vector<std::string>& lines,
-                       bool use_valid_corpus = false) {
-  SerialResult result;
-  corpus::LogIngestor ingestor;
-  auto sink = [&result](const sparql::Query& q) {
-    result.analysis.AddQuery(q, "all");
-  };
-  if (use_valid_corpus) {
-    ingestor.set_valid_sink(sink);
-  } else {
-    ingestor.set_unique_sink(sink);
-  }
-  ingestor.ProcessLog(lines);
-  result.stats = ingestor.stats();
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Serial vs parallel determinism (the tentpole invariant).
 // ---------------------------------------------------------------------------
 
 TEST(PipelineDeterminismTest, MatchesSerialAtOneTwoAndEightThreads) {
   std::vector<std::string> lines = BuildMixedLog(1200);
-  SerialResult serial = RunSerial(lines);
+  testing::SerialResult serial = testing::RunSerial(lines);
 
-  for (int threads : {1, 2, 8}) {
+  struct Config {
+    int threads;
+    size_t shards;  // 0 = one per worker
+    size_t chunk_size;
+  };
+  // 1/2/8 workers, then shard counts decoupled from the worker count
+  // with chunk sizes from tiny to larger than a dataset's share.
+  const Config configs[] = {{1, 0, 64}, {2, 0, 64}, {8, 0, 64},
+                            {3, 5, 64}, {4, 2, 7},  {2, 0, 512}};
+  for (const Config& c : configs) {
     PipelineOptions options;
-    options.threads = threads;
-    options.chunk_size = 64;
+    options.threads = c.threads;
+    options.shards = c.shards;
+    options.chunk_size = c.chunk_size;
     ParallelLogPipeline pipeline(options);
     PipelineResult result = pipeline.Run(lines);
 
-    EXPECT_EQ(result.lines, lines.size()) << threads << " threads";
-    EXPECT_EQ(result.stats.total, serial.stats.total) << threads;
-    EXPECT_EQ(result.stats.valid, serial.stats.valid) << threads;
-    EXPECT_EQ(result.stats.unique, serial.stats.unique) << threads;
+    SCOPED_TRACE("threads=" + std::to_string(c.threads) + " shards=" +
+                 std::to_string(c.shards) + " chunk=" +
+                 std::to_string(c.chunk_size));
+    EXPECT_EQ(result.lines, lines.size());
+    EXPECT_EQ(result.stats.total, serial.stats.total);
+    EXPECT_EQ(result.stats.valid, serial.stats.valid);
+    EXPECT_EQ(result.stats.unique, serial.stats.unique);
     ExpectAnalyzersEqual(serial.analysis, result.analysis);
+    EXPECT_EQ(StatisticsDigest(result.analysis),
+              StatisticsDigest(serial.analysis));
   }
 }
 
 TEST(PipelineDeterminismTest, ValidCorpusModeMatchesSerial) {
   std::vector<std::string> lines = BuildMixedLog(600);
-  SerialResult serial = RunSerial(lines, /*use_valid_corpus=*/true);
+  testing::SerialResult serial =
+      testing::RunSerial(lines, /*use_valid_corpus=*/true);
 
   PipelineOptions options;
   options.threads = 4;
@@ -425,15 +420,19 @@ TEST(BoundedQueueTest, BlockedStatsAttributeWaitTime) {
 
 TEST(LineSourceTest, IstreamSourceStreamsInChunks) {
   std::stringstream ss("a\nb\nc\nd\ne\n");
-  IstreamLineSource source(ss);
-  std::vector<std::string> chunk;
+  IstreamChunkSource source(ss);
+  LineChunk chunk;
+  auto lines = [&chunk] {
+    return std::vector<std::string>(chunk.lines.begin(), chunk.lines.end());
+  };
   ASSERT_TRUE(source.NextChunk(2, chunk));
-  EXPECT_EQ(chunk, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(lines(), (std::vector<std::string>{"a", "b"}));
   ASSERT_TRUE(source.NextChunk(2, chunk));
-  EXPECT_EQ(chunk, (std::vector<std::string>{"c", "d"}));
+  EXPECT_EQ(lines(), (std::vector<std::string>{"c", "d"}));
   ASSERT_TRUE(source.NextChunk(2, chunk));
-  EXPECT_EQ(chunk, (std::vector<std::string>{"e"}));
+  EXPECT_EQ(lines(), (std::vector<std::string>{"e"}));
   EXPECT_FALSE(source.NextChunk(2, chunk));
+  EXPECT_TRUE(chunk.lines.empty());
 }
 
 TEST(LineSourceTest, PipelineRunsFromIstream) {
@@ -444,7 +443,7 @@ TEST(LineSourceTest, PipelineRunsFromIstream) {
   PipelineOptions options;
   options.threads = 2;
   ParallelLogPipeline pipeline(options);
-  IstreamLineSource source(ss);
+  IstreamChunkSource source(ss);
   PipelineResult result = pipeline.Run(source);
   EXPECT_EQ(result.lines, 3u);
   EXPECT_EQ(result.stats.total, 2u);
