@@ -19,6 +19,8 @@
 //                             logfile, also re-run the pipeline through
 //                             the other ingest source (stream vs mmap)
 //                             and require identical statistics digests
+//                             (a logfile that is not a regular file, such
+//                             as a FIFO, is read once and not verified)
 //   --streaks                 run the sharded Section 8 streak stage
 //                             instead of the corpus pipeline (a logfile
 //                             is read as one query per line; --generate
@@ -51,6 +53,7 @@
 //                             (checkpoint cadence, default 64)
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -58,7 +61,6 @@
 #include <vector>
 
 #include "corpus/generator.h"
-#include "corpus/ingest.h"
 #include "corpus/profile.h"
 #include "corpus/report.h"
 #include "obs/alloc_hooks.h"
@@ -517,6 +519,13 @@ int main(int argc, char** argv) {
                  "--journal to finish, then verify)\n";
     verify = false;
   }
+  if (verify && !logfile.empty() &&
+      !std::filesystem::is_regular_file(logfile)) {
+    std::cout << "\nSkipping verification: " << logfile
+              << " is not a regular file, so the run consumed it and it "
+                 "cannot be read a second time\n";
+    verify = false;
+  }
   if (verify && !logfile.empty()) {
     // Re-run through the ingest source NOT used above; the two sources
     // must be indistinguishable down to the full statistics digest.
@@ -571,14 +580,9 @@ int main(int argc, char** argv) {
     testing::SerialResult serial;
     if (!logfile.empty()) {
       // Second pass over the file, streamed rather than loaded.
-      corpus::LogIngestor ingestor;
-      ingestor.set_unique_sink([&serial](const sparql::Query& q) {
-        serial.analysis.AddQuery(q, "all");
-      });
       std::ifstream in(logfile);
-      std::string line;
-      while (std::getline(in, line)) ingestor.ProcessLine(line);
-      serial.stats = ingestor.stats();
+      pipeline::IstreamChunkSource file_source(in);
+      serial = testing::RunSerial(file_source);
     } else {
       serial = testing::RunSerial(lines);
     }

@@ -187,7 +187,7 @@ std::vector<std::string> PaperCorpusLog(uint64_t entries_per_dataset) {
   return lines;
 }
 
-SerialResult RunSerial(const std::vector<std::string>& lines,
+SerialResult RunSerial(pipeline::ChunkSource& source,
                        bool use_valid_corpus) {
   SerialResult result;
   corpus::LogIngestor ingestor;
@@ -199,9 +199,22 @@ SerialResult RunSerial(const std::vector<std::string>& lines,
   } else {
     ingestor.set_unique_sink(sink);
   }
-  ingestor.ProcessLog(lines);
+  pipeline::LineChunk chunk;
+  std::string line;
+  while (source.NextChunk(4096, chunk)) {
+    for (std::string_view view : chunk.lines) {
+      line.assign(view);
+      ingestor.ProcessLine(line);
+    }
+  }
   result.stats = ingestor.stats();
   return result;
+}
+
+SerialResult RunSerial(const std::vector<std::string>& lines,
+                       bool use_valid_corpus) {
+  pipeline::VectorChunkSource source(lines);
+  return RunSerial(source, use_valid_corpus);
 }
 
 EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng) {
@@ -719,7 +732,8 @@ std::optional<Violation> CheckSourceEquivalence(
 }
 
 std::optional<Violation> CheckAnalysisEquivalence(
-    const sparql::Query& q, corpus::AnalysisScratch& scratch) {
+    const sparql::Query& q, corpus::AnalysisScratch& scratch,
+    int max_ghw_edges) {
   if (!q.has_body) return std::nullopt;
   std::string text = sparql::Serialize(q);
   auto fail = [&text](const std::string& detail) {
@@ -815,9 +829,7 @@ std::optional<Violation> CheckAnalysisEquivalence(
   if (ref_hg.IsAlphaAcyclic() != scratch.hypergraph.IsAlphaAcyclic()) {
     return fail("alpha-acyclicity differs");
   }
-  // The exact GHW search is exponential in the worst case; bound the
-  // differential run to query-sized hypergraphs.
-  if (ref_hg.num_edges() <= 24) {
+  if (ref_hg.num_edges() <= max_ghw_edges) {
     width::GhwResult ref_ghw = reference::GeneralizedHypertreeWidth(ref_hg);
     width::GhwResult new_ghw =
         width::GeneralizedHypertreeWidth(scratch.hypergraph, scratch.ghw);

@@ -14,6 +14,10 @@
 #include "sparql/parser.h"
 #include "util/rng.h"
 
+namespace sparqlog::pipeline {
+class ChunkSource;
+}  // namespace sparqlog::pipeline
+
 namespace sparqlog::testing {
 
 /// One invariant violation: which invariant broke, how, and the exact
@@ -73,9 +77,13 @@ struct SerialResult {
 };
 
 /// The serial oracle every serial-vs-parallel check compares against:
-/// `lines` through one LogIngestor feeding one CorpusAnalyzer from the
-/// unique sink (the valid sink when `use_valid_corpus`) — the wiring a
-/// Shard uses, single-threaded.
+/// every line of `source` through one LogIngestor feeding one
+/// CorpusAnalyzer from the unique sink (the valid sink when
+/// `use_valid_corpus`) — the wiring a Shard uses, single-threaded.
+SerialResult RunSerial(pipeline::ChunkSource& source,
+                       bool use_valid_corpus = false);
+
+/// RunSerial over an in-memory log.
 SerialResult RunSerial(const std::vector<std::string>& lines,
                        bool use_valid_corpus = false);
 
@@ -165,12 +173,14 @@ std::optional<Violation> CheckSourceEquivalence(
 /// std::set graphs, restart kernelization, set-based det-k-decomp) and
 /// the allocation-lean scratch path, comparing canonical graph size,
 /// node terms, every ShapeClass flag, girth, treewidth, and — for
-/// hypergraphs small enough for the exact search — GHW width and
+/// hypergraphs of at most `max_ghw_edges` hyperedges, since both exact
+/// searches are exponential in the worst case — GHW width and
 /// decomposition size. `scratch` is deliberately long-lived so cross-
 /// query state leaks in the recycled buffers would surface as
 /// divergence.
 std::optional<Violation> CheckAnalysisEquivalence(
-    const sparql::Query& q, corpus::AnalysisScratch& scratch);
+    const sparql::Query& q, corpus::AnalysisScratch& scratch,
+    int max_ghw_edges = 24);
 
 }  // namespace sparqlog::testing
 

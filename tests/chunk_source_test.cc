@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "testing/invariants.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
@@ -221,24 +224,61 @@ TEST(IstreamChunkSourceTest, CopiesStreamLinesIntoOwnedStorage) {
 
 #if defined(__unix__) || defined(__APPLE__)
 // A FIFO cannot be mapped; the stream source is how such input reaches
-// the pipeline.
+// the pipeline. Every open below is arranged so that it cannot block: a
+// failure fails the test instead of hanging it.
 TEST(IstreamChunkSourceTest, ServesAFifo) {
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
       ("sparqlog_chunk_fifo_" + std::to_string(::getpid()));
   std::filesystem::remove(path);
   ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0) << std::strerror(errno);
-  EXPECT_FALSE(MmapChunkSource::Open(path.string()).ok());
 
-  std::thread writer([&path] {
-    std::ofstream out(path, std::ios::binary);  // blocks until opened
-    for (int i = 0; i < 1000; ++i) out << "line " << i << "\r\n";
+  // MmapChunkSource::Open must refuse the FIFO without opening it: a
+  // blocking open(2) would wait for a writer. If it does block, a
+  // writer is supplied so the call returns and the test fails.
+  auto mmap_open = std::async(std::launch::async, [&path] {
+    return MmapChunkSource::Open(path.string()).ok();
   });
-  std::ifstream in(path, std::ios::binary);
+  if (mmap_open.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "MmapChunkSource::Open blocked on a FIFO";
+    const int unblock = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+    if (unblock >= 0) ::close(unblock);
+  }
+  EXPECT_FALSE(mmap_open.get());
+
+  // A non-blocking placeholder reader lets the writer end open without
+  // blocking; the writer then lets the stream's blocking open through.
+  const int placeholder = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  const int writer_fd =
+      placeholder < 0 ? -1 : ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+  std::ifstream in;
+  if (writer_fd >= 0) in.open(path, std::ios::binary);
+  if (placeholder >= 0) ::close(placeholder);
+  std::filesystem::remove(path);
+  if (!in) {
+    if (writer_fd >= 0) ::close(writer_fd);
+    FAIL() << "cannot open both ends of the FIFO: " << std::strerror(errno);
+  }
+
+  // Blocking writes from here on: the reader drains the pipe to EOF.
+  EXPECT_EQ(::fcntl(writer_fd, F_SETFL, 0), 0) << std::strerror(errno);
+  std::thread writer([writer_fd] {
+    std::string data;
+    for (int i = 0; i < 1000; ++i) {
+      data += "line " + std::to_string(i) + "\r\n";
+    }
+    for (size_t done = 0; done < data.size();) {
+      const ssize_t n =
+          ::write(writer_fd, data.data() + done, data.size() - done);
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    ::close(writer_fd);
+  });
   IstreamChunkSource source(in);
   Drained d = Drain(source, 64);
   writer.join();
-  std::filesystem::remove(path);
   ASSERT_EQ(d.lines.size(), 1000u);
   EXPECT_EQ(d.lines.front(), "line 0");
   EXPECT_EQ(d.lines.back(), "line 999");

@@ -200,7 +200,7 @@ void ExpectSameCounts(const corpus::CorpusStats& reference,
 // count the same Total/Valid/Unique as LogIngestor, and every valid
 // line's streamed hash must equal FNV-1a of its serialization.
 TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
-  const std::vector<std::string> lines = testing::PaperCorpusLog(1000);
+  const std::vector<std::string> lines = testing::PaperCorpusLog(2000);
   corpus::LogIngestor ingestor;
   ingestor.ProcessLog(lines);
   const corpus::CorpusStats& reference = ingestor.stats();
