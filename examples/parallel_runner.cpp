@@ -8,19 +8,15 @@
 // Usage: parallel_runner [options] [logfile]
 //   --generate <Dataset|all>  synthesize a log instead of reading a file
 //   --entries <n>             min entries per generated dataset (default 5000)
-//   --threads <n>             parse worker threads (default: hardware)
+//   --threads <n>             parse worker threads (default 0: hardware)
 //   --shards <n>              dedup/analysis shards (default: threads)
 //   --chunk-size <n>          lines per work chunk (default 512)
-//   --mmap / --no-mmap        read a logfile through the zero-copy mmap
-//                             chunk source (default) or the line-by-line
-//                             stream source; mmap falls back to stream
-//                             with a warning if the file cannot be mapped
 //   --verify                  compare against the serial path; with a
-//                             logfile, also re-run the pipeline through
-//                             the other ingest source (stream vs mmap)
-//                             and require identical statistics digests
-//                             (a logfile that is not a regular file, such
-//                             as a FIFO, is read once and not verified)
+//                             mapped logfile, also re-run the pipeline
+//                             through the stream source and require
+//                             identical statistics digests (a logfile
+//                             that is not a regular file, such as a
+//                             FIFO, is read once and not verified)
 //   --streaks                 run the sharded Section 8 streak stage
 //                             instead of the corpus pipeline (a logfile
 //                             is read as one query per line; --generate
@@ -48,14 +44,23 @@
 //                             even if input remains (simulates a kill
 //                             at a checkpoint boundary)
 //   --segment-chunks <n>      with --journal: reader chunks per segment
+//                             (checkpoint cadence, default 64)
 //   --snapshot-mmap           with --journal: load checkpoint snapshots
 //                             mmap-backed instead of streamed
-//                             (checkpoint cadence, default 64)
+//
+// A regular logfile is read through the zero-copy mmap chunk source,
+// falling back to the line-by-line stream source with a warning if it
+// cannot be mapped; anything else (a FIFO or a pipe) is streamed.
+// Numeric values are unsigned decimal integers; anything else exits 2
+// with "bad value for --flag".
 
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -82,6 +87,20 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Parses a numeric flag value strictly: decimal digits only (no sign,
+/// no whitespace, no trailing junk), at most `max`. Exits 2 otherwise.
+uint64_t ParseCount(const char* flag, const std::string& value,
+                    uint64_t max) {
+  uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
+    std::cerr << "bad value for " << flag << "\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Where the telemetry of a run should go. Empty path == exporter off.
@@ -227,7 +246,6 @@ int main(int argc, char** argv) {
   bool verify = false;
   bool streaks_mode = false;
   bool chunk_size_set = false;
-  bool use_mmap = true;
   TelemetryOutputs outputs;
   pipeline::PipelineOptions options;
   pipeline::JournalOptions journal;
@@ -239,6 +257,10 @@ int main(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto count = [&](const char* flag,
+                     uint64_t max = std::numeric_limits<uint64_t>::max()) {
+      return ParseCount(flag, next(flag), max);
     };
     // "--flag=PATH" or bare "--flag" (falling back to `fallback`), for
     // the exporters whose value is an optional output path.
@@ -271,16 +293,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--generate") {
       generate = next("--generate");
     } else if (arg == "--entries") {
-      entries = std::stoull(next("--entries"));
+      entries = count("--entries");
     } else if (arg == "--threads") {
-      options.threads = std::stoi(next("--threads"));
+      options.threads = static_cast<int>(
+          count("--threads", std::numeric_limits<int>::max()));
     } else if (arg == "--shards") {
-      options.shards = std::stoull(next("--shards"));
+      options.shards = count("--shards");
     } else if (arg == "--chunk-size") {
-      options.chunk_size = std::stoull(next("--chunk-size"));
+      options.chunk_size = count("--chunk-size");
       chunk_size_set = true;
     } else if (arg == "--budget") {
-      uint64_t steps = std::stoull(next("--budget"));
+      uint64_t steps = count("--budget");
       options.analysis_limits.ghw_steps = steps;
       options.analysis_limits.treewidth_steps = steps;
       options.analysis_limits.girth_steps = steps;
@@ -289,13 +312,9 @@ int main(int argc, char** argv) {
     } else if (path_flag("--journal", "run.journal", journal.path)) {
       // handled
     } else if (arg == "--max-segments") {
-      journal.max_segments = std::stoull(next("--max-segments"));
+      journal.max_segments = count("--max-segments");
     } else if (arg == "--segment-chunks") {
-      journal.chunks_per_segment = std::stoull(next("--segment-chunks"));
-    } else if (arg == "--mmap") {
-      use_mmap = true;
-    } else if (arg == "--no-mmap") {
-      use_mmap = false;
+      journal.chunks_per_segment = count("--segment-chunks");
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--streaks") {
@@ -374,9 +393,8 @@ int main(int argc, char** argv) {
   bool used_mmap = false;
   uint64_t input_bytes = 0;
   // With --journal the source is consumed in checkpointed segments; the
-  // journal layer rejects non-resumable sources, so a logfile always
-  // goes through MmapChunkSource (use_mmap=false keeps the buffered
-  // fallback resumable) and never the stream source.
+  // journal layer rejects non-resumable sources, so a journaled logfile
+  // always goes through MmapChunkSource and never the stream source.
   auto run_journaled = [&](pipeline::ChunkSource& src) -> bool {
     auto jr = pipeline::RunWithJournal(options, src, journal);
     if (!jr.ok()) {
@@ -387,13 +405,14 @@ int main(int argc, char** argv) {
     result = std::move(journaled->result);
     return true;
   };
+  std::error_code stat_error;
+  const bool regular_file =
+      !logfile.empty() && std::filesystem::is_regular_file(logfile, stat_error);
   auto start = std::chrono::steady_clock::now();
   if (!logfile.empty()) {
     std::unique_ptr<pipeline::MmapChunkSource> mapped;
-    if (use_mmap || !journal.path.empty()) {
-      pipeline::MmapChunkSource::Options mopts;
-      mopts.use_mmap = use_mmap;
-      auto opened = pipeline::MmapChunkSource::Open(logfile, mopts);
+    if (regular_file || !journal.path.empty()) {
+      auto opened = pipeline::MmapChunkSource::Open(logfile);
       if (opened.ok()) {
         mapped = std::move(opened.value());
       } else if (!journal.path.empty()) {
@@ -406,7 +425,7 @@ int main(int argc, char** argv) {
       }
     }
     if (mapped != nullptr) {
-      used_mmap = use_mmap;
+      used_mmap = true;
       input_bytes = mapped->size_bytes();
       if (!journal.path.empty()) {
         if (!run_journaled(*mapped)) return 2;
@@ -519,45 +538,27 @@ int main(int argc, char** argv) {
                  "--journal to finish, then verify)\n";
     verify = false;
   }
-  if (verify && !logfile.empty() &&
-      !std::filesystem::is_regular_file(logfile)) {
+  if (verify && !logfile.empty() && !regular_file) {
     std::cout << "\nSkipping verification: " << logfile
               << " is not a regular file, so the run consumed it and it "
                  "cannot be read a second time\n";
     verify = false;
   }
-  if (verify && !logfile.empty()) {
-    // Re-run through the ingest source NOT used above; the two sources
+  if (verify && used_mmap) {
+    // Re-run a mapped file through the stream source; the two sources
     // must be indistinguishable down to the full statistics digest.
-    pipeline::PipelineResult other;
-    bool ran_other = false;
-    if (used_mmap) {
-      std::ifstream in(logfile);
-      if (in) {
-        pipeline::IstreamChunkSource file_source(in);
-        other = pl.Run(file_source);
-        ran_other = true;
-      }
-    } else {
-      auto opened = pipeline::MmapChunkSource::Open(logfile);
-      if (opened.ok()) {
-        other = pl.Run(*opened.value());
-        ran_other = true;
-      } else {
-        std::cerr << "cross-source verify: mmap unavailable ("
-                  << opened.status().ToString() << ")\n";
-      }
-    }
-    if (ran_other) {
+    std::ifstream in(logfile);
+    if (in) {
+      pipeline::IstreamChunkSource file_source(in);
+      pipeline::PipelineResult other = pl.Run(file_source);
       bool ok = other.lines == result.lines &&
                 other.stats.total == result.stats.total &&
                 other.stats.valid == result.stats.valid &&
                 other.stats.unique == result.stats.unique &&
                 pipeline::StatisticsDigest(other.analysis) ==
                     pipeline::StatisticsDigest(result.analysis);
-      std::cout << "\nCross-source (" << (used_mmap ? "stream" : "mmap")
-                << " re-run): statistics " << (ok ? "MATCH" : "DIFFER")
-                << "\n";
+      std::cout << "\nCross-source (stream re-run): statistics "
+                << (ok ? "MATCH" : "DIFFER") << "\n";
       if (!ok) {
         std::cerr << "mmap/stream source divergence: lines " << result.lines
                   << " vs " << other.lines << ", total "

@@ -69,7 +69,7 @@ class ChunkSource {
   /// Replaces `out` with up to `max_lines` lines. Returns false when
   /// the source is exhausted and `out` is empty. May throw
   /// TransientChunkError / ChunkSourceError; the pipeline reader
-  /// contains both (see PipelineOptions::fault_containment).
+  /// contains both (see ParallelLogPipeline).
   virtual bool NextChunk(size_t max_lines, LineChunk& out) = 0;
 
   /// Resume support (the crash-safe run journal, pipeline/journal.h).

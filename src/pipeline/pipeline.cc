@@ -192,7 +192,6 @@ PipelineResult ParallelLogPipeline::Run(
 
   std::atomic<uint64_t> lines_consumed{0};
   QuarantineCollector quarantine(options_.quarantine_max_samples);
-  const bool contain = options_.fault_containment;
 
   // Shard consumers: single reader per shard, so Shard needs no locks.
   std::vector<std::thread> shard_threads;
@@ -258,33 +257,22 @@ PipelineResult ParallelLogPipeline::Run(
         std::shared_ptr<corpus::ParseScratch> scratch =
             scratch_pool.Acquire();
         bool chunk_ok = true;
-        if (contain) {
-          // Containment scope: a throw anywhere in the chunk's parse
-          // loop (bad_alloc included — injected alloc failures are only
-          // eligible inside the AllocFaultScope) falls through to the
-          // recovery pass below instead of killing the run.
-          try {
-            obs::AllocFaultScope fault_scope;
-            for (std::string_view line : chunk->data.lines) {
-              if (options_.parse_fault_hook) options_.parse_fault_hook(line);
-              corpus::ParsedLine parsed =
-                  corpus::ParseLogLine(parser, line, *scratch);
-              if (!parsed.is_query) continue;  // noise: dropped, not routed
-              buckets[ShardIndexFor(parsed, num_shards)].push_back(
-                  std::move(parsed));
-            }
-          } catch (...) {
-            chunk_ok = false;
-          }
-        } else {
+        // Containment scope: a throw anywhere in the chunk's parse loop
+        // (bad_alloc included — injected alloc failures are only
+        // eligible inside the AllocFaultScope) falls through to the
+        // recovery pass below instead of killing the run.
+        try {
+          obs::AllocFaultScope fault_scope;
           for (std::string_view line : chunk->data.lines) {
             if (options_.parse_fault_hook) options_.parse_fault_hook(line);
             corpus::ParsedLine parsed =
                 corpus::ParseLogLine(parser, line, *scratch);
-            if (!parsed.is_query) continue;
+            if (!parsed.is_query) continue;  // noise: dropped, not routed
             buckets[ShardIndexFor(parsed, num_shards)].push_back(
                 std::move(parsed));
           }
+        } catch (...) {
+          chunk_ok = false;
         }
         if (!chunk_ok) {
           // Recovery: the fast pass left arena-backed entries behind, so
@@ -372,28 +360,23 @@ PipelineResult ParallelLogPipeline::Run(
     for (;;) {
       uint64_t t0 = obs::NowNsIf(rt != nullptr);
       bool more;
-      if (contain) {
-        // Transient source errors (short read, EINTR, injected faults)
-        // retry a bounded number of times; persistent errors stop the
-        // input early, with the failure surfaced as source_status and
-        // every line read so far still fully accounted.
-        try {
-          more = source.NextChunk(chunk_size, chunk.data);
-          transient_retries = 0;
-        } catch (const TransientChunkError& e) {
-          if (++transient_retries <= kMaxTransientRetries) continue;
-          source_status = util::Status::Internal(
-              std::string("chunk source failed after ") +
-              std::to_string(kMaxTransientRetries) +
-              " retries: " + e.what());
-          break;
-        } catch (const std::exception& e) {
-          source_status = util::Status::Internal(
-              std::string("chunk source error: ") + e.what());
-          break;
-        }
-      } else {
+      // Transient source errors (short read, EINTR, injected faults)
+      // retry a bounded number of times; persistent errors stop the
+      // input early, with the failure surfaced as source_status and
+      // every line read so far still fully accounted.
+      try {
         more = source.NextChunk(chunk_size, chunk.data);
+        transient_retries = 0;
+      } catch (const TransientChunkError& e) {
+        if (++transient_retries <= kMaxTransientRetries) continue;
+        source_status = util::Status::Internal(
+            std::string("chunk source failed after ") +
+            std::to_string(kMaxTransientRetries) + " retries: " + e.what());
+        break;
+      } catch (const std::exception& e) {
+        source_status = util::Status::Internal(
+            std::string("chunk source error: ") + e.what());
+        break;
       }
       if constexpr (obs::kTelemetryEnabled) {
         if (rt && more) {

@@ -147,15 +147,6 @@ struct PipelineOptions {
   sparql::ParserOptions parser_options;
   /// Metrics registry + span tracing switches (both default off).
   obs::TelemetryOptions telemetry;
-  /// Worker/reader fault containment. When on (the default), an
-  /// exception thrown while processing a line — bad_alloc included —
-  /// quarantines that line (it still counts toward Total, in the
-  /// quarantined bucket) and the run continues; chunk-source errors are
-  /// retried (transient) or end the input early with
-  /// PipelineResult::source_status set (persistent). When off,
-  /// exceptions propagate — the pre-containment behaviour, kept for the
-  /// overhead bench and for debugging.
-  bool fault_containment = true;
   /// Per-query step budgets for the structural-analysis kernels
   /// (0 = unlimited). Exhaustion moves the query to the abandoned
   /// bucket; see corpus::AnalysisLimits.
@@ -200,6 +191,12 @@ struct PipelineResult {
 /// analyzes its disjoint slice; Run merges the shards into one result
 /// that is bit-identical to the serial path, independent of thread
 /// count and scheduling.
+///
+/// Faults are contained: an exception thrown while processing a line —
+/// bad_alloc included — quarantines that line (it still counts toward
+/// Total, in the quarantined bucket) and the run continues; chunk-source
+/// errors are retried (transient) or end the input early with
+/// PipelineResult::source_status set (persistent).
 class ParallelLogPipeline {
  public:
   explicit ParallelLogPipeline(PipelineOptions options = {});

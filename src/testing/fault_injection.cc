@@ -106,7 +106,6 @@ pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
   options.queue_capacity = config.queue_capacity;
   options.shards = config.shards;
   options.use_valid_corpus = config.use_valid_corpus;
-  options.fault_containment = true;
   // Fuzz the sample cap too (it's a PipelineOptions knob): derived from
   // the plan seed, so the determinism replay below sees the same value.
   options.quarantine_max_samples = 1 + plan.seed % 24;

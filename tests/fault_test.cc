@@ -21,6 +21,7 @@
 #include "pipeline/merge.h"
 #include "pipeline/pipeline.h"
 #include "testing/fault_injection.h"
+#include "testing/invariants.h"
 #include "util/budget.h"
 #include "util/rng.h"
 #include "util/snapshot_io.h"
@@ -283,19 +284,37 @@ TEST(QuarantineTest, OneShotFaultRecoversLosslessly) {
   EXPECT_EQ(r.quarantine.count, 0u);
 }
 
-TEST(QuarantineTest, ContainmentOffPropagates) {
-  std::vector<std::string> log = {"query=ASK { ?s ?p ?o }"};
-  pipeline::PipelineOptions options;
-  options.threads = 1;
-  options.fault_containment = false;
-  options.parse_fault_hook = [](std::string_view) {
-    throw std::runtime_error("uncontained");
-  };
-  pipeline::ParallelLogPipeline pipe(options);
-  // With containment off the exception tears down the worker; the
-  // pre-containment behaviour is process death via std::terminate, so
-  // this is a death test.
-  EXPECT_DEATH({ pipe.Run(log); }, "");
+TEST(QuarantineTest, FaultFreePaperCorpusMatchesSerialOracle) {
+  // Containment and the analysis step budgets must never change an
+  // answer on fault-free input: with default options and with budgets
+  // generous enough that no corpus query comes near them, the pipeline
+  // matches the serial oracle exactly and leaves both fault buckets
+  // empty (either being non-empty means the machinery misfired).
+  const std::vector<std::string> log = testing::PaperCorpusLog(2000);
+  const testing::SerialResult oracle = testing::RunSerial(log);
+  const std::vector<uint64_t> oracle_digest =
+      pipeline::StatisticsDigest(oracle.analysis);
+
+  for (const bool budgets : {false, true}) {
+    SCOPED_TRACE(budgets ? "generous budgets" : "default options");
+    pipeline::PipelineOptions options;
+    options.threads = 2;
+    if (budgets) {
+      options.analysis_limits.ghw_steps = 1u << 30;
+      options.analysis_limits.treewidth_steps = 1u << 30;
+      options.analysis_limits.girth_steps = 1u << 30;
+    }
+    pipeline::ParallelLogPipeline pipe(options);
+    pipeline::PipelineResult r = pipe.Run(log);
+    EXPECT_EQ(r.lines, log.size());
+    EXPECT_EQ(r.stats.total, oracle.stats.total);
+    EXPECT_EQ(r.stats.valid, oracle.stats.valid);
+    EXPECT_EQ(r.stats.unique, oracle.stats.unique);
+    EXPECT_EQ(r.stats.malformed, oracle.stats.malformed);
+    EXPECT_EQ(r.stats.quarantined, 0u);
+    EXPECT_EQ(r.stats.abandoned, 0u);
+    EXPECT_EQ(pipeline::StatisticsDigest(r.analysis), oracle_digest);
+  }
 }
 
 // ---------------------------------------------------------------------------
