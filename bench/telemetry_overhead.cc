@@ -136,16 +136,14 @@ int main() {
     }
   }
   // Collection itself must be deterministic across configurations.
-  if constexpr (obs::kTelemetryEnabled) {
-    if (!arms[1].digest || !arms[2].digest) {
-      std::cerr << "FAIL: collecting run produced no telemetry\n";
-      ok = false;
-    } else if (*arms[1].digest != *arms[2].digest) {
-      std::cerr << "FAIL: telemetry digest differs between metrics ("
-                << *arms[1].digest << ") and metrics+trace ("
-                << *arms[2].digest << ")\n";
-      ok = false;
-    }
+  if (!arms[1].digest || !arms[2].digest) {
+    std::cerr << "FAIL: collecting run produced no telemetry\n";
+    ok = false;
+  } else if (*arms[1].digest != *arms[2].digest) {
+    std::cerr << "FAIL: telemetry digest differs between metrics ("
+              << *arms[1].digest << ") and metrics+trace ("
+              << *arms[2].digest << ")\n";
+    ok = false;
   }
   double metrics_overhead = arms[1].best_s / arms[0].best_s - 1.0;
   if (metrics_overhead > max_overhead) {
@@ -164,7 +162,6 @@ int main() {
   json.KV("bench", "telemetry_overhead");
   json.KV("lines", arms[0].lines);
   json.KV("rounds", rounds);
-  json.KV("telemetry_compiled_in", obs::kTelemetryEnabled);
   json.KV("max_overhead", max_overhead);
   json.Key("configs");
   json.BeginArray();

@@ -54,7 +54,6 @@
 // Numeric values are unsigned decimal integers; anything else exits 2
 // with "bad value for --flag".
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -87,20 +86,6 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-/// Parses a numeric flag value strictly: decimal digits only (no sign,
-/// no whitespace, no trailing junk), at most `max`. Exits 2 otherwise.
-uint64_t ParseCount(const char* flag, const std::string& value,
-                    uint64_t max) {
-  uint64_t v = 0;
-  const char* end = value.data() + value.size();
-  auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc() || ptr != end || v > max) {
-    std::cerr << "bad value for " << flag << "\n";
-    std::exit(2);
-  }
-  return v;
 }
 
 /// Where the telemetry of a run should go. Empty path == exporter off.
@@ -260,7 +245,12 @@ int main(int argc, char** argv) {
     };
     auto count = [&](const char* flag,
                      uint64_t max = std::numeric_limits<uint64_t>::max()) {
-      return ParseCount(flag, next(flag), max);
+      std::optional<uint64_t> v = util::ParseCount(next(flag), max);
+      if (!v) {
+        std::cerr << "bad value for " << flag << "\n";
+        std::exit(2);
+      }
+      return *v;
     };
     // "--flag=PATH" or bare "--flag" (falling back to `fallback`), for
     // the exporters whose value is an optional output path.

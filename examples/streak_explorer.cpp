@@ -5,8 +5,10 @@
 //
 // Usage: streak_explorer [num_queries]
 
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 
 #include "corpus/generator.h"
 #include "corpus/profile.h"
@@ -17,11 +19,17 @@
 int main(int argc, char** argv) {
   using namespace sparqlog;
 
-  size_t num_queries = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 5000;
+  std::optional<uint64_t> num_queries =
+      argc > 1 ? util::ParseCount(argv[1], std::numeric_limits<size_t>::max())
+               : 5000;
+  if (!num_queries || argc > 2) {
+    std::cerr << "usage: streak_explorer [num_queries]\n";
+    return 2;
+  }
   auto profiles = corpus::PaperProfiles();
   const corpus::DatasetProfile& profile =
       corpus::ProfileByName(profiles, "DBpedia16");
-  auto log = corpus::GenerateStreakLog(profile, num_queries, 0.3, 4242);
+  auto log = corpus::GenerateStreakLog(profile, *num_queries, 0.3, 4242);
   std::cout << "Generated day-log with " << log.size()
             << " queries (30% refinement sessions)\n\n";
 

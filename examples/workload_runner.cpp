@@ -6,20 +6,30 @@
 // Usage: workload_runner [graph_nodes]
 
 #include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <optional>
 
 #include "gmark/graph_gen.h"
 #include "gmark/query_gen.h"
 #include "sparql/serializer.h"
 #include "store/engine.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
   using namespace sparqlog;
   using namespace std::chrono;
 
-  uint64_t nodes = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10000;
+  std::optional<uint64_t> arg =
+      argc > 1 ? util::ParseCount(argv[1], std::numeric_limits<uint64_t>::max())
+               : 10000;
+  if (!arg || argc > 2) {
+    std::cerr << "usage: workload_runner [graph_nodes]\n";
+    return 2;
+  }
+  const uint64_t nodes = *arg;
   gmark::Schema schema = gmark::Schema::Bib();
   store::TripleStore store;
   gmark::GraphGenOptions gopts;

@@ -31,18 +31,21 @@
 //                  [--scan-inputs N] [--source-rounds N]
 //                  [--fault-rounds N] [--fault-lines N]
 //                  [--snapshot-rounds N] [--snapshot-lines N] [--out PATH]
-// Environment overrides (for CI): SPARQLOG_FUZZ_SEED, SPARQLOG_FUZZ_QUERIES,
-// SPARQLOG_FUZZ_LINES, SPARQLOG_FUZZ_PIPELINE_ROUNDS,
-// SPARQLOG_FUZZ_STREAK_ROUNDS, SPARQLOG_FUZZ_ANALYSIS_ROUNDS,
-// SPARQLOG_FUZZ_SCAN_INPUTS, SPARQLOG_FUZZ_SOURCE_ROUNDS,
-// SPARQLOG_FUZZ_FAULT_ROUNDS, SPARQLOG_FUZZ_SNAPSHOT_ROUNDS.
+// Numeric values are unsigned decimal integers. A bad value, an unknown
+// flag or a missing value exits 2 with a message, so a typo can never
+// quietly shrink the budget.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 // Install the counting/fault-injecting allocator: phase 7's
@@ -58,6 +61,7 @@
 #include "testing/query_fuzzer.h"
 #include "testing/shrink.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -87,67 +91,50 @@ struct Config {
   std::string out_path = "fuzz_reproducers.txt";
 };
 
-long EnvOrDefault(const char* name, long fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atol(value) : fallback;
+[[noreturn]] void UsageError(const std::string& message) {
+  std::fprintf(stderr, "fuzz_roundtrip: %s\n", message.c_str());
+  std::exit(2);
 }
 
 Config ParseArgs(int argc, char** argv) {
   Config config;
-  config.seed = static_cast<uint64_t>(
-      EnvOrDefault("SPARQLOG_FUZZ_SEED", static_cast<long>(config.seed)));
-  config.queries = EnvOrDefault("SPARQLOG_FUZZ_QUERIES", config.queries);
-  config.lines = EnvOrDefault("SPARQLOG_FUZZ_LINES", config.lines);
-  config.pipeline_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_PIPELINE_ROUNDS", config.pipeline_rounds);
-  config.streak_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_STREAK_ROUNDS", config.streak_rounds);
-  config.analysis_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_ANALYSIS_ROUNDS", config.analysis_rounds);
-  config.scan_inputs =
-      EnvOrDefault("SPARQLOG_FUZZ_SCAN_INPUTS", config.scan_inputs);
-  config.source_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_SOURCE_ROUNDS", config.source_rounds);
-  config.fault_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_FAULT_ROUNDS", config.fault_rounds);
-  config.snapshot_rounds =
-      EnvOrDefault("SPARQLOG_FUZZ_SNAPSHOT_ROUNDS", config.snapshot_rounds);
+  const std::pair<std::string_view, long*> counts[] = {
+      {"--queries", &config.queries},
+      {"--lines", &config.lines},
+      {"--pipeline-rounds", &config.pipeline_rounds},
+      {"--pipeline-lines", &config.pipeline_lines},
+      {"--streak-rounds", &config.streak_rounds},
+      {"--streak-queries", &config.streak_queries},
+      {"--analysis-rounds", &config.analysis_rounds},
+      {"--analysis-queries", &config.analysis_queries},
+      {"--scan-inputs", &config.scan_inputs},
+      {"--source-rounds", &config.source_rounds},
+      {"--fault-rounds", &config.fault_rounds},
+      {"--fault-lines", &config.fault_lines},
+      {"--snapshot-rounds", &config.snapshot_rounds},
+      {"--snapshot-lines", &config.snapshot_lines},
+  };
   for (int i = 1; i < argc; ++i) {
-    auto arg = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
+    const std::string flag = argv[i];
+    auto value = [&]() -> std::string {
+      if (i + 1 >= argc) UsageError(flag + " needs a value");
+      return argv[++i];
     };
-    if (arg("--seed")) {
-      config.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg("--queries")) {
-      config.queries = std::atol(argv[++i]);
-    } else if (arg("--lines")) {
-      config.lines = std::atol(argv[++i]);
-    } else if (arg("--pipeline-rounds")) {
-      config.pipeline_rounds = std::atol(argv[++i]);
-    } else if (arg("--pipeline-lines")) {
-      config.pipeline_lines = std::atol(argv[++i]);
-    } else if (arg("--streak-rounds")) {
-      config.streak_rounds = std::atol(argv[++i]);
-    } else if (arg("--streak-queries")) {
-      config.streak_queries = std::atol(argv[++i]);
-    } else if (arg("--analysis-rounds")) {
-      config.analysis_rounds = std::atol(argv[++i]);
-    } else if (arg("--analysis-queries")) {
-      config.analysis_queries = std::atol(argv[++i]);
-    } else if (arg("--scan-inputs")) {
-      config.scan_inputs = std::atol(argv[++i]);
-    } else if (arg("--source-rounds")) {
-      config.source_rounds = std::atol(argv[++i]);
-    } else if (arg("--fault-rounds")) {
-      config.fault_rounds = std::atol(argv[++i]);
-    } else if (arg("--fault-lines")) {
-      config.fault_lines = std::atol(argv[++i]);
-    } else if (arg("--snapshot-rounds")) {
-      config.snapshot_rounds = std::atol(argv[++i]);
-    } else if (arg("--snapshot-lines")) {
-      config.snapshot_lines = std::atol(argv[++i]);
-    } else if (arg("--out")) {
-      config.out_path = argv[++i];
+    auto count = [&](uint64_t max) {
+      std::optional<uint64_t> v = sparqlog::util::ParseCount(value(), max);
+      if (!v) UsageError("bad value for " + flag);
+      return *v;
+    };
+    if (flag == "--seed") {
+      config.seed = count(std::numeric_limits<uint64_t>::max());
+    } else if (flag == "--out") {
+      config.out_path = value();
+    } else {
+      auto it = std::find_if(std::begin(counts), std::end(counts),
+                             [&](const auto& c) { return c.first == flag; });
+      if (it == std::end(counts)) UsageError("unknown flag " + flag);
+      *it->second =
+          static_cast<long>(count(std::numeric_limits<long>::max()));
     }
   }
   return config;

@@ -165,40 +165,30 @@ void LogIngestor::Ingest(const ParsedLine& parsed) {
   // survive. These are pure counter increments (no clock), shared by
   // the serial path and every pipeline shard.
   obs::StageMetrics* shard_metrics = nullptr;
-  if constexpr (obs::kTelemetryEnabled) {
-    if (telemetry_) {
-      shard_metrics = &telemetry_->stage(obs::kStageShard);
-      ++shard_metrics->items_in;
-    }
+  if (telemetry_) {
+    shard_metrics = &telemetry_->stage(obs::kStageShard);
+    ++shard_metrics->items_in;
   }
   if (parsed.quarantined) {
     ++stats_.quarantined;
-    if constexpr (obs::kTelemetryEnabled) {
-      if (shard_metrics) ++shard_metrics->quarantined;
-    }
+    if (shard_metrics) ++shard_metrics->quarantined;
     return;
   }
   if (!parsed.valid) {
     ++stats_.malformed;
-    if constexpr (obs::kTelemetryEnabled) {
-      if (shard_metrics) ++shard_metrics->malformed;
-    }
+    if (shard_metrics) ++shard_metrics->malformed;
     return;
   }
   const sparql::Query& q = *parsed.query;
   // Valid-corpus gate runs per occurrence: the budget verdict depends
   // only on the canonical query, so duplicates repeat the same verdict.
   if (valid_gate_) {
-    if constexpr (obs::kTelemetryEnabled) {
-      if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
-    }
+    if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
     util::Status st = valid_gate_(q);
     if (!st.ok()) {
       ++stats_.abandoned;
       seen_abandoned_.insert(parsed.canonical_hash);
-      if constexpr (obs::kTelemetryEnabled) {
-        if (shard_metrics) ++shard_metrics->abandoned;
-      }
+      if (shard_metrics) ++shard_metrics->abandoned;
       return;
     }
   }
@@ -207,39 +197,29 @@ void LogIngestor::Ingest(const ParsedLine& parsed) {
   // canonical hash route to the same shard, so this is deterministic).
   if (seen_abandoned_.count(parsed.canonical_hash) > 0) {
     ++stats_.abandoned;
-    if constexpr (obs::kTelemetryEnabled) {
-      if (shard_metrics) ++shard_metrics->abandoned;
-    }
+    if (shard_metrics) ++shard_metrics->abandoned;
     return;
   }
   if (seen_hashes_.count(parsed.canonical_hash) > 0) {
     ++stats_.valid;
-    if constexpr (obs::kTelemetryEnabled) {
-      if (shard_metrics) ++shard_metrics->items_out;
-    }
+    if (shard_metrics) ++shard_metrics->items_out;
     return;
   }
   // First occurrence: the unique gate may still abandon it.
   if (unique_gate_) {
-    if constexpr (obs::kTelemetryEnabled) {
-      if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
-    }
+    if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
     util::Status st = unique_gate_(q);
     if (!st.ok()) {
       ++stats_.abandoned;
       seen_abandoned_.insert(parsed.canonical_hash);
-      if constexpr (obs::kTelemetryEnabled) {
-        if (shard_metrics) ++shard_metrics->abandoned;
-      }
+      if (shard_metrics) ++shard_metrics->abandoned;
       return;
     }
   }
   seen_hashes_.insert(parsed.canonical_hash);
   ++stats_.valid;
   ++stats_.unique;
-  if constexpr (obs::kTelemetryEnabled) {
-    if (shard_metrics) ++shard_metrics->items_out;
-  }
+  if (shard_metrics) ++shard_metrics->items_out;
 }
 
 void LogIngestor::ProcessLog(const std::vector<std::string>& lines) {

@@ -6,16 +6,6 @@
 
 namespace sparqlog::obs {
 
-/// Compile-time telemetry switch. Building with -DSPARQLOG_NO_TELEMETRY
-/// removes every clock read and metric update from the instrumented hot
-/// paths (the telemetry types and exporters remain, so callers compile
-/// unchanged and simply observe zeroed counters).
-#ifdef SPARQLOG_NO_TELEMETRY
-inline constexpr bool kTelemetryEnabled = false;
-#else
-inline constexpr bool kTelemetryEnabled = true;
-#endif
-
 /// Monotonic nanosecond timestamp — the one clock every telemetry
 /// component (latency histograms, queue wait accounting, trace spans)
 /// reads, so spans from different workers land on a common time axis.
@@ -24,17 +14,6 @@ inline uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Timestamp gated on both the compile-time switch and a runtime
-/// condition: the enabled-but-unused path costs one branch, the
-/// compiled-out path costs nothing.
-inline uint64_t NowNsIf(bool enabled) {
-  if constexpr (kTelemetryEnabled) {
-    if (enabled) return NowNs();
-  }
-  (void)enabled;
-  return 0;
 }
 
 }  // namespace sparqlog::obs

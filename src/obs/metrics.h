@@ -37,7 +37,7 @@ struct TelemetryOptions {
   /// Spans retained per worker ring before the oldest are overwritten.
   size_t trace_capacity = 1 << 15;
 
-  bool enabled() const { return kTelemetryEnabled && (metrics || trace); }
+  bool enabled() const { return metrics || trace; }
 };
 
 /// Fixed-bucket latency histogram: bucket i counts durations whose

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/clock.h"
-
 namespace sparqlog::obs {
 
 /// One completed span: a stage working on a chunk between two monotonic
@@ -32,13 +30,6 @@ class TraceRing {
   explicit TraceRing(size_t capacity);
 
   void Record(int stage, uint64_t chunk, uint64_t begin_ns, uint64_t end_ns) {
-    if constexpr (!kTelemetryEnabled) {
-      (void)stage;
-      (void)chunk;
-      (void)begin_ns;
-      (void)end_ns;
-      return;
-    }
     if (events_.empty()) return;
     if (size_ == events_.size()) {
       ++dropped_;

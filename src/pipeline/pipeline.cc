@@ -171,7 +171,7 @@ PipelineResult ParallelLogPipeline::Run(
       rings.emplace_back(options_.telemetry.trace_capacity);
     }
   }
-  const uint64_t run_start = obs::NowNsIf(collect);
+  const uint64_t run_start = collect ? obs::NowNs() : 0;
   const uint64_t alloc_bytes0 = collect ? obs::AllocatedBytes() : 0;
   const uint64_t alloc_count0 = collect ? obs::AllocationCount() : 0;
 
@@ -208,19 +208,17 @@ PipelineResult ParallelLogPipeline::Run(
       const uint64_t tb0 = rt ? obs::ThreadAllocatedBytes() : 0;
       const uint64_t tc0 = rt ? obs::ThreadAllocationCount() : 0;
       while (std::optional<ShardBatch> batch = shard_queues[i]->Pop()) {
-        uint64_t t0 = obs::NowNsIf(rt != nullptr);
+        uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
         for (const corpus::ParsedLine& entry : batch->entries) {
           shards[i]->Consume(entry);
         }
-        if constexpr (obs::kTelemetryEnabled) {
-          if (rt) {
-            uint64_t t1 = obs::NowNs();
-            obs::StageMetrics& m = rt->stage(obs::kStageShard);
-            ++m.chunks;
-            m.chunk_ns.Record(t1 - t0);
-            if (ring) {
-              ring->Record(obs::kStageShard, batch->chunk, t0, t1);
-            }
+        if (rt) {
+          uint64_t t1 = obs::NowNs();
+          obs::StageMetrics& m = rt->stage(obs::kStageShard);
+          ++m.chunks;
+          m.chunk_ns.Record(t1 - t0);
+          if (ring) {
+            ring->Record(obs::kStageShard, batch->chunk, t0, t1);
           }
         }
       }
@@ -248,7 +246,7 @@ PipelineResult ParallelLogPipeline::Run(
       uint64_t local_lines = 0;
       std::vector<Batch> buckets(num_shards);
       while (std::optional<NumberedChunk> chunk = chunk_queue.Pop()) {
-        uint64_t t0 = obs::NowNsIf(rt != nullptr);
+        uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
         local_lines += chunk->data.lines.size();
         for (Batch& b : buckets) b.clear();
         // One scratch per chunk: every line's AST lands on its arena,
@@ -309,26 +307,24 @@ PipelineResult ParallelLogPipeline::Run(
                 std::move(parsed));
           }
         }
-        if constexpr (obs::kTelemetryEnabled) {
-          if (rt) {
-            uint64_t routed = 0, malformed = 0;
-            for (size_t i = 0; i < num_shards; ++i) {
-              routed += buckets[i].size();
-              rt->shard_queries[i] += buckets[i].size();
-              for (const corpus::ParsedLine& e : buckets[i]) {
-                if (!e.valid && !e.quarantined) ++malformed;
-              }
+        if (rt) {
+          uint64_t routed = 0, malformed = 0;
+          for (size_t i = 0; i < num_shards; ++i) {
+            routed += buckets[i].size();
+            rt->shard_queries[i] += buckets[i].size();
+            for (const corpus::ParsedLine& e : buckets[i]) {
+              if (!e.valid && !e.quarantined) ++malformed;
             }
-            uint64_t t1 = obs::NowNs();
-            obs::StageMetrics& m = rt->stage(obs::kStageParse);
-            ++m.chunks;
-            m.items_in += chunk->data.lines.size();
-            m.bytes_in += chunk->data.bytes;
-            m.items_out += routed;
-            m.malformed += malformed;
-            m.chunk_ns.Record(t1 - t0);
-            if (ring) ring->Record(obs::kStageParse, chunk->id, t0, t1);
           }
+          uint64_t t1 = obs::NowNs();
+          obs::StageMetrics& m = rt->stage(obs::kStageParse);
+          ++m.chunks;
+          m.items_in += chunk->data.lines.size();
+          m.bytes_in += chunk->data.bytes;
+          m.items_out += routed;
+          m.malformed += malformed;
+          m.chunk_ns.Record(t1 - t0);
+          if (ring) ring->Record(obs::kStageParse, chunk->id, t0, t1);
         }
         for (size_t i = 0; i < num_shards; ++i) {
           if (buckets[i].empty()) continue;
@@ -358,7 +354,7 @@ PipelineResult ParallelLogPipeline::Run(
     uint64_t next_id = 0;
     int transient_retries = 0;
     for (;;) {
-      uint64_t t0 = obs::NowNsIf(rt != nullptr);
+      uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
       bool more;
       // Transient source errors (short read, EINTR, injected faults)
       // retry a bounded number of times; persistent errors stop the
@@ -378,17 +374,15 @@ PipelineResult ParallelLogPipeline::Run(
             std::string("chunk source error: ") + e.what());
         break;
       }
-      if constexpr (obs::kTelemetryEnabled) {
-        if (rt && more) {
-          uint64_t t1 = obs::NowNs();
-          obs::StageMetrics& m = rt->stage(obs::kStageReader);
-          ++m.chunks;
-          m.items_in += chunk.data.lines.size();
-          m.items_out += chunk.data.lines.size();
-          m.bytes_in += chunk.data.bytes;
-          m.chunk_ns.Record(t1 - t0);
-          if (ring) ring->Record(obs::kStageReader, next_id, t0, t1);
-        }
+      if (rt && more) {
+        uint64_t t1 = obs::NowNs();
+        obs::StageMetrics& m = rt->stage(obs::kStageReader);
+        ++m.chunks;
+        m.items_in += chunk.data.lines.size();
+        m.items_out += chunk.data.lines.size();
+        m.bytes_in += chunk.data.bytes;
+        m.chunk_ns.Record(t1 - t0);
+        if (ring) ring->Record(obs::kStageReader, next_id, t0, t1);
       }
       if (!more) break;
       chunk.id = next_id++;

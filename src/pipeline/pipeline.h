@@ -32,8 +32,7 @@ namespace sparqlog::pipeline {
 /// The queue keeps its own occupancy counters (obs::QueueCounters) under
 /// the mutex it already holds: push-blocks, pop-waits, their durations,
 /// and the high-water depth. The uncontended path never reads the clock
-/// — wait time is only measured when a caller actually blocks — and with
-/// SPARQLOG_NO_TELEMETRY the clock reads compile out entirely.
+/// — wait time is only measured when a caller actually blocks.
 template <typename T>
 class BoundedQueue {
  public:
@@ -45,12 +44,10 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     if (items_.size() >= capacity_ && !closed_) {
       ++stats_.push_blocks;
-      uint64_t t0 = obs::NowNsIf(true);
+      uint64_t t0 = obs::NowNs();
       not_full_.wait(lock,
                      [this] { return items_.size() < capacity_ || closed_; });
-      if constexpr (obs::kTelemetryEnabled) {
-        stats_.push_block_ns += obs::NowNs() - t0;
-      }
+      stats_.push_block_ns += obs::NowNs() - t0;
     }
     if (closed_) {
       ++stats_.rejected_pushes;
@@ -70,11 +67,9 @@ class BoundedQueue {
     std::unique_lock<std::mutex> lock(mu_);
     if (items_.empty() && !closed_) {
       ++stats_.pop_waits;
-      uint64_t t0 = obs::NowNsIf(true);
+      uint64_t t0 = obs::NowNs();
       not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-      if constexpr (obs::kTelemetryEnabled) {
-        stats_.pop_wait_ns += obs::NowNs() - t0;
-      }
+      stats_.pop_wait_ns += obs::NowNs() - t0;
     }
     if (items_.empty()) return std::nullopt;
     T item = std::move(items_.front());

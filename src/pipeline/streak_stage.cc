@@ -56,7 +56,7 @@ StreakStageResult StreakStage::Run(
       std::min<size_t>(static_cast<size_t>(threads_), num_chunks);
   const bool collect = options_.telemetry.enabled();
   const bool tracing = collect && options_.telemetry.trace;
-  const uint64_t run_start = obs::NowNsIf(collect);
+  const uint64_t run_start = collect ? obs::NowNs() : 0;
   const uint64_t alloc_bytes0 = collect ? obs::AllocatedBytes() : 0;
   const uint64_t alloc_count0 = collect ? obs::AllocationCount() : 0;
   std::vector<ChunkEdges> edges(num_chunks);
@@ -87,7 +87,7 @@ StreakStageResult StreakStage::Run(
       const size_t start = c * chunk_size;
       const size_t end = std::min(n, start + chunk_size);
       const size_t warm = start > window ? start - window : 0;
-      uint64_t t0 = obs::NowNsIf(rt != nullptr);
+      uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
       win.Reset();
       for (size_t j = warm; j < start; ++j) {
         win.Add(queries[j], gaps);  // state only; edges discarded
@@ -100,16 +100,14 @@ StreakStageResult StreakStage::Run(
         out.gaps.insert(out.gaps.end(), gaps.begin(), gaps.end());
         out.offsets.push_back(static_cast<uint32_t>(out.gaps.size()));
       }
-      if constexpr (obs::kTelemetryEnabled) {
-        if (rt) {
-          uint64_t t1 = obs::NowNs();
-          obs::StageMetrics& m = rt->stage(obs::kStageStreak);
-          ++m.chunks;
-          m.items_in += end - start;  // warmup re-scans are not items
-          m.items_out += end - start;
-          m.chunk_ns.Record(t1 - t0);
-          if (ring) ring->Record(obs::kStageStreak, c, t0, t1);
-        }
+      if (rt) {
+        uint64_t t1 = obs::NowNs();
+        obs::StageMetrics& m = rt->stage(obs::kStageStreak);
+        ++m.chunks;
+        m.items_in += end - start;  // warmup re-scans are not items
+        m.items_out += end - start;
+        m.chunk_ns.Record(t1 - t0);
+        if (ring) ring->Record(obs::kStageStreak, c, t0, t1);
       }
     }
     if (rt) {
@@ -143,22 +141,20 @@ StreakStageResult StreakStage::Run(
     streaks::StreakChainTracker tracker(window);
     for (size_t c = 0; c < edges.size(); ++c) {
       const ChunkEdges& chunk = edges[c];
-      uint64_t t0 = obs::NowNsIf(rt != nullptr);
+      uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
       for (size_t j = 0; j + 1 < chunk.offsets.size(); ++j) {
         tracker.Add(chunk.gaps.data() + chunk.offsets[j],
                     chunk.offsets[j + 1] - chunk.offsets[j]);
       }
       result.report.Merge(tracker.DrainFinalized());
-      if constexpr (obs::kTelemetryEnabled) {
-        if (rt) {
-          uint64_t t1 = obs::NowNs();
-          obs::StageMetrics& m = rt->stage(obs::kStageStitch);
-          ++m.chunks;
-          m.items_in += chunk.offsets.size() - 1;
-          m.items_out += chunk.offsets.size() - 1;
-          m.chunk_ns.Record(t1 - t0);
-          if (ring) ring->Record(obs::kStageStitch, c, t0, t1);
-        }
+      if (rt) {
+        uint64_t t1 = obs::NowNs();
+        obs::StageMetrics& m = rt->stage(obs::kStageStitch);
+        ++m.chunks;
+        m.items_in += chunk.offsets.size() - 1;
+        m.items_out += chunk.offsets.size() - 1;
+        m.chunk_ns.Record(t1 - t0);
+        if (ring) ring->Record(obs::kStageStitch, c, t0, t1);
       }
     }
     result.report.Merge(tracker.Finish());

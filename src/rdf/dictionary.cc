@@ -7,24 +7,9 @@ namespace sparqlog::rdf {
 TermId Dictionary::Intern(std::string_view s) {
   auto it = index_.find(s);
   if (it != index_.end()) return it->second;
-  // Deques of strings would keep views stable; with vector we must re-key
-  // after reallocation. Instead, store the string first and key the map by
-  // the stable string_view into the (never-shrunk) element. vector
-  // reallocation moves the std::string objects but small-string contents
-  // move with them, so views into the character buffer of *large* strings
-  // stay valid while small-string views do not. To stay safe we rebuild
-  // views from the stored strings after growth.
-  bool will_grow = strings_.size() == strings_.capacity();
   strings_.emplace_back(s);
   TermId id = static_cast<TermId>(strings_.size() - 1);
-  if (will_grow) {
-    index_.clear();
-    for (TermId i = 1; i < strings_.size(); ++i) {
-      index_.emplace(strings_[i], i);
-    }
-  } else {
-    index_.emplace(strings_.back(), id);
-  }
+  index_.emplace(strings_.back(), id);
   return id;
 }
 

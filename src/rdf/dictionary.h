@@ -1,10 +1,10 @@
 #ifndef SPARQLOG_RDF_DICTIONARY_H_
 #define SPARQLOG_RDF_DICTIONARY_H_
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "rdf/triple.h"
 
@@ -31,7 +31,9 @@ class Dictionary {
   size_t size() const { return strings_.size() - 1; }
 
  private:
-  std::vector<std::string> strings_ = {""};  // index 0 reserved
+  // A deque never moves its elements on growth, so the index keys (views
+  // into the stored strings, short ones included) stay valid.
+  std::deque<std::string> strings_ = {""};  // index 0 reserved
   std::unordered_map<std::string_view, TermId> index_;
 };
 

@@ -290,62 +290,60 @@ std::optional<Violation> CheckSerialParallelEquivalence(
                    "");
   }
 
-  // ---- Telemetry invariants (compiled out with SPARQLOG_NO_TELEMETRY).
-  if constexpr (obs::kTelemetryEnabled) {
-    if (!result.telemetry.has_value()) {
-      return Violate("telemetry-missing",
-                     "metrics requested but pipeline returned no telemetry (" +
-                         describe() + ")",
-                     "");
-    }
-    const obs::RunTelemetry& t = *result.telemetry;
-    // Internal consistency: the registry must agree with the pipeline's
-    // own results — reader/parse saw every line, the shard stage kept
-    // exactly the valid entries, the shards account for every query.
-    uint64_t shard_sum = 0;
-    for (uint64_t q : t.shard_queries) shard_sum += q;
-    const uint64_t analysis_expected =
-        config.use_valid_corpus ? serial.valid : serial.unique;
-    if (t.stage(obs::kStageReader).items_in != log.size() ||
-        t.stage(obs::kStageParse).items_in != log.size() ||
-        t.stage(obs::kStageShard).items_in != serial.total ||
-        t.stage(obs::kStageShard).items_out != serial.valid ||
-        t.stage(obs::kStageShard).malformed != serial.total - serial.valid ||
-        t.stage(obs::kStageAnalysis).items_in != analysis_expected ||
-        shard_sum != serial.total) {
-      return Violate(
-          "telemetry-consistency",
-          "telemetry counters disagree with pipeline results (" + describe() +
-              "): reader=" + std::to_string(t.stage(obs::kStageReader).items_in) +
-              " parse=" + std::to_string(t.stage(obs::kStageParse).items_in) +
-              " shard=" + std::to_string(t.stage(obs::kStageShard).items_in) +
-              "/" + std::to_string(t.stage(obs::kStageShard).items_out) +
-              " analysis=" +
-              std::to_string(t.stage(obs::kStageAnalysis).items_in) +
-              " shard_sum=" + std::to_string(shard_sum) + " vs lines=" +
-              std::to_string(log.size()) + " total=" +
-              std::to_string(serial.total) + " valid=" +
-              std::to_string(serial.valid),
-          "");
-    }
-    // Scheduling independence: a single-threaded run over the same
-    // input with the same resolved shard count but a different chunk
-    // size must produce the identical telemetry digest.
-    pipeline::PipelineOptions reference_options = options;
-    reference_options.threads = 1;
-    reference_options.shards = parallel.shards();
-    reference_options.chunk_size = config.chunk_size == 1 ? 37 : 1;
-    reference_options.queue_capacity = 16;
-    pipeline::ParallelLogPipeline reference(reference_options);
-    pipeline::PipelineResult reference_result = reference.Run(log);
-    if (!reference_result.telemetry.has_value() ||
-        obs::TelemetryDigest(*reference_result.telemetry) !=
-            obs::TelemetryDigest(t)) {
-      return Violate("telemetry-digest",
-                     "TelemetryDigest differs between the run (" + describe() +
-                         ") and its single-threaded reference",
-                     "");
-    }
+  // ---- Telemetry invariants.
+  if (!result.telemetry.has_value()) {
+    return Violate("telemetry-missing",
+                   "metrics requested but pipeline returned no telemetry (" +
+                       describe() + ")",
+                   "");
+  }
+  const obs::RunTelemetry& t = *result.telemetry;
+  // Internal consistency: the registry must agree with the pipeline's
+  // own results — reader/parse saw every line, the shard stage kept
+  // exactly the valid entries, the shards account for every query.
+  uint64_t shard_sum = 0;
+  for (uint64_t q : t.shard_queries) shard_sum += q;
+  const uint64_t analysis_expected =
+      config.use_valid_corpus ? serial.valid : serial.unique;
+  if (t.stage(obs::kStageReader).items_in != log.size() ||
+      t.stage(obs::kStageParse).items_in != log.size() ||
+      t.stage(obs::kStageShard).items_in != serial.total ||
+      t.stage(obs::kStageShard).items_out != serial.valid ||
+      t.stage(obs::kStageShard).malformed != serial.total - serial.valid ||
+      t.stage(obs::kStageAnalysis).items_in != analysis_expected ||
+      shard_sum != serial.total) {
+    return Violate(
+        "telemetry-consistency",
+        "telemetry counters disagree with pipeline results (" + describe() +
+            "): reader=" + std::to_string(t.stage(obs::kStageReader).items_in) +
+            " parse=" + std::to_string(t.stage(obs::kStageParse).items_in) +
+            " shard=" + std::to_string(t.stage(obs::kStageShard).items_in) +
+            "/" + std::to_string(t.stage(obs::kStageShard).items_out) +
+            " analysis=" +
+            std::to_string(t.stage(obs::kStageAnalysis).items_in) +
+            " shard_sum=" + std::to_string(shard_sum) + " vs lines=" +
+            std::to_string(log.size()) + " total=" +
+            std::to_string(serial.total) + " valid=" +
+            std::to_string(serial.valid),
+        "");
+  }
+  // Scheduling independence: a single-threaded run over the same
+  // input with the same resolved shard count but a different chunk
+  // size must produce the identical telemetry digest.
+  pipeline::PipelineOptions reference_options = options;
+  reference_options.threads = 1;
+  reference_options.shards = parallel.shards();
+  reference_options.chunk_size = config.chunk_size == 1 ? 37 : 1;
+  reference_options.queue_capacity = 16;
+  pipeline::ParallelLogPipeline reference(reference_options);
+  pipeline::PipelineResult reference_result = reference.Run(log);
+  if (!reference_result.telemetry.has_value() ||
+      obs::TelemetryDigest(*reference_result.telemetry) !=
+          obs::TelemetryDigest(t)) {
+    return Violate("telemetry-digest",
+                   "TelemetryDigest differs between the run (" + describe() +
+                       ") and its single-threaded reference",
+                   "");
   }
   return std::nullopt;
 }
@@ -707,15 +705,13 @@ std::optional<Violation> CheckSourceEquivalence(
                      pair + " StatisticsDigest diverges (" + describe() + ")",
                      "");
     }
-    if constexpr (obs::kTelemetryEnabled) {
-      if (a.telemetry.has_value() != b.telemetry.has_value() ||
-          (a.telemetry.has_value() &&
-           obs::TelemetryDigest(*a.telemetry) !=
-               obs::TelemetryDigest(*b.telemetry))) {
-        return Violate("source-equivalence",
-                       pair + " TelemetryDigest diverges (" + describe() + ")",
-                       "");
-      }
+    if (a.telemetry.has_value() != b.telemetry.has_value() ||
+        (a.telemetry.has_value() &&
+         obs::TelemetryDigest(*a.telemetry) !=
+             obs::TelemetryDigest(*b.telemetry))) {
+      return Violate("source-equivalence",
+                     pair + " TelemetryDigest diverges (" + describe() + ")",
+                     "");
     }
     return std::nullopt;
   };

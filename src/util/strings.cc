@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "util/ascii.h"
@@ -152,6 +153,14 @@ std::string Percent(double numerator, double denominator) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f%%", pct);
   return buf;
+}
+
+std::optional<uint64_t> ParseCount(std::string_view s, uint64_t max) {
+  uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
 }
 
 }  // namespace sparqlog::util

@@ -1,6 +1,8 @@
 #ifndef SPARQLOG_UTIL_STRINGS_H_
 #define SPARQLOG_UTIL_STRINGS_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +46,11 @@ std::string WithThousands(long long n);
 
 /// Formats a ratio as a percentage with two decimals, e.g. "87.97%".
 std::string Percent(double numerator, double denominator);
+
+/// Parses a count strictly: decimal digits only (no sign, no whitespace,
+/// no trailing junk), at most `max`. Returns nullopt otherwise, so a
+/// command-line flag can reject junk instead of reading it as 0.
+std::optional<uint64_t> ParseCount(std::string_view s, uint64_t max);
 
 }  // namespace sparqlog::util
 

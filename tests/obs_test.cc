@@ -215,10 +215,6 @@ TEST(TraceRingTest, KeepsNewestAndCountsDropped) {
   for (uint64_t i = 0; i < 6; ++i) {
     ring.Record(kStageParse, i, i * 100, i * 100 + 50);
   }
-  if constexpr (!kTelemetryEnabled) {
-    EXPECT_EQ(ring.size(), 0u);
-    return;
-  }
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.dropped(), 2u);
   std::vector<TraceEvent> events = ring.Drain();
@@ -233,7 +229,6 @@ TEST(TraceRingTest, PartialFillDrainsInOrder) {
   TraceRing ring(8);
   ring.Record(kStageReader, 0, 10, 20);
   ring.Record(kStageReader, 1, 30, 40);
-  if constexpr (!kTelemetryEnabled) return;
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.dropped(), 0u);
   std::vector<TraceEvent> events = ring.Drain();
@@ -334,10 +329,6 @@ TEST(PipelineTelemetryTest, CountersMatchPipelineResults) {
   options.telemetry.metrics = true;
   pipeline::ParallelLogPipeline pl(options);
   pipeline::PipelineResult result = pl.Run(log);
-  if constexpr (!kTelemetryEnabled) {
-    EXPECT_FALSE(result.telemetry.has_value());
-    return;
-  }
   ASSERT_TRUE(result.telemetry.has_value());
   const RunTelemetry& t = *result.telemetry;
   // Reader saw every line; parse emitted every query entry; the shard
@@ -396,7 +387,6 @@ TEST(PipelineTelemetryTest, SerialIngestorMatchesShardStage) {
   options.telemetry.metrics = true;
   pipeline::ParallelLogPipeline pl(options);
   pipeline::PipelineResult result = pl.Run(log);
-  if constexpr (!kTelemetryEnabled) return;
   ASSERT_TRUE(result.telemetry.has_value());
   // The shard/dedup counters are counted inside LogIngestor::Ingest on
   // both paths, so they must agree exactly.
@@ -418,10 +408,6 @@ TEST(PipelineTelemetryTest, TraceSpansLandInsideRun) {
   options.telemetry.trace = true;
   pipeline::ParallelLogPipeline pl(options);
   pipeline::PipelineResult result = pl.Run(TestLog(300));
-  if constexpr (!kTelemetryEnabled) {
-    EXPECT_FALSE(result.trace.has_value());
-    return;
-  }
   ASSERT_TRUE(result.trace.has_value());
   const TraceData& trace = *result.trace;
   EXPECT_EQ(trace.tracks.size(), 1u + 2u + 2u);  // reader + parse + shard
@@ -449,10 +435,6 @@ TEST(StreakStageTelemetryTest, EngagesAndCounts) {
   options.telemetry.trace = true;
   pipeline::StreakStage stage(options);
   pipeline::StreakStageResult result = stage.Run(queries);
-  if constexpr (!kTelemetryEnabled) {
-    EXPECT_FALSE(result.telemetry.has_value());
-    return;
-  }
   ASSERT_TRUE(result.telemetry.has_value());
   const RunTelemetry& t = *result.telemetry;
   // Warmup re-scans are excluded, so items == queries exactly; the

@@ -69,8 +69,9 @@ TEST(DictionaryTest, ResolveRoundTrip) {
 }
 
 TEST(DictionaryTest, SurvivesRehash) {
-  // Force many insertions so the backing vector reallocates; all ids
-  // and lookups must stay valid.
+  // Force many insertions of short (SSO-sized) terms so the backing
+  // store and the index grow many times; all ids and lookups must stay
+  // valid.
   Dictionary d;
   std::vector<TermId> ids;
   for (int i = 0; i < 5000; ++i) {

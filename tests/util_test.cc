@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,6 +98,20 @@ TEST(StringsTest, WithThousands) {
 TEST(StringsTest, Percent) {
   EXPECT_EQ(Percent(8797, 10000), "87.97%");
   EXPECT_EQ(Percent(1, 0), "0.00%");
+}
+
+TEST(StringsTest, ParseCountIsStrict) {
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(ParseCount("0", kMax), 0u);
+  EXPECT_EQ(ParseCount("42", kMax), 42u);
+  EXPECT_EQ(ParseCount("007", kMax), 7u);
+  EXPECT_EQ(ParseCount("18446744073709551615", kMax), kMax);
+  EXPECT_EQ(ParseCount("10", 10), 10u);
+  for (const char* junk : {"", "abc", "5x", "x5", "-1", "+5", " 5", "5 ",
+                           "1.5", "18446744073709551616"}) {
+    EXPECT_EQ(ParseCount(junk, kMax), std::nullopt) << '"' << junk << '"';
+  }
+  EXPECT_EQ(ParseCount("11", 10), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include "graph/canonical.h"
 #include "sparql/parser.h"
+#include "util/budget.h"
 #include "width/hypertree.h"
 #include "width/treewidth.h"
 
@@ -39,6 +40,16 @@ Graph GridGraph(int rows, int cols) {
       if (c + 1 < cols) g.AddEdge(v, v + 1);
       if (r + 1 < rows) g.AddEdge(v, v + cols);
     }
+  }
+  return g;
+}
+
+Graph Petersen() {
+  Graph g(10);
+  for (int i = 0; i < 5; ++i) {
+    g.AddEdge(i, (i + 1) % 5);          // outer cycle
+    g.AddEdge(5 + i, 5 + (i + 2) % 5);  // inner pentagram
+    g.AddEdge(i, 5 + i);                // spokes
   }
   return g;
 }
@@ -149,13 +160,31 @@ TEST(TreewidthTest, DisconnectedMax) {
 
 TEST(TreewidthTest, PetersenGraph) {
   // The Petersen graph has treewidth 4.
-  Graph g(10);
-  for (int i = 0; i < 5; ++i) {
-    g.AddEdge(i, (i + 1) % 5);        // outer cycle
-    g.AddEdge(5 + i, 5 + (i + 2) % 5);  // inner pentagram
-    g.AddEdge(i, 5 + i);              // spokes
-  }
-  EXPECT_EQ(Treewidth(g).width, 4);
+  EXPECT_EQ(Treewidth(Petersen()).width, 4);
+}
+
+// Both graphs kernelize to themselves (min degree 3), so their width is
+// decided by the branch-and-bound search, which charges one budget step
+// per search node. The pinned step counts catch a search that starts
+// visiting more (or fewer) nodes; query graphs rarely reach the search,
+// so no corpus-driven count covers it.
+void ExpectSearchSteps(const Graph& g, int width, uint64_t steps) {
+  constexpr uint64_t kGenerous = 1u << 20;
+  TreewidthScratch scratch;
+  util::StepBudget generous(kGenerous);
+  TreewidthResult r = Treewidth(g, scratch, &generous);
+  EXPECT_EQ(r.width, width);
+  EXPECT_FALSE(r.abandoned);
+  EXPECT_EQ(kGenerous - generous.remaining(), steps);
+  util::StepBudget exact(steps);
+  EXPECT_FALSE(Treewidth(g, scratch, &exact).abandoned);
+  util::StepBudget one_short(steps - 1);
+  EXPECT_TRUE(Treewidth(g, scratch, &one_short).abandoned);
+}
+
+TEST(TreewidthTest, BranchAndBoundStepsArePinned) {
+  ExpectSearchSteps(GridGraph(4, 4), 4, 217);
+  ExpectSearchSteps(Petersen(), 4, 181);
 }
 
 // ---------------------------------------------------------------------------
