@@ -2,13 +2,16 @@
 // (lengths 3..8, 100 queries each) on the two engines — GraphEngine
 // (Blazegraph stand-in) and RelationalEngine (PostgreSQL stand-in) —
 // over a gMark "Bib" graph, plus the cycle-timeout table (Figure 3
-// bottom). Scaled down: graph size and timeout via env vars
-// SPARQLOG_GRAPH_NODES (default 20000) and SPARQLOG_TIMEOUT_MS (300).
+// bottom). Scaled down: graph size, timeout and workload size via env
+// vars SPARQLOG_GRAPH_NODES (default 20000), SPARQLOG_TIMEOUT_MS (300)
+// and SPARQLOG_WORKLOAD (100); a set value that is not a positive count
+// exits 2.
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 
+#include "bench_common.h"
 #include "gmark/graph_gen.h"
 #include "gmark/query_gen.h"
 #include "store/engine.h"
@@ -19,18 +22,12 @@ int main() {
   using namespace sparqlog;
   using namespace std::chrono;
 
-  uint64_t nodes = 20000;
-  if (const char* env = std::getenv("SPARQLOG_GRAPH_NODES")) {
-    nodes = std::strtoull(env, nullptr, 10);
-  }
-  int timeout_ms = 300;
-  if (const char* env = std::getenv("SPARQLOG_TIMEOUT_MS")) {
-    timeout_ms = std::atoi(env);
-  }
-  int workload_size = 100;
-  if (const char* env = std::getenv("SPARQLOG_WORKLOAD")) {
-    workload_size = std::atoi(env);
-  }
+  constexpr uint64_t kIntMax = std::numeric_limits<int>::max();
+  uint64_t nodes = bench::EnvCount("SPARQLOG_GRAPH_NODES", 20000);
+  int timeout_ms =
+      static_cast<int>(bench::EnvCount("SPARQLOG_TIMEOUT_MS", 300, kIntMax));
+  int workload_size =
+      static_cast<int>(bench::EnvCount("SPARQLOG_WORKLOAD", 100, kIntMax));
 
   std::cout << "Figure 3: chain vs cycle Ask workloads on BG-like and "
                "PG-like engines\n(gMark Bib graph, " << nodes

@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -69,11 +68,8 @@ double RunOnce(const std::vector<std::string>& lines, Arm& arm) {
 int main() {
   uint64_t entries_per_dataset = bench::EnvCount("SPARQLOG_BENCH_ENTRIES", 4000);
   uint64_t rounds = bench::EnvCount("SPARQLOG_BENCH_ROUNDS", 5);
-  double max_overhead = 0.03;
-  if (const char* env = std::getenv("SPARQLOG_TELEMETRY_MAX_OVERHEAD")) {
-    double v = std::atof(env);
-    if (v > 0) max_overhead = v;
-  }
+  double max_overhead =
+      bench::EnvPositive("SPARQLOG_TELEMETRY_MAX_OVERHEAD", 0.03);
 
   std::cout << "Generating corpus (" << entries_per_dataset
             << " entries/dataset x 13 datasets)...\n";

@@ -48,12 +48,6 @@ uint64_t OperatorSetDistribution::OtherCombinations() const {
   return classified - shown;
 }
 
-void OperatorSetDistribution::Merge(const OperatorSetDistribution& o) {
-  for (size_t i = 0; i < 32; ++i) exact[i] += o.exact[i];
-  other += o.other;
-  total += o.total;
-}
-
 std::string OperatorSetName(uint8_t mask) {
   if (mask == 0) return "none";
   std::string out;

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "analysis/features.h"
+#include "util/fields.h"
 
 namespace sparqlog::analysis {
 
@@ -22,8 +23,10 @@ struct OperatorSetDistribution {
 
   void Add(const QueryFeatures& f);
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const OperatorSetDistribution& o);
+  /// Merge, snapshot and digest order (util/fields.h).
+  static auto Fields(auto& s) {
+    return util::fields::List(s.exact, s.other, s.total);
+  }
 
   /// Count of queries whose operator set is exactly `mask`.
   uint64_t Exact(uint8_t mask) const { return exact[mask & 31]; }

@@ -81,9 +81,6 @@ ParsedLine ParseLogLine(const sparql::Parser& parser, std::string_view line,
   return out;
 }
 
-LogIngestor::LogIngestor(sparql::ParserOptions parser_options)
-    : parser_(std::move(parser_options)) {}
-
 void LogIngestor::set_unique_sink(QuerySink sink) {
   if (!sink) {
     unique_gate_ = nullptr;
@@ -129,24 +126,14 @@ bool GetHashSet(std::string_view& in, std::unordered_set<uint64_t>& set) {
 }  // namespace
 
 void LogIngestor::SaveState(std::string& out) const {
-  util::vbyte::PutVarint(out, stats_.total);
-  util::vbyte::PutVarint(out, stats_.valid);
-  util::vbyte::PutVarint(out, stats_.unique);
-  util::vbyte::PutVarint(out, stats_.malformed);
-  util::vbyte::PutVarint(out, stats_.abandoned);
-  util::vbyte::PutVarint(out, stats_.quarantined);
+  util::fields::Save(out, stats_);
   PutHashSet(out, seen_hashes_);
   PutHashSet(out, seen_abandoned_);
 }
 
 bool LogIngestor::LoadState(std::string_view& in) {
-  return util::vbyte::GetVarint(in, stats_.total) &&
-         util::vbyte::GetVarint(in, stats_.valid) &&
-         util::vbyte::GetVarint(in, stats_.unique) &&
-         util::vbyte::GetVarint(in, stats_.malformed) &&
-         util::vbyte::GetVarint(in, stats_.abandoned) &&
-         util::vbyte::GetVarint(in, stats_.quarantined) &&
-         GetHashSet(in, seen_hashes_) && GetHashSet(in, seen_abandoned_);
+  return util::fields::Load(in, stats_) && GetHashSet(in, seen_hashes_) &&
+         GetHashSet(in, seen_abandoned_);
 }
 
 bool LogIngestor::ProcessLine(const std::string& line) {

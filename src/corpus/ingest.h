@@ -12,6 +12,7 @@
 
 #include "sparql/ast.h"
 #include "sparql/parser.h"
+#include "util/fields.h"
 #include "util/status.h"
 
 namespace sparqlog::obs {
@@ -41,16 +42,13 @@ struct CorpusStats {
   /// continues. Always 0 on a fault-free run.
   uint64_t quarantined = 0;
 
-  /// Adds another partition's counters. Exact when the partitions saw
-  /// disjoint slices of the canonical-hash space (see pipeline/shard.h).
-  void Merge(const CorpusStats& other) {
-    total += other.total;
-    valid += other.valid;
-    unique += other.unique;
-    malformed += other.malformed;
-    abandoned += other.abandoned;
-    quarantined += other.quarantined;
+  /// Merging is exact when the partitions saw disjoint slices of the
+  /// canonical-hash space (see pipeline/shard.h).
+  static auto Fields(auto& s) {
+    return util::fields::List(s.total, s.valid, s.unique, s.malformed,
+                              s.abandoned, s.quarantined);
   }
+  bool operator==(const CorpusStats&) const = default;
 
   /// The accounting-conservation invariant: the four outcome buckets
   /// partition the query entries.
@@ -155,8 +153,6 @@ using QueryGate = std::function<util::Status(const sparql::Query&)>;
 /// (Section 2 of the paper; Jena is replaced by our parser).
 class LogIngestor {
  public:
-  explicit LogIngestor(sparql::ParserOptions parser_options = {});
-
   /// Processes one raw log line — equivalent to `ParseLogLine` followed
   /// by `Ingest`. Returns true iff the line was a query entry.
   bool ProcessLine(const std::string& line);

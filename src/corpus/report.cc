@@ -5,7 +5,6 @@
 #include "graph/canonical.h"
 #include "graph/shapes.h"
 #include "paths/ctract.h"
-#include "util/vbyte.h"
 #include "width/hypertree.h"
 #include "width/treewidth.h"
 
@@ -20,126 +19,6 @@ using sparql::Pattern;
 using sparql::PatternKind;
 using sparql::Query;
 using sparql::QueryForm;
-
-// ---- Merge() support (pipeline shard merging) ----
-// Every aggregate is an order-independent sum (counters, maps of
-// counters, histograms) plus one max, so merging disjoint partitions
-// reproduces the serial statistics exactly.
-
-void KeywordCounts::Merge(const KeywordCounts& o) {
-  total += o.total;
-  select += o.select;
-  ask += o.ask;
-  describe += o.describe;
-  construct += o.construct;
-  distinct += o.distinct;
-  limit += o.limit;
-  offset += o.offset;
-  order_by += o.order_by;
-  reduced += o.reduced;
-  filter += o.filter;
-  conj += o.conj;
-  union_ += o.union_;
-  optional += o.optional;
-  graph += o.graph;
-  not_exists += o.not_exists;
-  minus += o.minus;
-  exists += o.exists;
-  count += o.count;
-  max += o.max;
-  min += o.min;
-  avg += o.avg;
-  sum += o.sum;
-  group_by += o.group_by;
-  having += o.having;
-  service += o.service;
-  bind += o.bind;
-  values += o.values;
-}
-
-void TripleStats::Merge(const TripleStats& o) {
-  histogram.Merge(o.histogram);
-  select_ask += o.select_ask;
-  all_queries += o.all_queries;
-  triple_sum += o.triple_sum;
-  max_triples = std::max(max_triples, o.max_triples);
-}
-
-void ProjectionStats::Merge(const ProjectionStats& o) {
-  total += o.total;
-  with_projection += o.with_projection;
-  select_with_projection += o.select_with_projection;
-  ask_with_projection += o.ask_with_projection;
-  indeterminate += o.indeterminate;
-  with_subqueries += o.with_subqueries;
-}
-
-void FragmentStats::Merge(const FragmentStats& o) {
-  select_ask += o.select_ask;
-  aof += o.aof;
-  cq += o.cq;
-  cpf += o.cpf;
-  cqf += o.cqf;
-  well_designed += o.well_designed;
-  cqof += o.cqof;
-  wide_interface += o.wide_interface;
-  cq_sizes.Merge(o.cq_sizes);
-  cqf_sizes.Merge(o.cqf_sizes);
-  cqof_sizes.Merge(o.cqof_sizes);
-}
-
-void ShapeCounts::Merge(const ShapeCounts& o) {
-  total += o.total;
-  single_edge += o.single_edge;
-  chain += o.chain;
-  chain_set += o.chain_set;
-  star += o.star;
-  tree += o.tree;
-  forest += o.forest;
-  cycle += o.cycle;
-  flower += o.flower;
-  flower_set += o.flower_set;
-  treewidth_le2 += o.treewidth_le2;
-  treewidth_3 += o.treewidth_3;
-  treewidth_gt3 += o.treewidth_gt3;
-  for (const auto& [g, n] : o.girth) girth[g] += n;
-  single_edge_with_constants += o.single_edge_with_constants;
-}
-
-void HypergraphStats::Merge(const HypergraphStats& o) {
-  total += o.total;
-  ghw1 += o.ghw1;
-  ghw2 += o.ghw2;
-  ghw3 += o.ghw3;
-  ghw_more += o.ghw_more;
-  decompositions_gt10_nodes += o.decompositions_gt10_nodes;
-  decompositions_gt100_nodes += o.decompositions_gt100_nodes;
-}
-
-void PathStats::Merge(const PathStats& o) {
-  total_paths += o.total_paths;
-  trivial_negated += o.trivial_negated;
-  trivial_inverse += o.trivial_inverse;
-  navigational += o.navigational;
-  with_inverse += o.with_inverse;
-  not_ctract += o.not_ctract;
-  for (const auto& [type, n] : o.by_type) by_type[type] += n;
-}
-
-void CorpusAnalyzer::MergeFrom(const CorpusAnalyzer& other) {
-  keywords_.Merge(other.keywords_);
-  opsets_.Merge(other.opsets_);
-  projection_.Merge(other.projection_);
-  fragments_.Merge(other.fragments_);
-  cq_shapes_.Merge(other.cq_shapes_);
-  cqf_shapes_.Merge(other.cqf_shapes_);
-  cqof_shapes_.Merge(other.cqof_shapes_);
-  hypergraphs_.Merge(other.hypergraphs_);
-  paths_.Merge(other.paths_);
-  for (const auto& [dataset, ts] : other.per_dataset_) {
-    per_dataset_[dataset].Merge(ts);
-  }
-}
 
 void CorpusAnalyzer::AddQuery(const Query& q, const std::string& dataset) {
   // Unlimited budgets never time out, so the status is always OK.
@@ -366,280 +245,6 @@ void CorpusAnalyzer::CommitShapes(const FragmentClass& fc,
   if (fc.cq) record(cq_shapes_);
   if (fc.cqf) record(cqf_shapes_);
   if (fc.cqof) record(cqof_shapes_);
-}
-
-// ---- SaveState/LoadState (snapshot subsystem) ----
-// Field order mirrors MergeFrom: every aggregate, in declaration order.
-// Maps are dumped in their (ordered) iteration order, histograms as
-// max_direct + direct counts + overflow, so identical analyzer states
-// serialize to identical bytes. Everything is vbyte-encoded
-// (util/vbyte.h) — counter-dominated state compresses to roughly a
-// byte per small field — and dataset names travel as dictionary ids.
-
-namespace {
-
-void PutHistogram(std::string& out, const util::BucketHistogram& h) {
-  util::vbyte::PutVarint(out, static_cast<uint64_t>(h.max_direct()));
-  for (int i = 0; i <= h.max_direct(); ++i) {
-    util::vbyte::PutVarint(out, h.Count(i));
-  }
-  util::vbyte::PutVarint(out, h.Overflow());
-}
-
-// Rebuilds additively via Add(bucket, count): `h` must be freshly
-// constructed (all-zero) with the same layout as the saved histogram.
-bool GetHistogram(std::string_view& in, util::BucketHistogram& h) {
-  uint64_t max_direct;
-  if (!util::vbyte::GetVarint(in, max_direct)) return false;
-  if (max_direct != static_cast<uint64_t>(h.max_direct())) return false;
-  for (int i = 0; i <= h.max_direct(); ++i) {
-    uint64_t c;
-    if (!util::vbyte::GetVarint(in, c)) return false;
-    h.Add(i, c);
-  }
-  uint64_t overflow;
-  if (!util::vbyte::GetVarint(in, overflow)) return false;
-  h.Add(h.max_direct() + 1, overflow);
-  return true;
-}
-
-void PutShapeCounts(std::string& out, const ShapeCounts& sc) {
-  util::vbyte::PutVarint(out, sc.total);
-  util::vbyte::PutVarint(out, sc.single_edge);
-  util::vbyte::PutVarint(out, sc.chain);
-  util::vbyte::PutVarint(out, sc.chain_set);
-  util::vbyte::PutVarint(out, sc.star);
-  util::vbyte::PutVarint(out, sc.tree);
-  util::vbyte::PutVarint(out, sc.forest);
-  util::vbyte::PutVarint(out, sc.cycle);
-  util::vbyte::PutVarint(out, sc.flower);
-  util::vbyte::PutVarint(out, sc.flower_set);
-  util::vbyte::PutVarint(out, sc.treewidth_le2);
-  util::vbyte::PutVarint(out, sc.treewidth_3);
-  util::vbyte::PutVarint(out, sc.treewidth_gt3);
-  util::vbyte::PutVarint(out, sc.single_edge_with_constants);
-  util::vbyte::PutVarint(out, sc.girth.size());
-  for (const auto& [g, n] : sc.girth) {
-    util::vbyte::PutZigzag(out, g);
-    util::vbyte::PutVarint(out, n);
-  }
-}
-
-bool GetShapeCounts(std::string_view& in, ShapeCounts& sc) {
-  if (!(util::vbyte::GetVarint(in, sc.total) &&
-        util::vbyte::GetVarint(in, sc.single_edge) &&
-        util::vbyte::GetVarint(in, sc.chain) &&
-        util::vbyte::GetVarint(in, sc.chain_set) &&
-        util::vbyte::GetVarint(in, sc.star) &&
-        util::vbyte::GetVarint(in, sc.tree) &&
-        util::vbyte::GetVarint(in, sc.forest) &&
-        util::vbyte::GetVarint(in, sc.cycle) &&
-        util::vbyte::GetVarint(in, sc.flower) &&
-        util::vbyte::GetVarint(in, sc.flower_set) &&
-        util::vbyte::GetVarint(in, sc.treewidth_le2) &&
-        util::vbyte::GetVarint(in, sc.treewidth_3) &&
-        util::vbyte::GetVarint(in, sc.treewidth_gt3) &&
-        util::vbyte::GetVarint(in, sc.single_edge_with_constants))) {
-    return false;
-  }
-  uint64_t girth_entries;
-  if (!util::vbyte::GetVarint(in, girth_entries)) return false;
-  sc.girth.clear();
-  for (uint64_t i = 0; i < girth_entries; ++i) {
-    int64_t g;
-    uint64_t n;
-    if (!util::vbyte::GetZigzag(in, g) || !util::vbyte::GetVarint(in, n)) {
-      return false;
-    }
-    sc.girth[static_cast<int>(g)] = n;
-  }
-  return true;
-}
-
-}  // namespace
-
-void CorpusAnalyzer::SaveState(std::string& out, TermDictionary& dict) const {
-  auto PutU64 = [](std::string& o, uint64_t v) { util::vbyte::PutVarint(o, v); };
-
-  const KeywordCounts& k = keywords_;
-  PutU64(out, k.total);
-  PutU64(out, k.select);
-  PutU64(out, k.ask);
-  PutU64(out, k.describe);
-  PutU64(out, k.construct);
-  PutU64(out, k.distinct);
-  PutU64(out, k.limit);
-  PutU64(out, k.offset);
-  PutU64(out, k.order_by);
-  PutU64(out, k.reduced);
-  PutU64(out, k.filter);
-  PutU64(out, k.conj);
-  PutU64(out, k.union_);
-  PutU64(out, k.optional);
-  PutU64(out, k.graph);
-  PutU64(out, k.not_exists);
-  PutU64(out, k.minus);
-  PutU64(out, k.exists);
-  PutU64(out, k.count);
-  PutU64(out, k.max);
-  PutU64(out, k.min);
-  PutU64(out, k.avg);
-  PutU64(out, k.sum);
-  PutU64(out, k.group_by);
-  PutU64(out, k.having);
-  PutU64(out, k.service);
-  PutU64(out, k.bind);
-  PutU64(out, k.values);
-
-  for (uint64_t c : opsets_.exact) PutU64(out, c);
-  PutU64(out, opsets_.other);
-  PutU64(out, opsets_.total);
-
-  PutU64(out, projection_.total);
-  PutU64(out, projection_.with_projection);
-  PutU64(out, projection_.select_with_projection);
-  PutU64(out, projection_.ask_with_projection);
-  PutU64(out, projection_.indeterminate);
-  PutU64(out, projection_.with_subqueries);
-
-  PutU64(out, fragments_.select_ask);
-  PutU64(out, fragments_.aof);
-  PutU64(out, fragments_.cq);
-  PutU64(out, fragments_.cpf);
-  PutU64(out, fragments_.cqf);
-  PutU64(out, fragments_.well_designed);
-  PutU64(out, fragments_.cqof);
-  PutU64(out, fragments_.wide_interface);
-  PutHistogram(out, fragments_.cq_sizes);
-  PutHistogram(out, fragments_.cqf_sizes);
-  PutHistogram(out, fragments_.cqof_sizes);
-
-  PutShapeCounts(out, cq_shapes_);
-  PutShapeCounts(out, cqf_shapes_);
-  PutShapeCounts(out, cqof_shapes_);
-
-  PutU64(out, hypergraphs_.total);
-  PutU64(out, hypergraphs_.ghw1);
-  PutU64(out, hypergraphs_.ghw2);
-  PutU64(out, hypergraphs_.ghw3);
-  PutU64(out, hypergraphs_.ghw_more);
-  PutU64(out, hypergraphs_.decompositions_gt10_nodes);
-  PutU64(out, hypergraphs_.decompositions_gt100_nodes);
-
-  PutU64(out, paths_.total_paths);
-  PutU64(out, paths_.trivial_negated);
-  PutU64(out, paths_.trivial_inverse);
-  PutU64(out, paths_.navigational);
-  PutU64(out, paths_.with_inverse);
-  PutU64(out, paths_.not_ctract);
-  PutU64(out, paths_.by_type.size());
-  for (const auto& [type, n] : paths_.by_type) {
-    PutU64(out, static_cast<uint64_t>(type));
-    PutU64(out, n);
-  }
-
-  PutU64(out, per_dataset_.size());
-  for (const auto& [dataset, ts] : per_dataset_) {
-    PutU64(out, dict.Intern(dataset));
-    PutHistogram(out, ts.histogram);
-    PutU64(out, ts.select_ask);
-    PutU64(out, ts.all_queries);
-    PutU64(out, ts.triple_sum);
-    PutU64(out, ts.max_triples);
-  }
-}
-
-bool CorpusAnalyzer::LoadState(std::string_view& in,
-                               const TermDictionary& dict) {
-  auto GetU64 = [](std::string_view& i, uint64_t& v) {
-    return util::vbyte::GetVarint(i, v);
-  };
-
-  KeywordCounts& k = keywords_;
-  if (!(GetU64(in, k.total) && GetU64(in, k.select) && GetU64(in, k.ask) &&
-        GetU64(in, k.describe) && GetU64(in, k.construct) &&
-        GetU64(in, k.distinct) && GetU64(in, k.limit) &&
-        GetU64(in, k.offset) && GetU64(in, k.order_by) &&
-        GetU64(in, k.reduced) && GetU64(in, k.filter) && GetU64(in, k.conj) &&
-        GetU64(in, k.union_) && GetU64(in, k.optional) &&
-        GetU64(in, k.graph) && GetU64(in, k.not_exists) &&
-        GetU64(in, k.minus) && GetU64(in, k.exists) && GetU64(in, k.count) &&
-        GetU64(in, k.max) && GetU64(in, k.min) && GetU64(in, k.avg) &&
-        GetU64(in, k.sum) && GetU64(in, k.group_by) &&
-        GetU64(in, k.having) && GetU64(in, k.service) && GetU64(in, k.bind) &&
-        GetU64(in, k.values))) {
-    return false;
-  }
-
-  for (uint64_t& c : opsets_.exact) {
-    if (!GetU64(in, c)) return false;
-  }
-  if (!(GetU64(in, opsets_.other) && GetU64(in, opsets_.total))) return false;
-
-  if (!(GetU64(in, projection_.total) &&
-        GetU64(in, projection_.with_projection) &&
-        GetU64(in, projection_.select_with_projection) &&
-        GetU64(in, projection_.ask_with_projection) &&
-        GetU64(in, projection_.indeterminate) &&
-        GetU64(in, projection_.with_subqueries))) {
-    return false;
-  }
-
-  if (!(GetU64(in, fragments_.select_ask) && GetU64(in, fragments_.aof) &&
-        GetU64(in, fragments_.cq) && GetU64(in, fragments_.cpf) &&
-        GetU64(in, fragments_.cqf) && GetU64(in, fragments_.well_designed) &&
-        GetU64(in, fragments_.cqof) &&
-        GetU64(in, fragments_.wide_interface) &&
-        GetHistogram(in, fragments_.cq_sizes) &&
-        GetHistogram(in, fragments_.cqf_sizes) &&
-        GetHistogram(in, fragments_.cqof_sizes))) {
-    return false;
-  }
-
-  if (!(GetShapeCounts(in, cq_shapes_) && GetShapeCounts(in, cqf_shapes_) &&
-        GetShapeCounts(in, cqof_shapes_))) {
-    return false;
-  }
-
-  if (!(GetU64(in, hypergraphs_.total) && GetU64(in, hypergraphs_.ghw1) &&
-        GetU64(in, hypergraphs_.ghw2) && GetU64(in, hypergraphs_.ghw3) &&
-        GetU64(in, hypergraphs_.ghw_more) &&
-        GetU64(in, hypergraphs_.decompositions_gt10_nodes) &&
-        GetU64(in, hypergraphs_.decompositions_gt100_nodes))) {
-    return false;
-  }
-
-  if (!(GetU64(in, paths_.total_paths) && GetU64(in, paths_.trivial_negated) &&
-        GetU64(in, paths_.trivial_inverse) &&
-        GetU64(in, paths_.navigational) && GetU64(in, paths_.with_inverse) &&
-        GetU64(in, paths_.not_ctract))) {
-    return false;
-  }
-  uint64_t path_types;
-  if (!GetU64(in, path_types)) return false;
-  paths_.by_type.clear();
-  for (uint64_t i = 0; i < path_types; ++i) {
-    uint64_t type, n;
-    if (!GetU64(in, type) || !GetU64(in, n)) return false;
-    paths_.by_type[static_cast<paths::PathType>(type)] = n;
-  }
-
-  uint64_t datasets;
-  if (!GetU64(in, datasets)) return false;
-  per_dataset_.clear();
-  for (uint64_t i = 0; i < datasets; ++i) {
-    uint64_t dataset_id;
-    if (!GetU64(in, dataset_id)) return false;
-    const std::string* dataset = dict.term(dataset_id);
-    if (dataset == nullptr) return false;  // id not in this snapshot's dictionary
-    TripleStats& ts = per_dataset_[*dataset];
-    if (!(GetHistogram(in, ts.histogram) && GetU64(in, ts.select_ask) &&
-          GetU64(in, ts.all_queries) && GetU64(in, ts.triple_sum) &&
-          GetU64(in, ts.max_triples))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void CorpusAnalyzer::AnalyzePaths(const Pattern& p) {

@@ -14,6 +14,7 @@
 #include "graph/shapes.h"
 #include "paths/path_class.h"
 #include "sparql/ast.h"
+#include "util/fields.h"
 #include "util/histogram.h"
 #include "util/status.h"
 #include "width/hypertree.h"
@@ -40,6 +41,9 @@ struct AnalysisLimits {
   }
 };
 
+// Each aggregate lists its fields once (`Fields`, util/fields.h): that
+// list is its merge, snapshot and digest order.
+
 /// Keyword counters (Table 2 / Table 7).
 struct KeywordCounts {
   uint64_t total = 0;
@@ -51,8 +55,14 @@ struct KeywordCounts {
   uint64_t group_by = 0, having = 0;
   uint64_t service = 0, bind = 0, values = 0;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const KeywordCounts& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(
+        s.total, s.select, s.ask, s.describe, s.construct, s.distinct,
+        s.limit, s.offset, s.order_by, s.reduced, s.filter, s.conj, s.union_,
+        s.optional, s.graph, s.not_exists, s.minus, s.exists, s.count, s.max,
+        s.min, s.avg, s.sum, s.group_by, s.having, s.service, s.bind,
+        s.values);
+  }
 };
 
 /// Per-dataset triple statistics (Figure 1 / Figure 8).
@@ -64,8 +74,10 @@ struct TripleStats {
   uint64_t triple_sum = 0;   ///< summed over all queries (Avg#T)
   uint64_t max_triples = 0;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const TripleStats& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(s.select_ask, s.all_queries, s.triple_sum,
+                              util::fields::Max{s.max_triples}, s.histogram);
+  }
 
   double SelectAskShare() const {
     return all_queries == 0
@@ -90,8 +102,11 @@ struct ProjectionStats {
   uint64_t indeterminate = 0;
   uint64_t with_subqueries = 0;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const ProjectionStats& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(s.total, s.with_projection,
+                              s.select_with_projection, s.ask_with_projection,
+                              s.indeterminate, s.with_subqueries);
+  }
 };
 
 /// Fragment statistics (Section 5.2 / Figure 5).
@@ -104,8 +119,11 @@ struct FragmentStats {
   util::BucketHistogram cqf_sizes{11};
   util::BucketHistogram cqof_sizes{11};
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const FragmentStats& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(s.select_ask, s.aof, s.cq, s.cpf, s.cqf,
+                              s.well_designed, s.cqof, s.wide_interface,
+                              s.cq_sizes, s.cqf_sizes, s.cqof_sizes);
+  }
 };
 
 /// Shape statistics for one fragment column of Table 4 / Table 9.
@@ -119,8 +137,13 @@ struct ShapeCounts {
   /// Single-edge queries using constants (Section 6.1: 78.70%).
   uint64_t single_edge_with_constants = 0;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const ShapeCounts& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(
+        s.total, s.single_edge, s.chain, s.chain_set, s.star, s.tree,
+        s.forest, s.cycle, s.flower, s.flower_set, s.treewidth_le2,
+        s.treewidth_3, s.treewidth_gt3, s.single_edge_with_constants,
+        s.girth);
+  }
 };
 
 /// Hypergraph statistics for variable-predicate CQOF queries
@@ -131,8 +154,11 @@ struct HypergraphStats {
   uint64_t decompositions_gt10_nodes = 0;
   uint64_t decompositions_gt100_nodes = 0;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const HypergraphStats& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(s.total, s.ghw1, s.ghw2, s.ghw3, s.ghw_more,
+                              s.decompositions_gt10_nodes,
+                              s.decompositions_gt100_nodes);
+  }
 };
 
 /// Property-path statistics (Table 5 / Figure 10).
@@ -145,12 +171,26 @@ struct PathStats {
   uint64_t not_ctract = 0;
   std::map<paths::PathType, uint64_t> by_type;
 
-  /// Adds another partition's counters (pipeline shard merging).
-  void Merge(const PathStats& other);
+  static auto Fields(auto& s) {
+    return util::fields::List(s.total_paths, s.trivial_negated,
+                              s.trivial_inverse, s.navigational,
+                              s.with_inverse, s.not_ctract, s.by_type);
+  }
 };
 
 /// One-pass analyzer: feed unique (or valid) queries, read every table.
 class CorpusAnalyzer {
+  friend struct util::fields::Access;
+  /// Every aggregate, in snapshot and digest order: MergeFrom,
+  /// SaveState/LoadState and pipeline::StatisticsDigest derive from this
+  /// list. (Declared first: the inline members below use it.)
+  static auto Fields(auto& a) {
+    return util::fields::List(a.keywords_, a.opsets_, a.projection_,
+                              a.fragments_, a.cq_shapes_, a.cqf_shapes_,
+                              a.cqof_shapes_, a.hypergraphs_, a.paths_,
+                              a.per_dataset_, util::fields::Skip{a.scratch_});
+  }
+
  public:
   CorpusAnalyzer() = default;
 
@@ -172,7 +212,7 @@ class CorpusAnalyzer {
   /// was analyzed by exactly one analyzer (the pipeline's shard
   /// invariant), the merged state is identical to analyzing all queries
   /// serially: every statistic is an order-independent sum.
-  void MergeFrom(const CorpusAnalyzer& other);
+  void MergeFrom(const CorpusAnalyzer& o) { util::fields::Merge(*this, o); }
 
   const KeywordCounts& keywords() const { return keywords_; }
   const analysis::OperatorSetDistribution& operator_sets() const {
@@ -194,13 +234,17 @@ class CorpusAnalyzer {
   /// iterate in key order, histograms dump their fixed bucket layout.
   /// Dataset names are interned into `dict` and stored as varint ids —
   /// the dictionary travels once per snapshot, not once per shard.
-  void SaveState(std::string& out, TermDictionary& dict) const;
+  void SaveState(std::string& out, TermDictionary& dict) const {
+    util::fields::Save(out, *this, dict);
+  }
   /// Restores state written by SaveState into a freshly-constructed
   /// analyzer (histograms are rebuilt additively, so pre-existing
   /// counts would corrupt them), consuming the bytes read and resolving
   /// dataset ids through `dict`. Returns false on a truncated/corrupt
   /// or layout-mismatched blob, including ids absent from `dict`.
-  bool LoadState(std::string_view& in, const TermDictionary& dict);
+  bool LoadState(std::string_view& in, const TermDictionary& dict) {
+    return util::fields::Load(in, *this, dict);
+  }
 
  private:
   /// Kernel results of one query's phase-1 (compute) pass, committed to

@@ -34,8 +34,6 @@ struct TelemetryOptions {
   /// Record per-worker span rings for the Chrome-trace export. Implies
   /// metrics collection.
   bool trace = false;
-  /// Spans retained per worker ring before the oldest are overwritten.
-  size_t trace_capacity = 1 << 15;
 
   bool enabled() const { return metrics || trace; }
 };

@@ -20,6 +20,9 @@ struct TraceEvent {
   bool operator==(const TraceEvent& other) const = default;
 };
 
+/// Spans a pipeline or streak-stage worker ring keeps before overwriting.
+inline constexpr size_t kTraceRingCapacity = 1 << 15;
+
 /// Fixed-capacity per-worker span buffer. Record never allocates after
 /// construction and never blocks: when the ring is full the oldest span
 /// is overwritten and `dropped` counts the loss, so tracing a huge run

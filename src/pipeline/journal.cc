@@ -19,8 +19,9 @@ namespace snap = util::snapshot;
 
 /// Journal-level schema version inside the snapshot container (the
 /// container has its own format version). Bump when the meta layout or
-/// the shard blob encoding changes incompatibly.
-constexpr uint64_t kJournalVersion = 2;
+/// the shard blob encoding changes incompatibly (3: TripleStats saves
+/// its histogram after its counters).
+constexpr uint64_t kJournalVersion = 3;
 
 /// Snapshot section ids. Per-shard state lives at kShardSectionBase + i.
 constexpr uint64_t kMetaSection = 1;

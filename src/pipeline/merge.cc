@@ -1,93 +1,22 @@
 #include "pipeline/merge.h"
 
-#include "analysis/operator_set.h"
-#include "corpus/ingest.h"
 #include "corpus/report.h"
+#include "util/fields.h"
 
 namespace sparqlog::pipeline {
 
 PipelineResult MergeShards(const std::vector<std::unique_ptr<Shard>>& shards) {
   PipelineResult result;
   for (const auto& shard : shards) {
-    result.stats.Merge(shard->stats());
+    util::fields::Merge(result.stats, shard->stats());
     result.analysis.MergeFrom(shard->analyzer());
   }
   return result;
 }
 
-namespace {
-
-void DigestHistogram(const util::BucketHistogram& h,
-                     std::vector<uint64_t>& out) {
-  for (int v = 0; v <= h.max_direct(); ++v) out.push_back(h.Count(v));
-  out.push_back(h.Overflow());
-}
-
-void DigestShapes(const corpus::ShapeCounts& s, std::vector<uint64_t>& out) {
-  out.insert(out.end(),
-             {s.total, s.single_edge, s.chain, s.chain_set, s.star, s.tree,
-              s.forest, s.cycle, s.flower, s.flower_set, s.treewidth_le2,
-              s.treewidth_3, s.treewidth_gt3, s.single_edge_with_constants});
-  for (const auto& [girth, n] : s.girth) {
-    out.push_back(static_cast<uint64_t>(girth));
-    out.push_back(n);
-  }
-}
-
-}  // namespace
-
 std::vector<uint64_t> StatisticsDigest(const corpus::CorpusAnalyzer& a) {
   std::vector<uint64_t> out;
-
-  const corpus::KeywordCounts& k = a.keywords();
-  out.insert(out.end(),
-             {k.total,      k.select,  k.ask,    k.describe, k.construct,
-              k.distinct,   k.limit,   k.offset, k.order_by, k.reduced,
-              k.filter,     k.conj,    k.union_, k.optional, k.graph,
-              k.not_exists, k.minus,   k.exists, k.count,    k.max,
-              k.min,        k.avg,     k.sum,    k.group_by, k.having,
-              k.service,    k.bind,    k.values});
-
-  const analysis::OperatorSetDistribution& o = a.operator_sets();
-  out.insert(out.end(), o.exact, o.exact + 32);
-  out.push_back(o.other);
-  out.push_back(o.total);
-
-  const corpus::ProjectionStats& p = a.projection();
-  out.insert(out.end(),
-             {p.total, p.with_projection, p.select_with_projection,
-              p.ask_with_projection, p.indeterminate, p.with_subqueries});
-
-  const corpus::FragmentStats& f = a.fragments();
-  out.insert(out.end(), {f.select_ask, f.aof, f.cq, f.cpf, f.cqf,
-                         f.well_designed, f.cqof, f.wide_interface});
-  DigestHistogram(f.cq_sizes, out);
-  DigestHistogram(f.cqf_sizes, out);
-  DigestHistogram(f.cqof_sizes, out);
-
-  DigestShapes(a.cq_shapes(), out);
-  DigestShapes(a.cqf_shapes(), out);
-  DigestShapes(a.cqof_shapes(), out);
-
-  const corpus::HypergraphStats& h = a.hypergraphs();
-  out.insert(out.end(),
-             {h.total, h.ghw1, h.ghw2, h.ghw3, h.ghw_more,
-              h.decompositions_gt10_nodes, h.decompositions_gt100_nodes});
-
-  const corpus::PathStats& q = a.paths();
-  out.insert(out.end(), {q.total_paths, q.trivial_negated, q.trivial_inverse,
-                         q.navigational, q.with_inverse, q.not_ctract});
-  for (const auto& [type, n] : q.by_type) {
-    out.push_back(static_cast<uint64_t>(type));
-    out.push_back(n);
-  }
-
-  for (const auto& [dataset, ts] : a.per_dataset()) {
-    out.push_back(corpus::HashBytes(dataset));
-    out.insert(out.end(),
-               {ts.select_ask, ts.all_queries, ts.triple_sum, ts.max_triples});
-    DigestHistogram(ts.histogram, out);
-  }
+  util::fields::Digest(a, out);
   return out;
 }
 

@@ -14,10 +14,8 @@ namespace sparqlog::pipeline {
 /// partition the canonical-hash space, their Total/Valid/Unique counts
 /// and analyzer aggregates are disjoint and every statistic merges by
 /// plain summation — the merged result equals the serial path's output
-/// exactly. The per-aggregate Merge() methods live with their classes
-/// (CorpusStats, KeywordCounts, TripleStats, ProjectionStats,
-/// FragmentStats, ShapeCounts, HypergraphStats, PathStats,
-/// OperatorSetDistribution, util::BucketHistogram).
+/// exactly. Each aggregate's Merge() is derived from its field list
+/// (util/fields.h).
 PipelineResult MergeShards(const std::vector<std::unique_ptr<Shard>>& shards);
 
 /// Flattens every aggregate of an analyzer — keyword counters, operator
@@ -26,7 +24,8 @@ PipelineResult MergeShards(const std::vector<std::unique_ptr<Shard>>& shards);
 /// per-dataset triple statistics — into one deterministic counter
 /// vector. Two analyzers hold identical statistics iff their digests
 /// are equal; drivers use this to verify serial/parallel equivalence
-/// without field-by-field plumbing.
+/// without field-by-field plumbing. Word order is the analyzer's field
+/// list (util/fields.h).
 std::vector<uint64_t> StatisticsDigest(const corpus::CorpusAnalyzer& a);
 
 }  // namespace sparqlog::pipeline

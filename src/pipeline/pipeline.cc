@@ -136,7 +136,6 @@ std::vector<std::unique_ptr<Shard>> ParallelLogPipeline::MakeShards() const {
   ShardOptions shard_options;
   shard_options.dataset = options_.dataset;
   shard_options.use_valid_corpus = options_.use_valid_corpus;
-  shard_options.parser_options = options_.parser_options;
   shard_options.analysis_limits = options_.analysis_limits;
   std::vector<std::unique_ptr<Shard>> out;
   const size_t n = shards();
@@ -168,7 +167,7 @@ PipelineResult ParallelLogPipeline::Run(
   if (tracing) {
     rings.reserve(telem_count);
     for (size_t i = 0; i < telem_count; ++i) {
-      rings.emplace_back(options_.telemetry.trace_capacity);
+      rings.emplace_back(obs::kTraceRingCapacity);
     }
   }
   const uint64_t run_start = collect ? obs::NowNs() : 0;
@@ -242,7 +241,7 @@ PipelineResult ParallelLogPipeline::Run(
       if (rt) rt->shard_queries.resize(num_shards, 0);
       const uint64_t tb0 = rt ? obs::ThreadAllocatedBytes() : 0;
       const uint64_t tc0 = rt ? obs::ThreadAllocationCount() : 0;
-      sparql::Parser parser(options_.parser_options);
+      sparql::Parser parser;
       uint64_t local_lines = 0;
       std::vector<Batch> buckets(num_shards);
       while (std::optional<NumberedChunk> chunk = chunk_queue.Pop()) {

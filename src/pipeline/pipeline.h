@@ -139,7 +139,6 @@ struct PipelineOptions {
   std::string dataset = "all";
   /// Analyze the valid corpus instead of the unique corpus.
   bool use_valid_corpus = false;
-  sparql::ParserOptions parser_options;
   /// Metrics registry + span tracing switches (both default off).
   obs::TelemetryOptions telemetry;
   /// Per-query step budgets for the structural-analysis kernels

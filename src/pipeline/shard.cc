@@ -2,8 +2,7 @@
 
 namespace sparqlog::pipeline {
 
-Shard::Shard(const ShardOptions& options)
-    : ingestor_(options.parser_options) {
+Shard::Shard(const ShardOptions& options) {
   // The analyzer consumes whichever corpus the run targets, as a gate:
   // the budgeted analyzer may return kTimeout, moving the query to the
   // abandoned bucket (with unlimited limits the gate always passes and

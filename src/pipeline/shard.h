@@ -7,7 +7,6 @@
 
 #include "corpus/ingest.h"
 #include "corpus/report.h"
-#include "sparql/parser.h"
 
 namespace sparqlog::pipeline {
 
@@ -18,7 +17,6 @@ struct ShardOptions {
   /// Analyze the valid corpus (duplicates included, the appendix
   /// tables) instead of the unique corpus.
   bool use_valid_corpus = false;
-  sparql::ParserOptions parser_options;
   /// Per-query step budgets for the analysis kernels (0 = unlimited).
   /// Exhaustion moves the query — and its duplicates — into the
   /// abandoned bucket instead of the statistics.

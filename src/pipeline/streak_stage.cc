@@ -68,7 +68,7 @@ StreakStageResult StreakStage::Run(
   if (tracing) {
     rings.reserve(worker_count + 1);
     for (size_t i = 0; i <= worker_count; ++i) {
-      rings.emplace_back(options_.telemetry.trace_capacity);
+      rings.emplace_back(obs::kTraceRingCapacity);
     }
   }
   std::atomic<size_t> next_chunk{0};

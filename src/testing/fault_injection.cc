@@ -240,12 +240,7 @@ std::optional<Violation> CheckFaultContainment(
     // Different chunk boundaries are possible only via options, and the
     // replay keeps chunk_size — so the injected source faults hit the
     // same ordinals and the surviving line set is identical.
-    if (replay.stats.total != stats.total ||
-        replay.stats.valid != stats.valid ||
-        replay.stats.unique != stats.unique ||
-        replay.stats.malformed != stats.malformed ||
-        replay.stats.abandoned != stats.abandoned ||
-        replay.stats.quarantined != stats.quarantined) {
+    if (replay.stats != stats) {
       return Violate("fault-determinism",
                      "replay counters diverge (" + describe() + ")");
     }
@@ -266,9 +261,7 @@ std::optional<Violation> CheckFaultContainment(
         FaultPipelineOptions(config, FaultPlan{});
     pipeline::ParallelLogPipeline plain(plain_options);
     pipeline::PipelineResult plain_result = plain.Run(log);
-    if (plain_result.stats.total != stats.total ||
-        plain_result.stats.valid != stats.valid ||
-        plain_result.stats.unique != stats.unique ||
+    if (plain_result.stats != stats ||
         pipeline::StatisticsDigest(plain_result.analysis) !=
             pipeline::StatisticsDigest(result.analysis)) {
       return Violate("fault-control",

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "corpus/dictionary.h"
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
 #include "corpus/report.h"
+#include "pipeline/merge.h"
 #include "sparql/serializer.h"
+#include "testing/invariants.h"
+#include "util/fields.h"
 #include "util/strings.h"
+#include "util/vbyte.h"
 
 namespace sparqlog::corpus {
 namespace {
@@ -326,6 +335,100 @@ TEST(AnalyzerTest, ProjectionRateReasonable) {
   // Paper: ~15% overall.
   EXPECT_GT(rate, 0.03);
   EXPECT_LT(rate, 0.4);
+}
+
+// ---------------------------------------------------------------------------
+// CorpusAnalyzer snapshot state (SaveState/LoadState), on its own.
+// ---------------------------------------------------------------------------
+
+// The unique corpus of the 13-profile paper log, spread over three
+// dataset labels by line index.
+CorpusAnalyzer BuildPaperCorpusAnalyzer() {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(200);
+  const char* labels[] = {"DBpedia", "WikiData", "LGD"};
+  CorpusAnalyzer analyzer;
+  size_t line = 0;
+  LogIngestor ingestor;
+  ingestor.set_unique_sink([&](const sparql::Query& q) {
+    analyzer.AddQuery(q, labels[line % 3]);
+  });
+  for (; line < lines.size(); ++line) ingestor.ProcessLine(lines[line]);
+  return analyzer;
+}
+
+const CorpusAnalyzer& PaperCorpusAnalyzer() {
+  static const CorpusAnalyzer analyzer = BuildPaperCorpusAnalyzer();
+  return analyzer;
+}
+
+TEST(AnalyzerStateTest, RoundTripKeepsDigestAndBytes) {
+  const CorpusAnalyzer& original = PaperCorpusAnalyzer();
+  ASSERT_EQ(original.per_dataset().size(), 3u);
+  TermDictionary dict;
+  std::string blob;
+  original.SaveState(blob, dict);
+  EXPECT_EQ(dict.size(), 3u);
+
+  CorpusAnalyzer loaded;
+  std::string_view in = blob;
+  ASSERT_TRUE(loaded.LoadState(in, dict));
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(pipeline::StatisticsDigest(loaded),
+            pipeline::StatisticsDigest(original));
+
+  TermDictionary dict2;
+  std::string again;
+  loaded.SaveState(again, dict2);
+  EXPECT_EQ(again, blob);
+  EXPECT_EQ(dict2.size(), dict.size());
+}
+
+TEST(AnalyzerStateTest, EveryStrictPrefixIsRejected) {
+  TermDictionary dict;
+  std::string blob;
+  PaperCorpusAnalyzer().SaveState(blob, dict);
+  for (size_t len = 0; len < blob.size(); ++len) {
+    CorpusAnalyzer fresh;
+    std::string_view in(blob.data(), len);
+    EXPECT_FALSE(fresh.LoadState(in, dict)) << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(AnalyzerStateTest, DatasetIdMissingFromDictionaryIsRejected) {
+  TermDictionary dict;
+  std::string blob;
+  PaperCorpusAnalyzer().SaveState(blob, dict);
+  TermDictionary partial;
+  for (uint64_t id = 0; id + 1 < dict.size(); ++id) {
+    partial.Intern(*dict.term(id));
+  }
+  CorpusAnalyzer fresh;
+  std::string_view in = blob;
+  EXPECT_FALSE(fresh.LoadState(in, partial));
+}
+
+TEST(AnalyzerStateTest, RepeatedMapKeyIsRejected) {
+  // A ShapeCounts blob: 14 zero counters, then a girth map of two
+  // entries that both claim girth 3.
+  std::string blob(14, '\0');
+  util::vbyte::PutVarint(blob, 2);
+  for (int i = 0; i < 2; ++i) {
+    util::vbyte::PutZigzag(blob, 3);
+    util::vbyte::PutVarint(blob, 1);
+  }
+  ShapeCounts sc;
+  std::string_view in = blob;
+  EXPECT_FALSE(util::fields::Load(in, sc));
+}
+
+TEST(AnalyzerStateTest, HistogramLayoutMismatchIsRejected) {
+  TripleStats saved;
+  saved.histogram = util::BucketHistogram(5);
+  std::string blob;
+  util::fields::Save(blob, saved);
+  TripleStats fresh;  // 11 direct buckets
+  std::string_view in = blob;
+  EXPECT_FALSE(util::fields::Load(in, fresh));
 }
 
 }  // namespace

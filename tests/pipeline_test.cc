@@ -12,6 +12,7 @@
 #include "pipeline/pipeline.h"
 #include "pipeline/shard.h"
 #include "testing/invariants.h"
+#include "util/fields.h"
 #include "util/strings.h"
 
 namespace sparqlog::pipeline {
@@ -455,7 +456,7 @@ TEST(LineSourceTest, PipelineRunsFromIstream) {
 
 TEST(MergeTest, CorpusStats) {
   CorpusStats a{10, 8, 5}, b{3, 2, 1};
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 13u);
   EXPECT_EQ(a.valid, 10u);
   EXPECT_EQ(a.unique, 6u);
@@ -483,7 +484,7 @@ TEST(MergeTest, KeywordCounts) {
   b.total = 3;
   b.select = 1;
   b.union_ = 3;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 8u);
   EXPECT_EQ(a.select, 5u);
   EXPECT_EQ(a.filter, 2u);
@@ -502,7 +503,7 @@ TEST(MergeTest, TripleStatsTakesMaxOfMaxima) {
   b.max_triples = 12;
   b.select_ask = 1;
   b.histogram.Add(12);
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.all_queries, 6u);
   EXPECT_EQ(a.triple_sum, 23u);
   EXPECT_EQ(a.max_triples, 12u);
@@ -518,7 +519,7 @@ TEST(MergeTest, ProjectionStats) {
   b.total = 3;
   b.with_projection = 1;
   b.indeterminate = 2;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 10u);
   EXPECT_EQ(a.with_projection, 3u);
   EXPECT_EQ(a.indeterminate, 2u);
@@ -533,7 +534,7 @@ TEST(MergeTest, FragmentStats) {
   b.cq = 1;
   b.aof = 2;
   b.cq_sizes.Add(1);
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.select_ask, 8u);
   EXPECT_EQ(a.cq, 5u);
   EXPECT_EQ(a.aof, 2u);
@@ -549,7 +550,7 @@ TEST(MergeTest, ShapeCountsMergesGirthMaps) {
   b.cycle = 2;
   b.girth[3] = 2;
   b.girth[5] = 1;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 5u);
   EXPECT_EQ(a.cycle, 3u);
   EXPECT_EQ(a.girth[3], 3u);
@@ -563,7 +564,7 @@ TEST(MergeTest, HypergraphStats) {
   b.total = 3;
   b.ghw2 = 3;
   b.decompositions_gt10_nodes = 1;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 5u);
   EXPECT_EQ(a.ghw1, 2u);
   EXPECT_EQ(a.ghw2, 3u);
@@ -579,7 +580,7 @@ TEST(MergeTest, PathStatsMergesTypeMaps) {
   b.navigational = 1;
   b.by_type[paths::PathType::kStar] = 1;
   b.by_type[paths::PathType::kStarOfAlt] = 1;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total_paths, 5u);
   EXPECT_EQ(a.navigational, 3u);
   EXPECT_EQ(a.by_type[paths::PathType::kStar], 3u);
@@ -594,7 +595,7 @@ TEST(MergeTest, OperatorSetDistribution) {
   b.exact[3] = 1;
   b.other = 4;
   b.total = 5;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.Exact(0), 5u);
   EXPECT_EQ(a.Exact(3), 3u);
   EXPECT_EQ(a.other, 4u);
@@ -732,7 +733,7 @@ TEST(MergeAlgebraTest, CorpusStatsMergeIdentityAndSums) {
   a.valid = 7;
   a.unique = 5;
   CorpusStats copy = a;
-  a.Merge(CorpusStats{});
+  util::fields::Merge(a, CorpusStats{});
   EXPECT_EQ(a.total, copy.total);
   EXPECT_EQ(a.valid, copy.valid);
   EXPECT_EQ(a.unique, copy.unique);
@@ -740,7 +741,7 @@ TEST(MergeAlgebraTest, CorpusStatsMergeIdentityAndSums) {
   b.total = 1;
   b.valid = 1;
   b.unique = 0;
-  a.Merge(b);
+  util::fields::Merge(a, b);
   EXPECT_EQ(a.total, 11u);
   EXPECT_EQ(a.valid, 8u);
   EXPECT_EQ(a.unique, 5u);
@@ -753,7 +754,7 @@ TEST(MergeAlgebraTest, PerStructMergeWithDefaultIsIdentity) {
   CorpusAnalyzer populated = PopulatedAnalyzer(kCorpusB);
   KeywordCounts k = populated.keywords();
   KeywordCounts k0 = k;
-  k.Merge(KeywordCounts{});
+  util::fields::Merge(k, KeywordCounts{});
   EXPECT_EQ(k.total, k0.total);
   EXPECT_EQ(k.select, k0.select);
   EXPECT_EQ(k.construct, k0.construct);
@@ -761,40 +762,40 @@ TEST(MergeAlgebraTest, PerStructMergeWithDefaultIsIdentity) {
 
   ShapeCounts s = populated.cq_shapes();
   ShapeCounts s0 = s;
-  s.Merge(ShapeCounts{});
+  util::fields::Merge(s, ShapeCounts{});
   ExpectShapesEqual(s, s0);
 
   PathStats p = populated.paths();
   PathStats p0 = p;
-  p.Merge(PathStats{});
+  util::fields::Merge(p, PathStats{});
   EXPECT_EQ(p.total_paths, p0.total_paths);
   EXPECT_EQ(p.trivial_negated, p0.trivial_negated);
   EXPECT_EQ(p.by_type, p0.by_type);
 
   ProjectionStats pr = populated.projection();
   ProjectionStats pr0 = pr;
-  pr.Merge(ProjectionStats{});
+  util::fields::Merge(pr, ProjectionStats{});
   EXPECT_EQ(pr.total, pr0.total);
   EXPECT_EQ(pr.with_projection, pr0.with_projection);
 
   FragmentStats f;
   f.cq = 3;
   f.cq_sizes.Add(2);
-  f.Merge(FragmentStats{});
+  util::fields::Merge(f, FragmentStats{});
   EXPECT_EQ(f.cq, 3u);
   EXPECT_EQ(f.cq_sizes.Count(2), 1u);
 
   HypergraphStats hg;
   hg.total = 2;
   hg.ghw1 = 1;
-  hg.Merge(HypergraphStats{});
+  util::fields::Merge(hg, HypergraphStats{});
   EXPECT_EQ(hg.total, 2u);
   EXPECT_EQ(hg.ghw1, 1u);
 
   TripleStats ts;
   ts.all_queries = 4;
   ts.histogram.Add(3);
-  ts.Merge(TripleStats{});
+  util::fields::Merge(ts, TripleStats{});
   EXPECT_EQ(ts.all_queries, 4u);
   EXPECT_EQ(ts.histogram.Count(3), 1u);
 }
