@@ -45,8 +45,6 @@
 //                             at a checkpoint boundary)
 //   --segment-chunks <n>      with --journal: reader chunks per segment
 //                             (checkpoint cadence, default 64)
-//   --snapshot-mmap           with --journal: load checkpoint snapshots
-//                             mmap-backed instead of streamed
 //
 // A regular logfile is read through the zero-copy mmap chunk source,
 // falling back to the line-by-line stream source with a warning if it
@@ -54,6 +52,7 @@
 // Numeric values are unsigned decimal integers; anything else exits 2
 // with "bad value for --flag".
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -297,8 +296,6 @@ int main(int argc, char** argv) {
       options.analysis_limits.ghw_steps = steps;
       options.analysis_limits.treewidth_steps = steps;
       options.analysis_limits.girth_steps = steps;
-    } else if (arg == "--snapshot-mmap") {
-      journal.mmap_load = true;
     } else if (path_flag("--journal", "run.journal", journal.path)) {
       // handled
     } else if (arg == "--max-segments") {
@@ -336,9 +333,16 @@ int main(int argc, char** argv) {
     } else {
       auto profiles = corpus::PaperProfiles();
       std::string dataset = generate == "all" ? "DBpedia16" : generate;
-      const corpus::DatasetProfile& profile =
-          corpus::ProfileByName(profiles, dataset);
-      queries = corpus::GenerateStreakLog(profile, entries, 0.3, 2026);
+      auto profile = std::find_if(
+          profiles.begin(), profiles.end(),
+          [&dataset](const corpus::DatasetProfile& p) {
+            return p.name == dataset;
+          });
+      if (profile == profiles.end()) {
+        std::cerr << "unknown dataset: " << generate << "\n";
+        return 2;
+      }
+      queries = corpus::GenerateStreakLog(*profile, entries, 0.3, 2026);
       source = "synthetic:" + dataset;
     }
     // Unless the user pinned a chunk size, let the stage derive one

@@ -1,6 +1,7 @@
 #include "corpus/profile.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace sparqlog::corpus {
 
@@ -240,8 +241,8 @@ const DatasetProfile& ProfileByName(const std::vector<DatasetProfile>& all,
   for (const DatasetProfile& p : all) {
     if (p.name == name) return p;
   }
-  assert(false && "unknown dataset profile");
-  return all.front();
+  std::fprintf(stderr, "unknown dataset profile: %s\n", name.c_str());
+  std::abort();
 }
 
 }  // namespace sparqlog::corpus

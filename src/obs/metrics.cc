@@ -110,9 +110,8 @@ double RunTelemetry::ShardSkewRatio() const {
 uint64_t TelemetryDigest(const RunTelemetry& t) {
   // Only scheduling-independent counters participate: item flow and
   // shard routing. Chunk counts (depend on chunk_size), timing fields,
-  // queue occupancy, allocation attribution, and prefilter tiers (the
-  // sharded streak stage re-scans warmup overlaps, so tier totals vary
-  // with the chunk layout) are all excluded by design.
+  // queue occupancy, allocation attribution, and prefilter tiers (a
+  // streak-cascade diagnostic, not item flow) are all excluded by design.
   util::Fnv1a h;
   auto mix = [&h](uint64_t v) {
     char bytes[8];

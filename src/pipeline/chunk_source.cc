@@ -21,12 +21,8 @@ using util::Result;
 using util::Status;
 
 MmapChunkSource::MmapChunkSource(const char* data, size_t size, bool mapped,
-                                 std::string fallback, Options options)
-    : data_(data),
-      size_(size),
-      mapped_(mapped),
-      fallback_(std::move(fallback)),
-      options_(options) {
+                                 std::string fallback)
+    : data_(data), size_(size), mapped_(mapped), fallback_(std::move(fallback)) {
   if (!mapped_) data_ = fallback_.data();
 }
 
@@ -125,7 +121,7 @@ Result<std::unique_ptr<MmapChunkSource>> MmapChunkSource::Open(
     // evaluation order is unspecified, and gcc moves first.
     const size_t buffered = buffer.size();
     return std::unique_ptr<MmapChunkSource>(new MmapChunkSource(
-        nullptr, buffered, /*mapped=*/false, std::move(buffer), options));
+        nullptr, buffered, /*mapped=*/false, std::move(buffer)));
   }
   const char* data = nullptr;
   // An empty file is a valid (zero-line) source: mmap(len=0) is EINVAL
@@ -150,10 +146,11 @@ Result<std::unique_ptr<MmapChunkSource>> MmapChunkSource::Open(
                             "': " + std::strerror(err));
   }
   return std::unique_ptr<MmapChunkSource>(
-      new MmapChunkSource(data, size, /*mapped=*/true, std::string(), options));
+      new MmapChunkSource(data, size, /*mapped=*/true, std::string()));
 #else
   // No mmap: one bulk read into a single buffer. Views keep the same
   // semantics; the per-line allocation is still gone.
+  (void)options;  // use_mmap has nothing to choose between here
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::NotFound("mmap source: cannot open '" + path + "'");
@@ -162,19 +159,13 @@ Result<std::unique_ptr<MmapChunkSource>> MmapChunkSource::Open(
                      std::istreambuf_iterator<char>());
   const size_t buffered = buffer.size();  // before the unsequenced move
   return std::unique_ptr<MmapChunkSource>(new MmapChunkSource(
-      nullptr, buffered, /*mapped=*/false, std::move(buffer), options));
+      nullptr, buffered, /*mapped=*/false, std::move(buffer)));
 #endif
 }
 
 bool MmapChunkSource::NextChunk(size_t max_lines, LineChunk& out) {
   out.Clear();
-  const size_t slice_bytes = options_.slice_bytes;
-  const size_t slice_start = pos_;
   while (pos_ < size_ && out.lines.size() < max_lines) {
-    if (slice_bytes > 0 && !out.lines.empty() &&
-        pos_ - slice_start >= slice_bytes) {
-      break;
-    }
     const char* start = data_ + pos_;
     const void* nl = std::memchr(start, '\n', size_ - pos_);
     size_t len;

@@ -92,11 +92,6 @@ class ChunkSource {
 class MmapChunkSource : public ChunkSource {
  public:
   struct Options {
-    /// Soft chunk budget in bytes: NextChunk stops early once a chunk
-    /// holds at least this much payload (it always emits at least one
-    /// line, so a line longer than the budget comes out whole).
-    /// 0 means lines-only chunking (max_lines is the only bound).
-    size_t slice_bytes = 0;
     /// false forces the buffered-read fallback even where mmap is
     /// available — identical chunk semantics, exercised by the fault
     /// tests so the EINTR/short-read handling stays covered.
@@ -134,14 +129,13 @@ class MmapChunkSource : public ChunkSource {
 
  private:
   MmapChunkSource(const char* data, size_t size, bool mapped,
-                  std::string fallback, Options options);
+                  std::string fallback);
 
   const char* data_ = nullptr;
   size_t size_ = 0;
   size_t pos_ = 0;
   bool mapped_ = false;
   std::string fallback_;  ///< engaged only on non-mmap platforms
-  Options options_;
 };
 
 /// Streams lines from an istream — a pipe, FIFO, socket, or any file

@@ -1,6 +1,5 @@
 #include "pipeline/journal.h"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -204,20 +203,12 @@ util::Status RestoreCheckpoint(const snap::Snapshot& snapshot,
   return util::Status::OK();
 }
 
-void MergeQuarantine(QuarantineReport& into, QuarantineReport&& from,
-                     size_t max_samples) {
+void MergeQuarantine(QuarantineReport& into, QuarantineReport&& from) {
   into.count += from.count;
   for (QuarantineSample& s : from.samples) {
     into.samples.push_back(std::move(s));
   }
-  std::sort(into.samples.begin(), into.samples.end(),
-            [](const QuarantineSample& a, const QuarantineSample& b) {
-              return a.chunk != b.chunk ? a.chunk < b.chunk
-                                        : a.line_index < b.line_index;
-            });
-  if (into.samples.size() > max_samples) {
-    into.samples.resize(max_samples);
-  }
+  into.SortAndCap();
 }
 
 }  // namespace
@@ -235,8 +226,6 @@ util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
   }
   const size_t chunks_per_segment =
       jopts.chunks_per_segment > 0 ? jopts.chunks_per_segment : 1;
-  const snap::LoadMode load_mode =
-      jopts.mmap_load ? snap::LoadMode::kMmap : snap::LoadMode::kStream;
 
   ParallelLogPipeline pipeline(options);
   const uint64_t fingerprint = OptionsFingerprint(options, pipeline.shards());
@@ -272,7 +261,7 @@ util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
         if (!reasons.empty()) reasons += "; ";
         reasons += "generation " + std::to_string(gen) + ": " + msg;
       };
-      auto snapshot = store.LoadGeneration(gen, load_mode);
+      auto snapshot = store.LoadGeneration(gen, snap::LoadMode::kStream);
       if (!snapshot.ok()) {
         note(snapshot.status().message());
         continue;
@@ -329,8 +318,7 @@ util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
     lines_total += r.lines;
     for (QuarantineSample& s : r.quarantine.samples) s.chunk += chunk_base;
     chunk_base += segment.served();
-    MergeQuarantine(all_quarantine, std::move(r.quarantine),
-                    options.quarantine_max_samples);
+    MergeQuarantine(all_quarantine, std::move(r.quarantine));
     if (r.telemetry.has_value()) {
       if (!all_telemetry.has_value()) all_telemetry.emplace();
       all_telemetry->Merge(*r.telemetry);

@@ -42,9 +42,6 @@ struct JournalOptions {
   /// completion). The kill-then-resume tests use this to end a run at a
   /// checkpoint boundary deterministically.
   uint64_t max_segments = 0;
-  /// Load checkpoint snapshots mmap-backed instead of streamed. Same
-  /// verification either way; mmap avoids a copy of large shard state.
-  bool mmap_load = false;
 };
 
 struct JournalRunResult {

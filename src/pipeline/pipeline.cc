@@ -14,6 +14,15 @@
 
 namespace sparqlog::pipeline {
 
+void QuarantineReport::SortAndCap() {
+  std::sort(samples.begin(), samples.end(),
+            [](const QuarantineSample& a, const QuarantineSample& b) {
+              return a.chunk != b.chunk ? a.chunk < b.chunk
+                                        : a.line_index < b.line_index;
+            });
+  if (samples.size() > kMaxSamples) samples.resize(kMaxSamples);
+}
+
 ParallelLogPipeline::ParallelLogPipeline(PipelineOptions options)
     : options_(std::move(options)) {
   threads_ = options_.threads > 0
@@ -81,9 +90,6 @@ class ScratchPool {
 /// first.
 class QuarantineCollector {
  public:
-  explicit QuarantineCollector(size_t max_samples)
-      : max_samples_(max_samples) {}
-
   void Record(uint64_t chunk, uint64_t line_index, std::string_view line,
               const char* reason) noexcept {
     std::lock_guard<std::mutex> lock(mu_);
@@ -98,14 +104,7 @@ class QuarantineCollector {
       sample.line.assign(line.data(), line.size());
       sample.reason = reason;
       report_.samples.push_back(std::move(sample));
-      std::sort(report_.samples.begin(), report_.samples.end(),
-                [](const QuarantineSample& a, const QuarantineSample& b) {
-                  return a.chunk != b.chunk ? a.chunk < b.chunk
-                                            : a.line_index < b.line_index;
-                });
-      if (report_.samples.size() > max_samples_) {
-        report_.samples.resize(max_samples_);
-      }
+      report_.SortAndCap();
     } catch (...) {
     }
   }
@@ -117,7 +116,6 @@ class QuarantineCollector {
 
  private:
   std::mutex mu_;
-  const size_t max_samples_;
   QuarantineReport report_;
 };
 
@@ -190,7 +188,7 @@ PipelineResult ParallelLogPipeline::Run(
   }
 
   std::atomic<uint64_t> lines_consumed{0};
-  QuarantineCollector quarantine(options_.quarantine_max_samples);
+  QuarantineCollector quarantine;
 
   // Shard consumers: single reader per shard, so Shard needs no locks.
   std::vector<std::thread> shard_threads;

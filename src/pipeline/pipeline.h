@@ -113,14 +113,21 @@ struct QuarantineSample {
 };
 
 /// Aggregated quarantine outcome of a run. `count` equals the stats'
-/// quarantined bucket; `samples` holds the first
-/// PipelineOptions::quarantine_max_samples failing lines in
-/// deterministic (chunk, line_index) order so a failing run always
-/// reports the same reproducers.
+/// quarantined bucket; `samples` holds the first kMaxSamples failing
+/// lines in deterministic (chunk, line_index) order so a failing run
+/// always reports the same reproducers. The cap bounds only the
+/// retained reproducers, and it is applied after that sort, so the
+/// samples are the same across thread/shard counts and across journal
+/// segment merges.
 struct QuarantineReport {
-  static constexpr size_t kDefaultMaxSamples = 16;
+  static constexpr size_t kMaxSamples = 16;
   uint64_t count = 0;
   std::vector<QuarantineSample> samples;
+
+  /// Sorts `samples` into (chunk, line_index) order and keeps the first
+  /// kMaxSamples. Both the per-run collector and the journal's segment
+  /// merge call this after adding samples.
+  void SortAndCap();
 };
 
 struct PipelineOptions {
@@ -149,12 +156,6 @@ struct PipelineOptions {
   /// (on the worker thread, inside the containment scope). A throwing
   /// hook is how the fault tests inject deterministic worker faults.
   std::function<void(std::string_view)> parse_fault_hook;
-  /// Cap on quarantined-line samples kept in the QuarantineReport (the
-  /// count is always exact; this bounds only the retained reproducers).
-  /// The cap is applied after the deterministic (chunk, line_index)
-  /// sort, so any value yields the same samples across thread/shard
-  /// counts and across journal segment merges.
-  size_t quarantine_max_samples = QuarantineReport::kDefaultMaxSamples;
 };
 
 /// Merged output of a pipeline run — the same numbers the serial

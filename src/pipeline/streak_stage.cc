@@ -92,6 +92,9 @@ StreakStageResult StreakStage::Run(
       for (size_t j = warm; j < start; ++j) {
         win.Add(queries[j], gaps);  // state only; edges discarded
       }
+      // The warmup re-compares pairs the previous chunk owns; dropping
+      // its counters keeps the totals equal to the serial detector's.
+      win.TakeStats();
       ChunkEdges& out = edges[c];
       out.offsets.reserve(end - start + 1);
       out.offsets.push_back(0);
@@ -100,6 +103,7 @@ StreakStageResult StreakStage::Run(
         out.gaps.insert(out.gaps.end(), gaps.begin(), gaps.end());
         out.offsets.push_back(static_cast<uint32_t>(out.gaps.size()));
       }
+      worker_stats[worker_index].Merge(win.TakeStats());
       if (rt) {
         uint64_t t1 = obs::NowNs();
         obs::StageMetrics& m = rt->stage(obs::kStageStreak);
@@ -115,7 +119,6 @@ StreakStageResult StreakStage::Run(
       m.alloc_bytes += obs::ThreadAllocatedBytes() - tb0;
       m.allocs += obs::ThreadAllocationCount() - tc0;
     }
-    worker_stats[worker_index] = win.stats();
   };
 
   if (worker_count <= 1) {

@@ -27,8 +27,9 @@ struct StreakStageOptions {
 /// Output of one sharded streak run.
 struct StreakStageResult {
   streaks::StreakReport report;
-  /// Cascade counters summed over every worker (warmup re-scans
-  /// included, so totals exceed the serial detector's by the overlap).
+  /// Cascade counters summed over every worker. Warmup re-scans are not
+  /// counted, so the totals equal the serial detector's for every
+  /// thread count and chunk size.
   streaks::PrefilterStats prefilter;
   size_t chunks = 0;
   int threads = 0;

@@ -1,7 +1,10 @@
 #include "sparql/parser.h"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <memory>
+#include <utility>
 
 #include "sparql/lexer.h"
 #include "util/strings.h"
@@ -24,6 +27,50 @@ constexpr char kXsdDecimal[] = "http://www.w3.org/2001/XMLSchema#decimal";
 constexpr char kXsdDouble[] = "http://www.w3.org/2001/XMLSchema#double";
 constexpr char kXsdBoolean[] = "http://www.w3.org/2001/XMLSchema#boolean";
 
+/// Prefixes assumed to be pre-declared by the endpoint (see Parser),
+/// sorted by prefix for binary search. A constant table: building a
+/// parser costs nothing.
+constexpr std::array<std::pair<std::string_view, std::string_view>, 26>
+    kDefaultPrefixes = {{
+        {"bd", "http://www.bigdata.com/rdf#"},
+        {"bif", "http://www.openlinksw.com/schemas/bif#"},
+        {"biopax", "http://www.biopax.org/release/biopax-level3.owl#"},
+        {"bm", "http://collection.britishmuseum.org/id/ontology/"},
+        {"crm", "http://www.cidoc-crm.org/cidoc-crm/"},
+        {"dbo", "http://dbpedia.org/ontology/"},
+        {"dbp", "http://dbpedia.org/property/"},
+        {"dbr", "http://dbpedia.org/resource/"},
+        {"dc", "http://purl.org/dc/elements/1.1/"},
+        {"dct", "http://purl.org/dc/terms/"},
+        {"ex", "http://example.org/"},
+        {"foaf", "http://xmlns.com/foaf/0.1/"},
+        {"geo", "http://www.w3.org/2003/01/geo/wgs84_pos#"},
+        {"lgdo", "http://linkedgeodata.org/ontology/"},
+        {"owl", "http://www.w3.org/2002/07/owl#"},
+        {"p", "http://www.wikidata.org/prop/"},
+        {"pq", "http://www.wikidata.org/prop/qualifier/"},
+        {"ps", "http://www.wikidata.org/prop/statement/"},
+        {"rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"},
+        {"rdfs", "http://www.w3.org/2000/01/rdf-schema#"},
+        {"skos", "http://www.w3.org/2004/02/skos/core#"},
+        {"swdf", "http://data.semanticweb.org/ns/swc/ontology#"},
+        {"wd", "http://www.wikidata.org/entity/"},
+        {"wdt", "http://www.wikidata.org/prop/direct/"},
+        {"wikibase", "http://wikiba.se/ontology#"},
+        {"xsd", "http://www.w3.org/2001/XMLSchema#"},
+    }};
+static_assert(std::is_sorted(kDefaultPrefixes.begin(), kDefaultPrefixes.end()),
+              "kDefaultPrefixes must stay sorted for binary search");
+
+/// The default table's IRI for `prefix`, or nullptr if it has none.
+const std::string_view* FindDefaultPrefix(std::string_view prefix) {
+  auto it = std::lower_bound(
+      kDefaultPrefixes.begin(), kDefaultPrefixes.end(), prefix,
+      [](const auto& entry, std::string_view p) { return entry.first < p; });
+  if (it == kDefaultPrefixes.end() || it->first != prefix) return nullptr;
+  return &it->second;
+}
+
 /// The stateful single-pass parser over a token stream. Token values
 /// are views into the input text / token stream, both of which outlive
 /// the parse; the parser materializes them exactly once, at
@@ -33,10 +80,9 @@ constexpr char kXsdBoolean[] = "http://www.w3.org/2001/XMLSchema#boolean";
 /// pointer steals and nothing silently re-copies.
 class Impl {
  public:
-  Impl(const TokenStream& tokens, const ParserOptions& options,
-       std::pmr::memory_resource* mr, util::StringInterner* pname_cache)
+  Impl(const TokenStream& tokens, std::pmr::memory_resource* mr,
+       util::StringInterner* pname_cache)
       : tokens_(tokens.tokens()),
-        options_(options),
         mr_(mr),
         pname_cache_(pname_cache),
         local_prefixes_(mr) {}
@@ -128,9 +174,9 @@ class Impl {
   /// Depth accounting for the mutually recursive productions. Each
   /// recursion entry point (group graph patterns, path groups,
   /// parenthesized expressions) holds one of these for its frame;
-  /// `ok()` is false once the combined nesting exceeds the configured
-  /// cap, turning pathological inputs into a parse error before the
-  /// C++ stack is at risk.
+  /// `ok()` is false once the combined nesting exceeds
+  /// Parser::kMaxRecursionDepth, turning pathological inputs into a
+  /// parse error before the C++ stack is at risk.
   class DepthGuard {
    public:
     explicit DepthGuard(Impl* impl) : impl_(impl) { ++impl_->depth_; }
@@ -138,7 +184,7 @@ class Impl {
     DepthGuard(const DepthGuard&) = delete;
     DepthGuard& operator=(const DepthGuard&) = delete;
     bool ok() const {
-      return impl_->depth_ <= impl_->options_.max_recursion_depth;
+      return impl_->depth_ <= Parser::kMaxRecursionDepth;
     }
 
    private:
@@ -147,7 +193,7 @@ class Impl {
 
   Status DepthErr() const {
     return Err("query nesting exceeds the maximum depth of " +
-               std::to_string(options_.max_recursion_depth));
+               std::to_string(Parser::kMaxRecursionDepth));
   }
 
   /// Keywords that terminate a GROUP BY / HAVING / ORDER BY condition
@@ -207,8 +253,8 @@ class Impl {
 
   Result<AstString> ExpandPName(std::string_view pname) const {
     // Cross-line cache: sound only when this query declares no local
-    // prefixes (then the expansion depends solely on the parser
-    // options, which are fixed per scratch).
+    // prefixes (then the expansion depends solely on the constant
+    // default prefix table).
     const bool cacheable = pname_cache_ != nullptr && local_prefixes_.empty();
     if (cacheable) {
       if (const std::string_view* hit = pname_cache_->Find(pname)) {
@@ -229,24 +275,19 @@ class Impl {
       }
     }
     if (!found) {
-      if (auto dit = options_.default_prefixes.find(prefix);
-          dit != options_.default_prefixes.end()) {
-        base = dit->second;
+      if (const std::string_view* iri = FindDefaultPrefix(prefix)) {
+        base = *iri;
         found = true;
       }
     }
-    AstString full(mr_);
-    if (found) {
-      full.reserve(base.size() + local.size());
-      full.append(base).append(local);
-    } else if (options_.allow_unknown_prefixes) {
-      full.reserve(11 + pname.size());
-      full.append("urn:prefix:").append(pname);
-    } else {
+    if (!found) {
       std::string msg("undeclared prefix '");
       msg.append(prefix).append(":'");
       return Status::InvalidArgument(std::move(msg));
     }
+    AstString full(mr_);
+    full.reserve(base.size() + local.size());
+    full.append(base).append(local);
     if (cacheable) pname_cache_->Insert(pname, full);
     return full;
   }
@@ -1391,7 +1432,6 @@ class Impl {
 
   const std::vector<Token>& tokens_;
   size_t idx_ = 0;
-  const ParserOptions& options_;
   std::pmr::memory_resource* mr_;
   util::StringInterner* pname_cache_;
   /// PREFIX declarations of this query, as views into token storage.
@@ -1401,52 +1441,18 @@ class Impl {
   int blank_counter_ = 0;
   bool last_node_had_props_ = false;
   /// Current nesting depth across the recursive productions (see
-  /// DepthGuard / ParserOptions::max_recursion_depth).
+  /// DepthGuard / Parser::kMaxRecursionDepth).
   int depth_ = 0;
 };
 
 }  // namespace
-
-ParserOptions::PrefixMap ParserOptions::DefaultPrefixes() {
-  return {
-      {"rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"},
-      {"rdfs", "http://www.w3.org/2000/01/rdf-schema#"},
-      {"owl", "http://www.w3.org/2002/07/owl#"},
-      {"xsd", "http://www.w3.org/2001/XMLSchema#"},
-      {"foaf", "http://xmlns.com/foaf/0.1/"},
-      {"dc", "http://purl.org/dc/elements/1.1/"},
-      {"dct", "http://purl.org/dc/terms/"},
-      {"skos", "http://www.w3.org/2004/02/skos/core#"},
-      {"geo", "http://www.w3.org/2003/01/geo/wgs84_pos#"},
-      {"dbo", "http://dbpedia.org/ontology/"},
-      {"dbp", "http://dbpedia.org/property/"},
-      {"dbr", "http://dbpedia.org/resource/"},
-      {"wd", "http://www.wikidata.org/entity/"},
-      {"wdt", "http://www.wikidata.org/prop/direct/"},
-      {"p", "http://www.wikidata.org/prop/"},
-      {"ps", "http://www.wikidata.org/prop/statement/"},
-      {"pq", "http://www.wikidata.org/prop/qualifier/"},
-      {"bd", "http://www.bigdata.com/rdf#"},
-      {"wikibase", "http://wikiba.se/ontology#"},
-      {"bif", "http://www.openlinksw.com/schemas/bif#"},
-      {"lgdo", "http://linkedgeodata.org/ontology/"},
-      {"swdf", "http://data.semanticweb.org/ns/swc/ontology#"},
-      {"bm", "http://collection.britishmuseum.org/id/ontology/"},
-      {"crm", "http://www.cidoc-crm.org/cidoc-crm/"},
-      {"biopax", "http://www.biopax.org/release/biopax-level3.owl#"},
-      {"ex", "http://example.org/"},
-  };
-}
-
-Parser::Parser(ParserOptions options) : options_(std::move(options)) {}
 
 Result<Query> Parser::Parse(std::string_view text) const {
   // The token stream (and `text`, which its views point into) must stay
   // alive for the whole parse; the AST copies what it keeps.
   Result<TokenStream> tokens = Lexer::Tokenize(text);
   if (!tokens.ok()) return tokens.status();
-  Impl impl(tokens.value(), options_, std::pmr::get_default_resource(),
-            nullptr);
+  Impl impl(tokens.value(), std::pmr::get_default_resource(), nullptr);
   return impl.ParseQueryUnit();
 }
 
@@ -1457,7 +1463,7 @@ Result<Query> Parser::Parse(std::string_view text,
   // The AST copies every token value it keeps onto the arena, so the
   // token buffer can be clobbered by the next parse on this scratch
   // while earlier Queries stay valid (until scratch.Reset()).
-  Impl impl(scratch.tokens, options_, &scratch.arena, &scratch.pnames);
+  Impl impl(scratch.tokens, &scratch.arena, &scratch.pnames);
   return impl.ParseQueryUnit();
 }
 

@@ -1,11 +1,7 @@
 #ifndef SPARQLOG_SPARQL_PARSER_H_
 #define SPARQLOG_SPARQL_PARSER_H_
 
-#include <functional>
-#include <map>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "sparql/ast.h"
 #include "sparql/lexer.h"
@@ -14,35 +10,6 @@
 #include "util/result.h"
 
 namespace sparqlog::sparql {
-
-/// Parser configuration.
-struct ParserOptions {
-  /// Prefix table with a transparent comparator so the parser can look
-  /// up `string_view` prefixes sliced out of tokens without allocating.
-  using PrefixMap = std::map<std::string, std::string, std::less<>>;
-
-  /// Prefixes assumed to be pre-declared by the endpoint (most public
-  /// endpoints, e.g. DBpedia's Virtuoso, inject a default set). Queries in
-  /// logs routinely rely on them.
-  PrefixMap default_prefixes = DefaultPrefixes();
-
-  /// When true, an undeclared prefix `foo:bar` is expanded to the
-  /// placeholder IRI `urn:prefix:foo:bar` instead of failing the parse.
-  bool allow_unknown_prefixes = false;
-
-  /// Maximum nesting depth of the recursive-descent grammar (group
-  /// graph patterns, property-path groups, parenthesized/EXISTS
-  /// expressions combined). A log line like "ASK {{{{...}}}}" otherwise
-  /// recurses once per brace and overruns the C++ stack — a crash no
-  /// try/catch can contain. Exceeding the cap is a parse error
-  /// (kInvalidArgument), so the line lands in the malformed bucket like
-  /// any other unparseable entry. Generous for real queries: the
-  /// corpus' deepest observed nesting is far below 100.
-  int max_recursion_depth = 128;
-
-  /// The built-in default prefix set (rdf, rdfs, owl, xsd, foaf, dc, ...).
-  static PrefixMap DefaultPrefixes();
-};
 
 /// Reusable per-worker parse state: the arena that owns all AST node
 /// storage, the recycled token buffer, and the prefixed-name expansion
@@ -55,9 +22,8 @@ struct ParserOptions {
 /// chunk into one scratch, hands the batches downstream, and resets
 /// once nothing references the chunk's ASTs. The pname cache is *not*
 /// reset (its cross-line hits are the point); it flushes itself on its
-/// own storage budget. A scratch must only be used with parsers whose
-/// options are identical, or cached expansions could leak between
-/// configurations.
+/// own storage budget. Every parser expands names against the same
+/// default prefix table, so one scratch may serve any parser.
 struct ParserScratch {
   util::ArenaResource arena;
   TokenStream tokens;
@@ -76,9 +42,24 @@ struct ParserScratch {
 /// subqueries, property paths, expressions with aggregates, and all
 /// solution modifiers. Update operations are rejected with
 /// `StatusCode::kUnsupported` (the paper's log-cleaning step drops them).
+///
+/// The parser holds no state: prefixed names resolve against the query's
+/// own PREFIX declarations, then against one process-wide table of the
+/// prefixes public endpoints pre-declare (rdf, rdfs, owl, xsd, foaf, dc,
+/// dbo, wd, ...; most endpoints, e.g. DBpedia's Virtuoso, inject such a
+/// set and logged queries rely on it). Any other prefix fails the parse.
 class Parser {
  public:
-  explicit Parser(ParserOptions options = ParserOptions());
+  /// Maximum nesting depth of the recursive-descent grammar (group
+  /// graph patterns, property-path groups, parenthesized/EXISTS
+  /// expressions and blank-node property lists combined). A log line
+  /// like "ASK {{{{...}}}}" otherwise recurses once per brace and
+  /// overruns the C++ stack — a crash no try/catch can contain.
+  /// Exceeding the cap is a parse error (kInvalidArgument), so the line
+  /// lands in the malformed bucket like any other unparseable entry.
+  /// Generous for real queries: the corpus' deepest observed nesting is
+  /// far below 100.
+  static constexpr int kMaxRecursionDepth = 128;
 
   /// Parses a complete query onto the default heap resource. Returns
   /// InvalidArgument on syntax errors, Unsupported for SPARQL Update
@@ -96,12 +77,9 @@ class Parser {
   /// True iff `text` parses (the paper's "Valid" criterion, standing in
   /// for Apache Jena 3.0.1).
   bool IsValid(std::string_view text) const;
-
- private:
-  ParserOptions options_;
 };
 
-/// Convenience one-shot parse with default options.
+/// Convenience one-shot parse.
 util::Result<Query> ParseQuery(std::string_view text);
 
 }  // namespace sparqlog::sparql

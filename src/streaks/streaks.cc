@@ -169,8 +169,7 @@ bool SimilarityWindow::Similar(const Slot& prev, const Slot& cand) {
 void SimilarityWindow::Add(std::string_view raw_query,
                            std::vector<uint32_t>& matched_gaps) {
   matched_gaps.clear();
-  std::string_view text =
-      options_.strip_prologue ? StripPrologueView(raw_query) : raw_query;
+  std::string_view text = StripPrologueView(raw_query);
 
   size_t index = next_index_++;
   while (!window_.empty() &&

@@ -5,22 +5,22 @@
 #include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/levenshtein.h"
 
 namespace sparqlog::streaks {
 
-/// Parameters of the streak analysis (Section 8 of the paper).
+/// Parameters of the streak analysis (Section 8 of the paper). Queries
+/// are always compared with their prologue stripped (StripPrologueView),
+/// as the paper does.
 struct StreakOptions {
   /// Two queries are similar iff their normalized Levenshtein distance
   /// (divided by the longer length) is at most this threshold.
   double similarity_threshold = 0.25;
   /// Maximum index gap between consecutive queries of a streak.
   size_t window = 30;
-  /// Strip namespace prefixes (everything before the first
-  /// SELECT/ASK/CONSTRUCT/DESCRIBE) before comparing, as the paper does.
-  bool strip_prologue = true;
   /// Per-pair step budget for the Levenshtein DP (one step per 64-row
   /// block column; 0 = unlimited). A pair whose DP exhausts the budget
   /// is treated as dissimilar — deterministically, since the step count
@@ -130,6 +130,10 @@ class SimilarityWindow {
 
   /// Cumulative cascade counters (not cleared by Reset).
   const PrefilterStats& stats() const { return stats_; }
+
+  /// Returns the counters accumulated since the last TakeStats (or
+  /// construction) and clears them.
+  PrefilterStats TakeStats() { return std::exchange(stats_, {}); }
 
  private:
   struct Slot {

@@ -106,9 +106,6 @@ pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
   options.queue_capacity = config.queue_capacity;
   options.shards = config.shards;
   options.use_valid_corpus = config.use_valid_corpus;
-  // Fuzz the sample cap too (it's a PipelineOptions knob): derived from
-  // the plan seed, so the determinism replay below sees the same value.
-  options.quarantine_max_samples = 1 + plan.seed % 24;
   if (plan.poison_modulus != 0) {
     options.parse_fault_hook = [modulus = plan.poison_modulus,
                                 residue = plan.poison_residue](
@@ -170,8 +167,9 @@ std::optional<Violation> CheckFaultContainment(
                        std::to_string(stats.quarantined) + " (" + describe() +
                        ")");
   }
-  if (result.quarantine.samples.size() > 1 + plan.seed % 24 ||
-      result.quarantine.samples.size() > result.quarantine.count) {
+  const size_t samples = result.quarantine.samples.size();
+  if (samples > pipeline::QuarantineReport::kMaxSamples ||
+      samples > result.quarantine.count) {
     return Violate("fault-quarantine-samples",
                    "sample list over bound (" + describe() + ")");
   }

@@ -102,10 +102,10 @@ class FaultInjectingChunkSource : public pipeline::ChunkSource {
   bool injected_persistent_ = false;
 };
 
-/// Builds the pipeline options for a fault run: `config`'s shape,
-/// containment on, and the plan's poison hook installed. The caller is
-/// responsible for arming/disarming the plan's allocation fault around
-/// Run (see CheckFaultContainment).
+/// Builds the pipeline options for a fault run: `config`'s shape and
+/// the plan's poison hook installed. The caller is responsible for
+/// arming/disarming the plan's allocation fault around Run (see
+/// CheckFaultContainment).
 pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
                                                const FaultPlan& plan);
 
@@ -114,7 +114,8 @@ pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
 ///  * no exception escapes Run;
 ///  * conservation — total == valid + malformed + abandoned + quarantined;
 ///  * the quarantine report agrees with the quarantined counter, its
-///    samples are deterministically ordered and capped;
+///    samples are deterministically ordered and capped at
+///    QuarantineReport::kMaxSamples;
 ///  * a persistent source fault (or an over-bound transient burst)
 ///    surfaces as a non-OK source_status, and only then;
 ///  * lines are never invented (result.lines bounded by the input), and

@@ -357,7 +357,6 @@ StreakEquivalenceConfig RandomStreakConfig(util::Rng& rng) {
   config.window = 1 + rng.Below(40);
   const double thresholds[] = {0.1, 0.25, 0.4};
   config.similarity_threshold = thresholds[rng.Below(3)];
-  config.strip_prologue = rng.Chance(0.7);
   return config;
 }
 
@@ -367,7 +366,6 @@ std::optional<Violation> CheckStreakEquivalence(
   streaks::StreakOptions streak;
   streak.window = config.window;
   streak.similarity_threshold = config.similarity_threshold;
-  streak.strip_prologue = config.strip_prologue;
 
   streaks::StreakDetector detector(streak);
   for (const std::string& q : queries) detector.Add(q);
@@ -386,8 +384,7 @@ std::optional<Violation> CheckStreakEquivalence(
     return "threads=" + std::to_string(config.threads) +
            " chunk=" + std::to_string(config.chunk_size) +
            " window=" + std::to_string(config.window) + " threshold=" +
-           std::to_string(config.similarity_threshold) +
-           (config.strip_prologue ? " strip" : " nostrip");
+           std::to_string(config.similarity_threshold);
   };
   auto mismatch = [&](const std::string& field, uint64_t a, uint64_t b) {
     return Violate("streak-serial-sharded",
@@ -588,10 +585,6 @@ std::optional<Violation> CheckScanEquivalence(std::string_view input) {
 SourceEquivalenceConfig RandomSourceConfig(util::Rng& rng) {
   SourceEquivalenceConfig config;
   config.pipeline = RandomEquivalenceConfig(rng);
-  // Budgets below typical line length force single-line slices; large
-  // ones exercise multi-line chunks against the max_lines bound.
-  const size_t budgets[] = {0, 1, 16, 64, 256, 4096};
-  config.slice_bytes = budgets[rng.Below(6)];
   config.crlf = rng.Chance(0.3);
   config.trailing_newline = rng.Chance(0.8);
   return config;
@@ -619,7 +612,6 @@ std::optional<Violation> CheckSourceEquivalence(
     return "threads=" + std::to_string(config.pipeline.threads) +
            " chunk=" + std::to_string(config.pipeline.chunk_size) +
            " shards=" + std::to_string(config.pipeline.shards) +
-           " slice=" + std::to_string(config.slice_bytes) +
            (config.crlf ? " crlf" : " lf") +
            (trailing ? " trailing-nl" : " no-trailing-nl");
   };
@@ -665,9 +657,7 @@ std::optional<Violation> CheckSourceEquivalence(
   pipeline::PipelineResult mem = pipe.Run(sanitized);
 
   util::Result<std::unique_ptr<pipeline::MmapChunkSource>> mapped =
-      pipeline::MmapChunkSource::Open(
-          path.string(),
-          pipeline::MmapChunkSource::Options{config.slice_bytes});
+      pipeline::MmapChunkSource::Open(path.string());
   if (!mapped.ok()) {
     return Violate("source-io",
                    "mmap open failed: " + mapped.status().message(), "");

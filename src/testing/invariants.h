@@ -115,7 +115,6 @@ struct StreakEquivalenceConfig {
   size_t chunk_size = 64;
   size_t window = 30;
   double similarity_threshold = 0.25;
-  bool strip_prologue = true;
 };
 
 /// Samples thread/chunk/window/threshold combinations, biased toward
@@ -145,8 +144,6 @@ std::optional<Violation> CheckScanEquivalence(std::string_view input);
 /// check: the pipeline config plus the file framing to exercise.
 struct SourceEquivalenceConfig {
   EquivalenceConfig pipeline;
-  /// MmapChunkSource slice budget (0 = lines-only chunking).
-  size_t slice_bytes = 0;
   /// Write CRLF line endings (both file sources must strip the '\r').
   bool crlf = false;
   /// End the file with a line terminator (getline drops the would-be
@@ -154,8 +151,7 @@ struct SourceEquivalenceConfig {
   bool trailing_newline = true;
 };
 
-/// Samples slice budgets (including ones smaller than a line), CRLF,
-/// and missing-trailing-newline framings.
+/// Samples CRLF and missing-trailing-newline framings.
 SourceEquivalenceConfig RandomSourceConfig(util::Rng& rng);
 
 /// Writes `lines` to a temporary file and pipelines it three ways —

@@ -38,8 +38,7 @@ std::string OldStripPrologue(const std::string& query) {
 
 void ReferenceDetector::Add(const std::string& raw_query) {
   Entry entry;
-  entry.text =
-      options_.strip_prologue ? OldStripPrologue(raw_query) : raw_query;
+  entry.text = OldStripPrologue(raw_query);
   entry.index = next_index_++;
   ++report_.queries_processed;
   while (!window_.empty() &&

@@ -105,7 +105,7 @@ StorageFaultPlan RandomStorageFaultPlan(util::Rng& rng) {
   plan.seed = rng.Next();
   plan.where = rng.NextDouble();
   // ~1 in 6 plans are the fault-free control: resume must be exact when
-  // nothing is damaged, streamed and mmap-backed.
+  // nothing is damaged, mid-run and from the finished checkpoint.
   if (rng.Chance(1.0 / 6.0)) return plan;
   switch (rng.Below(5)) {
     case 0:
@@ -183,12 +183,10 @@ std::optional<Violation> CheckSnapshotDurability(
   jopts.path = path.string();
   jopts.chunks_per_segment = 2;
 
-  auto resume = [&](bool mmap,
-                    uint64_t max_segments) -> util::Result<
-                                                 pipeline::JournalRunResult> {
+  auto resume = [&](uint64_t max_segments)
+      -> util::Result<pipeline::JournalRunResult> {
     pipeline::VectorChunkSource source(log);
     pipeline::JournalOptions ropts = jopts;
-    ropts.mmap_load = mmap;
     ropts.max_segments = max_segments;
     return pipeline::RunWithJournal(options, source, ropts);
   };
@@ -196,7 +194,7 @@ std::optional<Violation> CheckSnapshotDurability(
   // Setup: run two segments, leaving two retained generations and input
   // remaining.
   {
-    auto r = resume(false, 2);
+    auto r = resume(2);
     if (!r.ok()) {
       return Violate("storage-setup", "setup run failed: " +
                                           r.status().ToString() + " (" +
@@ -233,13 +231,10 @@ std::optional<Violation> CheckSnapshotDurability(
   const std::string previous_path =
       store.GenerationPath(manifest.value().previous);
 
-  // Alternate load mode by seed so both paths see every damage shape.
-  const bool mmap = (plan.seed & 1) != 0;
-
   auto check_exact_finish = [&](const char* invariant,
                                 bool expect_resumed = true)
       -> std::optional<Violation> {
-    auto r = resume(mmap, 0);
+    auto r = resume(0);
     if (!r.ok()) {
       return Violate(invariant, "resume failed: " + r.status().ToString() +
                                     " (" + describe() + ")");
@@ -259,15 +254,16 @@ std::optional<Violation> CheckSnapshotDurability(
 
   switch (plan.kind) {
     case StorageFaultPlan::Kind::kNone: {
-      // Streamed resume to completion, then an mmap-backed resume of the
-      // final checkpoint: both must reproduce the reference digest.
+      // Resume to completion, then resume the finished journal (which
+      // reads no input): both must reproduce the reference digest.
       if (auto v = check_exact_finish("storage-control")) return v;
-      auto r = resume(true, 0);
+      auto r = resume(0);
       if (!r.ok() || !r.value().resumed ||
           pipeline::StatisticsDigest(r.value().result.analysis) !=
               expect_digest) {
         return Violate("storage-control",
-                       "mmap-backed resume diverges (" + describe() + ")");
+                       "resume of the finished checkpoint diverges (" +
+                           describe() + ")");
       }
       return std::nullopt;
     }
@@ -289,7 +285,7 @@ std::optional<Violation> CheckSnapshotDurability(
       if (plan.target == StorageFaultPlan::Target::kManifest) {
         // A damaged manifest must be a hard, reasoned error — and a
         // fresh start must reproduce the reference exactly.
-        auto r = resume(mmap, 0);
+        auto r = resume(0);
         if (r.ok()) {
           return Violate("storage-detection",
                          "damaged manifest accepted silently (" + describe() +
@@ -306,7 +302,7 @@ std::optional<Violation> CheckSnapshotDurability(
       }
       if (plan.target == StorageFaultPlan::Target::kCurrentGeneration) {
         // Must fall back to the previous generation and still be exact.
-        auto r = resume(mmap, 0);
+        auto r = resume(0);
         if (!r.ok()) {
           return Violate("storage-fallback",
                          "no fallback from damaged current generation: " +
@@ -332,7 +328,7 @@ std::optional<Violation> CheckSnapshotDurability(
       // Previous generation damaged: invisible, the current one carries
       // the run.
       {
-        auto r = resume(mmap, 0);
+        auto r = resume(0);
         if (!r.ok() || r.value().recovered_previous_generation) {
           return Violate("storage-retention",
                          "damaged PREVIOUS generation affected the resume (" +
@@ -370,7 +366,7 @@ std::optional<Violation> CheckSnapshotDurability(
             static_cast<uint64_t>(plan.where * static_cast<double>(size))));
       };
       snap::SetIoFaultHooksForTest(&hooks);
-      auto mid = resume(mmap, 1);
+      auto mid = resume(1);
       snap::SetIoFaultHooksForTest(nullptr);
       if (!mid.ok()) {
         return Violate("storage-torn",
@@ -381,7 +377,7 @@ std::optional<Violation> CheckSnapshotDurability(
         return Violate("storage-setup",
                        "torn-publish hook never fired (" + describe() + ")");
       }
-      auto r = resume(mmap, 0);
+      auto r = resume(0);
       if (r.ok()) {
         if (!r.value().complete ||
             pipeline::StatisticsDigest(r.value().result.analysis) !=
@@ -417,7 +413,7 @@ std::optional<Violation> CheckSnapshotDurability(
         hooks.fail_rename = [](const std::string&) { return true; };
       }
       snap::SetIoFaultHooksForTest(&hooks);
-      auto mid = resume(mmap, 1);
+      auto mid = resume(1);
       snap::SetIoFaultHooksForTest(nullptr);
       if (mid.ok()) {
         return Violate("storage-publish-error",

@@ -28,7 +28,7 @@ namespace sparqlog::testing {
 ///  * rename failure — same, for the rename step of the publish.
 ///
 /// Or nothing (kNone): the fault-free control must resume exactly, both
-/// streamed and mmap-loaded.
+/// mid-run and from the finished checkpoint.
 struct StorageFaultPlan {
   enum class Kind {
     kNone,
@@ -71,8 +71,8 @@ StorageFaultPlan RandomStorageFaultPlan(util::Rng& rng);
 ///    from scratch reproduces the reference digest;
 ///  * fsync/rename failures during a checkpoint surface as errors while
 ///    leaving the prior checkpoint resumable;
-///  * the fault-free control resumes bit-identically, streamed and
-///    mmap-backed.
+///  * the fault-free control resumes bit-identically, mid-run and from
+///    the finished checkpoint.
 /// Uses a temp-directory journal derived from the plan seed; cleans up
 /// after itself.
 std::optional<Violation> CheckSnapshotDurability(

@@ -56,11 +56,9 @@ Drained Drain(ChunkSource& source, size_t max_lines) {
   return d;
 }
 
-Drained DrainFile(const std::string& bytes, size_t max_lines,
-                  size_t slice_bytes = 0) {
+Drained DrainFile(const std::string& bytes, size_t max_lines) {
   const std::filesystem::path path = WriteTemp(bytes);
-  auto source = MmapChunkSource::Open(path.string(),
-                                      MmapChunkSource::Options{slice_bytes});
+  auto source = MmapChunkSource::Open(path.string());
   EXPECT_TRUE(source.ok()) << source.status().ToString();
   Drained d = Drain(*source.value(), max_lines);
   std::filesystem::remove(path);
@@ -105,30 +103,6 @@ TEST(MmapChunkSourceTest, MaxLinesBoundsEachChunk) {
   Drained d = DrainFile("a\nb\nc\nd\ne\n", 2);
   EXPECT_EQ(d.lines, (std::vector<std::string>{"a", "b", "c", "d", "e"}));
   EXPECT_EQ(d.chunk_sizes, (std::vector<size_t>{2, 2, 1}));
-}
-
-TEST(MmapChunkSourceTest, SliceBudgetSplitsChunks) {
-  // Budget of 4 payload bytes: "aa" + "bb" fill a chunk, then the next.
-  Drained d = DrainFile("aa\nbb\ncc\ndd\n", 64, /*slice_bytes=*/4);
-  EXPECT_EQ(d.lines, (std::vector<std::string>{"aa", "bb", "cc", "dd"}));
-  EXPECT_EQ(d.chunk_sizes, (std::vector<size_t>{2, 2}));
-}
-
-TEST(MmapChunkSourceTest, LineLongerThanSliceBudgetComesOutWhole) {
-  const std::string big(64, 'z');
-  Drained d = DrainFile(big + "\nshort\n", 64, /*slice_bytes=*/8);
-  ASSERT_EQ(d.lines.size(), 2u);
-  EXPECT_EQ(d.lines[0], big);
-  EXPECT_EQ(d.lines[1], "short");
-  // The long line never splits: a chunk holds whole lines only.
-  EXPECT_EQ(d.chunk_sizes, (std::vector<size_t>{1, 1}));
-}
-
-TEST(MmapChunkSourceTest, LineSpansSliceBoundaryIntact) {
-  // With a 5-byte budget the reader's cursor lands mid-line; the line
-  // must still come out whole in the next chunk.
-  Drained d = DrainFile("abc\ndefghij\nkl\n", 64, /*slice_bytes=*/5);
-  EXPECT_EQ(d.lines, (std::vector<std::string>{"abc", "defghij", "kl"}));
 }
 
 TEST(MmapChunkSourceTest, ViewsPointIntoTheMapping) {
@@ -305,17 +279,13 @@ std::vector<std::string> SampleLog() {
 TEST(SourceEquivalenceTest, AllFramingsAgree) {
   for (const bool crlf : {false, true}) {
     for (const bool trailing : {true, false}) {
-      for (const size_t slice : {size_t{0}, size_t{7}, size_t{256}}) {
-        testing::SourceEquivalenceConfig config;
-        config.pipeline.threads = 2;
-        config.pipeline.chunk_size = 8;
-        config.slice_bytes = slice;
-        config.crlf = crlf;
-        config.trailing_newline = trailing;
-        auto v = testing::CheckSourceEquivalence(SampleLog(), config);
-        EXPECT_FALSE(v.has_value())
-            << (v ? v->invariant + ": " + v->detail : "");
-      }
+      testing::SourceEquivalenceConfig config;
+      config.pipeline.threads = 2;
+      config.pipeline.chunk_size = 8;
+      config.crlf = crlf;
+      config.trailing_newline = trailing;
+      auto v = testing::CheckSourceEquivalence(SampleLog(), config);
+      EXPECT_FALSE(v.has_value()) << (v ? v->invariant + ": " + v->detail : "");
     }
   }
 }
@@ -325,15 +295,12 @@ TEST(SourceEquivalenceTest, AllFramingsAgree) {
 // mmap, and stream sources — the mmap path in particular must treat a
 // zero-byte file as a valid zero-line source, not an mmap failure.
 TEST(SourceEquivalenceTest, EmptyFileAllSourcesAgree) {
-  for (const size_t slice : {size_t{0}, size_t{7}}) {
-    testing::SourceEquivalenceConfig config;
-    config.pipeline.threads = 2;
-    config.pipeline.chunk_size = 8;
-    config.slice_bytes = slice;
-    config.trailing_newline = false;  // truly zero bytes on disk
-    auto v = testing::CheckSourceEquivalence({}, config);
-    EXPECT_FALSE(v.has_value()) << (v ? v->invariant + ": " + v->detail : "");
-  }
+  testing::SourceEquivalenceConfig config;
+  config.pipeline.threads = 2;
+  config.pipeline.chunk_size = 8;
+  config.trailing_newline = false;  // truly zero bytes on disk
+  auto v = testing::CheckSourceEquivalence({}, config);
+  EXPECT_FALSE(v.has_value()) << (v ? v->invariant + ": " + v->detail : "");
 }
 
 TEST(SourceEquivalenceTest, CrlfOnlyFileAllSourcesAgree) {

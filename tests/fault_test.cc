@@ -765,9 +765,7 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
   }
   {
     pipeline::VectorChunkSource source(log);
-    pipeline::JournalOptions resume = jopts;
-    resume.mmap_load = true;
-    auto r = pipeline::RunWithJournal(options, source, resume);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value().resumed);
     EXPECT_TRUE(r.value().complete);
@@ -775,14 +773,10 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
               pipeline::StatisticsDigest(expect.analysis));
   }
   // Load-vs-recompute: the journal is now finished, so resuming it reads
-  // no input and must restore the plain run's state exactly, whether
-  // the checkpoint is streamed or mapped.
-  for (const bool mmap : {false, true}) {
-    SCOPED_TRACE(mmap ? "mmap load" : "stream load");
+  // no input and must restore the plain run's state exactly.
+  {
     pipeline::VectorChunkSource source(log);
-    pipeline::JournalOptions finished = jopts;
-    finished.mmap_load = mmap;
-    auto r = pipeline::RunWithJournal(options, source, finished);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.value().resumed);
     EXPECT_TRUE(r.value().complete);
@@ -794,8 +788,9 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
     EXPECT_EQ(pipeline::StatisticsDigest(got.analysis),
               pipeline::StatisticsDigest(expect.analysis));
   }
-  // Re-encoding the current generation's loaded sections through
-  // SnapshotWriter reproduces the file byte for byte.
+  // The journal's real checkpoint loads to the same sections streamed
+  // and mmap-backed, and re-encoding them through SnapshotWriter
+  // reproduces the file byte for byte.
   {
     util::snapshot::SnapshotStore store(path.string());
     auto gens = store.ReadManifest();
@@ -807,6 +802,10 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
     auto loaded = util::snapshot::Snapshot::Load(
         gen_path, util::snapshot::LoadMode::kStream);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    auto mapped = util::snapshot::Snapshot::Load(
+        gen_path, util::snapshot::LoadMode::kMmap);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    EXPECT_TRUE(mapped.value().sections() == loaded.value().sections());
     util::snapshot::SnapshotWriter writer;
     for (const auto& [id, payload] : loaded.value().sections()) {
       writer.AddSection(id, std::string(payload));
@@ -818,13 +817,15 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
 }
 
 // ---------------------------------------------------------------------------
-// Quarantine sample cap (PipelineOptions::quarantine_max_samples)
+// Quarantine sample cap (QuarantineReport::kMaxSamples)
 // ---------------------------------------------------------------------------
 
 TEST(QuarantineCapTest, CapIsHonoredAndDeterministic) {
-  // 30 poisoned lines; a cap of 3 must keep the count exact (30) while
-  // retaining exactly the first 3 samples in (chunk, line_index) order,
-  // for ANY thread/shard configuration.
+  // 30 poisoned lines; the cap of 16 must keep the count exact (30)
+  // while retaining exactly the first 16 samples in (chunk, line_index)
+  // order, for ANY thread/shard configuration.
+  constexpr size_t kCap = pipeline::QuarantineReport::kMaxSamples;
+  static_assert(kCap < 30, "the log must overflow the sample cap");
   std::vector<std::string> log;
   for (int i = 0; i < 30; ++i) {
     log.push_back("query=POISON " + std::to_string(i));
@@ -836,7 +837,6 @@ TEST(QuarantineCapTest, CapIsHonoredAndDeterministic) {
     options.threads = threads;
     options.shards = shards;
     options.chunk_size = 8;
-    options.quarantine_max_samples = 3;
     options.parse_fault_hook = [](std::string_view line) {
       if (line.find("POISON") != std::string_view::npos) {
         throw std::runtime_error("poisoned");
@@ -848,15 +848,15 @@ TEST(QuarantineCapTest, CapIsHonoredAndDeterministic) {
 
   pipeline::PipelineResult first = run(1, 1);
   EXPECT_EQ(first.quarantine.count, 30u);
-  ASSERT_EQ(first.quarantine.samples.size(), 3u);
+  ASSERT_EQ(first.quarantine.samples.size(), kCap);
   EXPECT_TRUE(first.stats.Conserved());
   for (auto [threads, shards] : {std::pair<int, size_t>{2, 3},
                                  std::pair<int, size_t>{4, 1},
                                  std::pair<int, size_t>{3, 2}}) {
     pipeline::PipelineResult r = run(threads, shards);
     EXPECT_EQ(r.quarantine.count, first.quarantine.count);
-    ASSERT_EQ(r.quarantine.samples.size(), 3u);
-    for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(r.quarantine.samples.size(), kCap);
+    for (size_t i = 0; i < kCap; ++i) {
       EXPECT_EQ(r.quarantine.samples[i].chunk,
                 first.quarantine.samples[i].chunk);
       EXPECT_EQ(r.quarantine.samples[i].line_index,
@@ -869,6 +869,8 @@ TEST(QuarantineCapTest, CapIsHonoredAndDeterministic) {
 TEST(QuarantineCapTest, CapSurvivesJournalSegmentMerge) {
   // The per-segment reports merge across checkpoints; the merged report
   // must honor the same cap with the same deterministic prefix.
+  constexpr size_t kCap = pipeline::QuarantineReport::kMaxSamples;
+  static_assert(kCap < 20, "the log must overflow the sample cap");
   std::vector<std::string> log;
   for (int i = 0; i < 20; ++i) {
     log.push_back("query=POISON " + std::to_string(i));
@@ -877,7 +879,6 @@ TEST(QuarantineCapTest, CapSurvivesJournalSegmentMerge) {
   pipeline::PipelineOptions options;
   options.threads = 2;
   options.chunk_size = 4;
-  options.quarantine_max_samples = 5;
   options.parse_fault_hook = [](std::string_view line) {
     if (line.find("POISON") != std::string_view::npos) {
       throw std::runtime_error("poisoned");
@@ -894,12 +895,14 @@ TEST(QuarantineCapTest, CapSurvivesJournalSegmentMerge) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r.value().complete);
   EXPECT_EQ(r.value().result.quarantine.count, 20u);
-  ASSERT_EQ(r.value().result.quarantine.samples.size(), 5u);
-  for (size_t i = 1; i < 5; ++i) {
+  ASSERT_EQ(r.value().result.quarantine.samples.size(), kCap);
+  for (size_t i = 0; i < kCap; ++i) {
+    const auto& s = r.value().result.quarantine.samples[i];
+    EXPECT_EQ(s.line, "query=POISON " + std::to_string(i));
+    if (i == 0) continue;
     const auto& a = r.value().result.quarantine.samples[i - 1];
-    const auto& b = r.value().result.quarantine.samples[i];
-    EXPECT_TRUE(a.chunk < b.chunk ||
-                (a.chunk == b.chunk && a.line_index < b.line_index));
+    EXPECT_TRUE(a.chunk < s.chunk ||
+                (a.chunk == s.chunk && a.line_index < s.line_index));
   }
   RemoveJournal(path);
 }

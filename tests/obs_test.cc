@@ -16,8 +16,10 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "pipeline/merge.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/streak_stage.h"
+#include "testing/invariants.h"
 
 namespace sparqlog::obs {
 namespace {
@@ -189,7 +191,7 @@ TEST(TelemetryDigestTest, IgnoresTimingAndQueueNoise) {
   b.stage(kStageParse).chunks += 5;
   b.stage(kStageShard).alloc_bytes += 4096;
   b.run_allocs += 77;
-  b.prefilter_dp += 4;  // warmup-dependent, excluded
+  b.prefilter_dp += 4;  // cascade diagnostic, excluded
   EXPECT_EQ(TelemetryDigest(a), TelemetryDigest(b));
 }
 
@@ -370,6 +372,40 @@ TEST(PipelineTelemetryTest, DigestInvariantAcrossSchedules) {
   EXPECT_EQ(serial, digest_at(4, 64, 2));
   EXPECT_EQ(serial, digest_at(2, 7, 1));
   EXPECT_EQ(serial, digest_at(3, 1000, 4));
+}
+
+TEST(PipelineTelemetryTest, InstrumentationDoesNotChangeResults) {
+  // The 13-profile paper corpus with telemetry off, with metrics, and
+  // with metrics + span tracing: the answers must not move, and the two
+  // collecting runs must count the same item flow.
+  const std::vector<std::string> log = testing::PaperCorpusLog(150);
+  auto run = [&log](bool metrics, bool trace) {
+    pipeline::PipelineOptions options;
+    options.threads = 3;
+    options.shards = 2;
+    options.chunk_size = 64;
+    options.telemetry.metrics = metrics;
+    options.telemetry.trace = trace;
+    return pipeline::ParallelLogPipeline(options).Run(log);
+  };
+  const pipeline::PipelineResult off = run(false, false);
+  const pipeline::PipelineResult metrics = run(true, false);
+  const pipeline::PipelineResult traced = run(true, true);
+  EXPECT_FALSE(off.telemetry.has_value());
+  EXPECT_GT(off.stats.unique, 0u);
+  const std::vector<uint64_t> digest =
+      pipeline::StatisticsDigest(off.analysis);
+  for (const pipeline::PipelineResult* r : {&metrics, &traced}) {
+    SCOPED_TRACE(r == &metrics ? "metrics" : "metrics+trace");
+    EXPECT_EQ(r->lines, off.lines);
+    EXPECT_EQ(r->stats, off.stats);
+    EXPECT_EQ(pipeline::StatisticsDigest(r->analysis), digest);
+  }
+  ASSERT_TRUE(metrics.telemetry.has_value());
+  ASSERT_TRUE(traced.telemetry.has_value());
+  ASSERT_TRUE(traced.trace.has_value());
+  EXPECT_EQ(TelemetryDigest(*metrics.telemetry),
+            TelemetryDigest(*traced.telemetry));
 }
 
 TEST(PipelineTelemetryTest, SerialIngestorMatchesShardStage) {

@@ -82,5 +82,30 @@ TEST(ParseAllocationTest, ScratchParseLogLineStaysWithinBudget) {
       << allocs << " allocations over " << lines.size() << " lines";
 }
 
+// Every pipeline worker, shard and LogIngestor builds its own parser, so
+// building one must cost nothing: the default prefix table is a shared
+// constant, not a per-parser map. Each fresh parser also parses on the
+// warm scratch, through that table (rdf:, foaf:).
+TEST(ParseAllocationTest, ParserConstructionAllocatesNothing) {
+  constexpr int kParsers = 64;
+  constexpr char kQuery[] = "SELECT * WHERE { ?s rdf:type foaf:Person }";
+  sparql::ParserScratch scratch;
+  {
+    sparql::Parser first;  // warms the scratch and any one-time setup
+    ASSERT_TRUE(first.Parse(kQuery, scratch).ok());
+  }
+  int parsed = 0;
+  const uint64_t allocs = CountAllocations([&] {
+    for (int i = 0; i < kParsers; ++i) {
+      sparql::Parser parser;
+      scratch.Reset();
+      if (parser.Parse(kQuery, scratch).ok()) ++parsed;
+    }
+  });
+  EXPECT_EQ(parsed, kParsers);
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations over " << kParsers
+                        << " parser constructions";
+}
+
 }  // namespace
 }  // namespace sparqlog

@@ -119,13 +119,6 @@ TEST(ParserTest, UndeclaredPrefixFails) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(ParserTest, UnknownPrefixAllowedWithOption) {
-  ParserOptions options;
-  options.allow_unknown_prefixes = true;
-  Parser parser(options);
-  EXPECT_TRUE(parser.IsValid("SELECT * WHERE { ?x zzz:foo ?y }"));
-}
-
 TEST(ParserTest, AKeywordIsRdfType) {
   Query q = MustParse("SELECT * WHERE { ?x a <C> }");
   std::vector<const TriplePattern*> triples;
@@ -551,19 +544,18 @@ TEST(ParserTest, RecursionCapRejectsDeepExpressionAndNodeNesting) {
 
 TEST(ParserTest, RecursionCapLeavesRealisticNestingAlone) {
   Parser parser;
-  // Deeply nested but within the default cap of 128: parses fine.
+  // Deeply nested but within the cap: parses fine.
   auto ok = parser.Parse(Nested("{", "?s ?p ?o", "}", 100));
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 
-  // The cap is configurable; a tight cap rejects what the default allows.
-  ParserOptions tight;
-  tight.max_recursion_depth = 4;
-  Parser tight_parser(tight);
-  auto rejected = tight_parser.Parse(Nested("{", "?s ?p ?o", "}", 10));
+  // Each '{' is one frame and the innermost subject term one more, so
+  // kMaxRecursionDepth - 1 braces is the deepest nesting that parses.
+  const int cap = Parser::kMaxRecursionDepth;
+  auto accepted = parser.Parse(Nested("{", "?s ?p ?o", "}", cap - 1));
+  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+  auto rejected = parser.Parse(Nested("{", "?s ?p ?o", "}", cap));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument);
-  auto accepted = tight_parser.Parse("ASK { { ?s ?p ?o } }");
-  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
 }
 
 }  // namespace

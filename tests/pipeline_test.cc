@@ -802,7 +802,6 @@ TEST(MergeAlgebraTest, PerStructMergeWithDefaultIsIdentity) {
 
 TEST(PipelineTest, ShardCountDecoupledFromThreadCount) {
   std::vector<std::string> log;
-  sparql::Parser parser;
   for (int i = 0; i < 40; ++i) {
     log.push_back("query=SELECT%20%2A%20WHERE%20%7B%20%3Fs%20%3Cp%3A" +
                   std::to_string(i % 7) + "%3E%20%3Fo%20%7D");

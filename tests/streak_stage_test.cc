@@ -93,7 +93,6 @@ TEST(StreakStageTest, RandomizedConfigurations) {
     StreakOptions streak;
     streak.window = 1 + rng.Below(40);
     streak.similarity_threshold = round % 2 == 0 ? 0.25 : 0.4;
-    streak.strip_prologue = rng.Chance(0.5);
     std::vector<std::string> log = SessionLog(100 + round, 200 + rng.Below(200));
     StreakStageOptions options;
     options.streak = streak;
@@ -142,6 +141,39 @@ TEST(StreakStageTest, PrefilterCountersAggregate) {
                 result.prefilter.charmap_rejects +
                 result.prefilter.histogram_rejects +
                 result.prefilter.levenshtein_calls);
+}
+
+TEST(StreakStageTest, LevenshteinStepBudgetIsScheduleIndependent) {
+  // A budget this small abandons most pairs that reach the DP. Whether a
+  // pair is abandoned depends only on its two texts, so the report and
+  // the abandoned count must not move with the thread count or the
+  // chunk layout, and must match the serial detector at the same budget.
+  StreakOptions streak;
+  streak.levenshtein_step_budget = 4;
+  const std::vector<std::string> log = SessionLog(11, 500);
+  StreakDetector detector(streak);
+  for (const std::string& q : log) detector.Add(q);
+  const uint64_t abandoned = detector.prefilter_stats().abandoned_pairs;
+  const StreakReport serial = detector.Finish();
+  ASSERT_GT(abandoned, 0u);
+  // The budget bites: abandoned pairs count as dissimilar.
+  EXPECT_NE(serial, Serial(log, StreakOptions()));
+  for (int threads : {1, 2, 4}) {
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{1000}}) {
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " chunk=" + std::to_string(chunk);
+      StreakStageOptions options;
+      options.streak = streak;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      options.telemetry.metrics = true;
+      StreakStageResult result = StreakStage(options).Run(log);
+      ExpectReportsEqual(result.report, serial, context);
+      EXPECT_EQ(result.prefilter.abandoned_pairs, abandoned) << context;
+      ASSERT_TRUE(result.telemetry.has_value()) << context;
+      EXPECT_EQ(result.telemetry->prefilter_abandoned, abandoned) << context;
+    }
+  }
 }
 
 TEST(StreakStageTest, PlantedRefinementSessions) {

@@ -322,7 +322,6 @@ TEST(StreakTest, FastPathMatchesReferenceOnFuzzedLogs) {
     options.window = 1 + rng.Below(40);
     options.similarity_threshold =
         (round % 3 == 0) ? 0.1 : (round % 3 == 1 ? 0.25 : 0.5);
-    options.strip_prologue = rng.Chance(0.7);
     std::vector<std::string> log = FuzzedLog(rng, 300);
 
     ReferenceDetector reference(options);

@@ -147,7 +147,6 @@ TEST(LogMutatorTest, EncodeLineDecodesBackExactly) {
   LogMutatorOptions options;
   options.seed = 17;
   LogLineMutator mutator(options);
-  sparql::Parser parser;
   const std::string text = "SELECT * WHERE { ?s ?p \"100% of a&b + c\" }";
   for (int i = 0; i < 200; ++i) {
     std::string line = mutator.EncodeLine(text);
