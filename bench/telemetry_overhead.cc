@@ -24,11 +24,10 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "corpus/generator.h"
-#include "corpus/profile.h"
 #include "obs/alloc_hooks.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
+#include "testing/invariants.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -73,20 +72,8 @@ int main() {
 
   std::cout << "Generating corpus (" << entries_per_dataset
             << " entries/dataset x 13 datasets)...\n";
-  std::vector<std::string> lines;
-  {
-    auto profiles = corpus::PaperProfiles();
-    uint64_t seed = 2017;
-    for (const auto& profile : profiles) {
-      corpus::GeneratorOptions options;
-      options.scale = 0;
-      options.min_entries = entries_per_dataset;
-      options.seed = seed++;
-      corpus::SyntheticLogGenerator gen(profile, options);
-      auto log = gen.GenerateLog();
-      lines.insert(lines.end(), log.begin(), log.end());
-    }
-  }
+  const std::vector<std::string> lines =
+      testing::PaperCorpusLog(entries_per_dataset);
   std::cout << util::WithThousands(static_cast<long long>(lines.size()))
             << " log lines, best of " << rounds << " interleaved rounds\n\n";
 

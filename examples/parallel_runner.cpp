@@ -19,9 +19,13 @@
 //                             FIFO, is read once and not verified)
 //   --streaks                 run the sharded Section 8 streak stage
 //                             instead of the corpus pipeline (a logfile
-//                             is read as one query per line; --generate
-//                             plants refinement sessions; --chunk-size
-//                             becomes queries per streak chunk)
+//                             is read as one query per line, framed as
+//                             in corpus mode; --generate plants
+//                             refinement sessions; --chunk-size becomes
+//                             queries per streak chunk). The corpus-only
+//                             --shards, --budget, --journal,
+//                             --max-segments and --segment-chunks exit 2
+//                             with "--X is not supported with --streaks"
 //   --metrics                 collect per-stage telemetry and print the
 //                             stall/skew summary after the run
 //   --metrics-json[=PATH]     write the telemetry registry as JSON
@@ -132,6 +136,39 @@ bool ExportTelemetry(const TelemetryOutputs& outputs,
   return true;
 }
 
+/// Reads every line of `path` through the pipeline's chunk sources (mmap
+/// for a regular file, the stream source otherwise), so streak mode
+/// frames lines exactly as corpus mode does: a trailing '\r' is
+/// stripped. False (after a message on stderr) if the file cannot be
+/// opened.
+bool ReadLines(const std::string& path, std::vector<std::string>& out) {
+  using namespace sparqlog::pipeline;
+  std::error_code stat_error;
+  std::unique_ptr<ChunkSource> source;
+  std::ifstream in;
+  if (std::filesystem::is_regular_file(path, stat_error)) {
+    auto opened = MmapChunkSource::Open(path);
+    if (!opened.ok()) {
+      std::cerr << "cannot open " << path << " ("
+                << opened.status().ToString() << ")\n";
+      return false;
+    }
+    source = std::move(opened.value());
+  } else {
+    in.open(path);
+    if (!in) {
+      std::cerr << "cannot open " << path << "\n";
+      return false;
+    }
+    source = std::make_unique<IstreamChunkSource>(in);
+  }
+  LineChunk chunk;
+  while (source->NextChunk(4096, chunk)) {
+    out.insert(out.end(), chunk.lines.begin(), chunk.lines.end());
+  }
+  return true;
+}
+
 /// --streaks mode: the sharded streak stage end to end, with optional
 /// bit-exact verification against the serial detector.
 int RunStreakStage(const std::vector<std::string>& queries,
@@ -230,6 +267,7 @@ int main(int argc, char** argv) {
   bool verify = false;
   bool streaks_mode = false;
   bool chunk_size_set = false;
+  const char* corpus_only_flag = nullptr;  // rejected with --streaks
   TelemetryOutputs outputs;
   pipeline::PipelineOptions options;
   pipeline::JournalOptions journal;
@@ -288,6 +326,7 @@ int main(int argc, char** argv) {
           count("--threads", std::numeric_limits<int>::max()));
     } else if (arg == "--shards") {
       options.shards = count("--shards");
+      corpus_only_flag = "--shards";
     } else if (arg == "--chunk-size") {
       options.chunk_size = count("--chunk-size");
       chunk_size_set = true;
@@ -296,12 +335,15 @@ int main(int argc, char** argv) {
       options.analysis_limits.ghw_steps = steps;
       options.analysis_limits.treewidth_steps = steps;
       options.analysis_limits.girth_steps = steps;
+      corpus_only_flag = "--budget";
     } else if (path_flag("--journal", "run.journal", journal.path)) {
-      // handled
+      corpus_only_flag = "--journal";
     } else if (arg == "--max-segments") {
       journal.max_segments = count("--max-segments");
+      corpus_only_flag = "--max-segments";
     } else if (arg == "--segment-chunks") {
       journal.chunks_per_segment = count("--segment-chunks");
+      corpus_only_flag = "--segment-chunks";
     } else if (arg == "--verify") {
       verify = true;
     } else if (arg == "--streaks") {
@@ -319,16 +361,14 @@ int main(int argc, char** argv) {
 
   // ---- Streak mode: ordered queries through the sharded streak stage ----
   if (streaks_mode) {
+    if (corpus_only_flag != nullptr) {
+      std::cerr << corpus_only_flag << " is not supported with --streaks\n";
+      return 2;
+    }
     std::vector<std::string> queries;
     std::string source;
     if (!logfile.empty()) {
-      std::ifstream in(logfile);
-      if (!in) {
-        std::cerr << "cannot open " << logfile << "\n";
-        return 2;
-      }
-      std::string line;
-      while (std::getline(in, line)) queries.push_back(std::move(line));
+      if (!ReadLines(logfile, queries)) return 2;
       source = logfile;
     } else {
       auto profiles = corpus::PaperProfiles();

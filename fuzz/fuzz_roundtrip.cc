@@ -333,7 +333,7 @@ int main(int argc, char** argv) {
         log.push_back(
             mutator.NextLine(texts[rng.Below(texts.size())]));
       }
-      sparqlog::testing::EquivalenceConfig equiv =
+      sparqlog::pipeline::PipelineOptions equiv =
           sparqlog::testing::RandomEquivalenceConfig(rng);
       if (auto v = CheckSerialParallelEquivalence(log, equiv)) {
         ++violations;
@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
         log.push_back(text);
         if (rng.Chance(0.3)) log.push_back(std::move(text));
       }
-      sparqlog::testing::EquivalenceConfig equiv =
+      sparqlog::pipeline::PipelineOptions equiv =
           sparqlog::testing::RandomEquivalenceConfig(rng);
       if (auto v = sparqlog::testing::CheckSerialParallelEquivalence(log,
                                                                      equiv)) {
@@ -602,7 +602,7 @@ int main(int argc, char** argv) {
       sparqlog::testing::FaultPlan plan =
           sparqlog::testing::RandomFaultPlan(rng);
       if (plan.any()) ++fault_plans;
-      sparqlog::testing::EquivalenceConfig equiv =
+      sparqlog::pipeline::PipelineOptions equiv =
           sparqlog::testing::RandomEquivalenceConfig(rng);
       if (auto v = sparqlog::testing::CheckFaultContainment(log, plan,
                                                             equiv)) {
@@ -654,7 +654,7 @@ int main(int argc, char** argv) {
       if (plan.kind != sparqlog::testing::StorageFaultPlan::Kind::kNone) {
         ++storage_faults;
       }
-      sparqlog::testing::EquivalenceConfig equiv =
+      sparqlog::pipeline::PipelineOptions equiv =
           sparqlog::testing::RandomEquivalenceConfig(rng);
       if (auto v = sparqlog::testing::CheckSnapshotDurability(log, plan,
                                                               equiv)) {

@@ -9,10 +9,10 @@
 #include "analysis/features.h"
 #include "analysis/operator_set.h"
 #include "corpus/analysis_scratch.h"
-#include "corpus/dictionary.h"
 #include "fragments/fragment.h"
 #include "graph/shapes.h"
 #include "paths/path_class.h"
+#include "rdf/dictionary.h"
 #include "sparql/ast.h"
 #include "util/fields.h"
 #include "util/histogram.h"
@@ -234,7 +234,7 @@ class CorpusAnalyzer {
   /// iterate in key order, histograms dump their fixed bucket layout.
   /// Dataset names are interned into `dict` and stored as varint ids —
   /// the dictionary travels once per snapshot, not once per shard.
-  void SaveState(std::string& out, TermDictionary& dict) const {
+  void SaveState(std::string& out, rdf::Dictionary& dict) const {
     util::fields::Save(out, *this, dict);
   }
   /// Restores state written by SaveState into a freshly-constructed
@@ -242,7 +242,7 @@ class CorpusAnalyzer {
   /// counts would corrupt them), consuming the bytes read and resolving
   /// dataset ids through `dict`. Returns false on a truncated/corrupt
   /// or layout-mismatched blob, including ids absent from `dict`.
-  bool LoadState(std::string_view& in, const TermDictionary& dict) {
+  bool LoadState(std::string_view& in, const rdf::Dictionary& dict) {
     return util::fields::Load(in, *this, dict);
   }
 

@@ -4,8 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "corpus/dictionary.h"
 #include "pipeline/merge.h"
+#include "rdf/dictionary.h"
 #include "util/fnv.h"
 #include "util/snapshot_io.h"
 #include "util/vbyte.h"
@@ -15,12 +15,6 @@ namespace sparqlog::pipeline {
 namespace {
 
 namespace snap = util::snapshot;
-
-/// Journal-level schema version inside the snapshot container (the
-/// container has its own format version). Bump when the meta layout or
-/// the shard blob encoding changes incompatibly (3: TripleStats saves
-/// its histogram after its counters).
-constexpr uint64_t kJournalVersion = 3;
 
 /// Snapshot section ids. Per-shard state lives at kShardSectionBase + i.
 constexpr uint64_t kMetaSection = 1;
@@ -84,7 +78,7 @@ util::Status WriteCheckpoint(snap::SnapshotStore& store, uint64_t fingerprint,
                              const std::vector<std::unique_ptr<Shard>>& shards,
                              uint64_t& generation_out) {
   snap::SnapshotWriter writer;
-  corpus::TermDictionary dict;
+  rdf::Dictionary dict;
 
   // Shards first: SaveState populates the dictionary, which must be
   // complete before its own section is encoded. (Sections load by id,
@@ -174,7 +168,7 @@ util::Status RestoreCheckpoint(const snap::Snapshot& snapshot,
     return util::Status::InvalidArgument(
         "checkpoint has no dictionary section");
   }
-  corpus::TermDictionary dict;
+  rdf::Dictionary dict;
   std::string_view dict_cursor = *dict_blob;
   if (!dict.DecodeFrom(dict_cursor) || !dict_cursor.empty()) {
     return util::Status::InvalidArgument(

@@ -11,6 +11,15 @@
 
 namespace sparqlog::pipeline {
 
+/// Journal-level schema version inside the snapshot container (the
+/// container has its own format version), the first word of a
+/// checkpoint's meta section. Bump when the meta layout or the shard
+/// blob encoding changes incompatibly (3: TripleStats saves its
+/// histogram after its counters; 4: dataset ids come from
+/// rdf::Dictionary and start at 1). A checkpoint of another version is
+/// refused.
+inline constexpr uint64_t kJournalVersion = 4;
+
 /// Crash-safe run journal: the source is consumed in segments of
 /// `chunks_per_segment` reader chunks, and after each segment a
 /// checkpoint — the source's resume cursor plus every shard's complete

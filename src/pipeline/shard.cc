@@ -19,13 +19,12 @@ Shard::Shard(const ShardOptions& options) {
   }
 }
 
-void Shard::SaveState(std::string& out, corpus::TermDictionary& dict) const {
+void Shard::SaveState(std::string& out, rdf::Dictionary& dict) const {
   ingestor_.SaveState(out);
   analyzer_.SaveState(out, dict);
 }
 
-bool Shard::LoadState(std::string_view& in,
-                      const corpus::TermDictionary& dict) {
+bool Shard::LoadState(std::string_view& in, const rdf::Dictionary& dict) {
   return ingestor_.LoadState(in) && analyzer_.LoadState(in, dict);
 }
 

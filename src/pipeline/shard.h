@@ -53,11 +53,11 @@ class Shard {
   /// Appends the shard's complete accounting + analysis state (ingestor
   /// blob, then analyzer blob) as one snapshot-section payload; strings
   /// are interned into the snapshot-wide `dict`.
-  void SaveState(std::string& out, corpus::TermDictionary& dict) const;
+  void SaveState(std::string& out, rdf::Dictionary& dict) const;
   /// Restores state written by SaveState into a freshly-constructed
   /// shard (same ShardOptions), consuming the bytes read. Returns false
   /// on a corrupt blob.
-  bool LoadState(std::string_view& in, const corpus::TermDictionary& dict);
+  bool LoadState(std::string_view& in, const rdf::Dictionary& dict);
 
  private:
   corpus::LogIngestor ingestor_;

@@ -98,14 +98,9 @@ bool FaultInjectingChunkSource::NextChunk(size_t max_lines,
   return true;
 }
 
-pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
-                                               const FaultPlan& plan) {
-  pipeline::PipelineOptions options;
-  options.threads = config.threads;
-  options.chunk_size = config.chunk_size;
-  options.queue_capacity = config.queue_capacity;
-  options.shards = config.shards;
-  options.use_valid_corpus = config.use_valid_corpus;
+pipeline::PipelineOptions FaultPipelineOptions(
+    const pipeline::PipelineOptions& config, const FaultPlan& plan) {
+  pipeline::PipelineOptions options = config;
   if (plan.poison_modulus != 0) {
     options.parse_fault_hook = [modulus = plan.poison_modulus,
                                 residue = plan.poison_residue](
@@ -120,7 +115,7 @@ pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
 
 std::optional<Violation> CheckFaultContainment(
     const std::vector<std::string>& log, const FaultPlan& plan,
-    const EquivalenceConfig& config) {
+    const pipeline::PipelineOptions& config) {
   auto describe = [&] {
     return plan.Describe() + " threads=" + std::to_string(config.threads) +
            " shards=" + std::to_string(config.shards) +
@@ -220,7 +215,7 @@ std::optional<Violation> CheckFaultContainment(
   // ---- Deterministic plans replay bit-identically, shard count and
   // thread count notwithstanding.
   if (plan.deterministic()) {
-    EquivalenceConfig alt = config;
+    pipeline::PipelineOptions alt = config;
     alt.threads = config.threads == 1 ? 2 : 1;
     alt.shards = config.shards == 3 ? 5 : 3;
     pipeline::ParallelLogPipeline replay_pipeline(

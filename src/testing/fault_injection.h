@@ -102,12 +102,12 @@ class FaultInjectingChunkSource : public pipeline::ChunkSource {
   bool injected_persistent_ = false;
 };
 
-/// Builds the pipeline options for a fault run: `config`'s shape and
-/// the plan's poison hook installed. The caller is responsible for
+/// Builds the pipeline options for a fault run: `config` with the
+/// plan's poison hook installed. The caller is responsible for
 /// arming/disarming the plan's allocation fault around Run (see
 /// CheckFaultContainment).
-pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
-                                               const FaultPlan& plan);
+pipeline::PipelineOptions FaultPipelineOptions(
+    const pipeline::PipelineOptions& config, const FaultPlan& plan);
 
 /// Runs `log` through a fault-containment pipeline under `plan` and
 /// checks the containment contract:
@@ -128,7 +128,7 @@ pipeline::PipelineOptions FaultPipelineOptions(const EquivalenceConfig& config,
 /// never fires, which the contract tolerates).
 std::optional<Violation> CheckFaultContainment(
     const std::vector<std::string>& log, const FaultPlan& plan,
-    const EquivalenceConfig& config);
+    const pipeline::PipelineOptions& config);
 
 }  // namespace sparqlog::testing
 

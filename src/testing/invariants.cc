@@ -217,8 +217,8 @@ SerialResult RunSerial(const std::vector<std::string>& lines,
   return RunSerial(source, use_valid_corpus);
 }
 
-EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng) {
-  EquivalenceConfig config;
+pipeline::PipelineOptions RandomEquivalenceConfig(util::Rng& rng) {
+  pipeline::PipelineOptions config;
   config.threads = static_cast<int>(1 + rng.Below(5));
   // Tiny chunks move every chunk boundary; large ones test batching.
   config.chunk_size = 1 + rng.Below(64);
@@ -230,7 +230,8 @@ EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng) {
 }
 
 std::optional<Violation> CheckSerialParallelEquivalence(
-    const std::vector<std::string>& log, const EquivalenceConfig& config) {
+    const std::vector<std::string>& log,
+    const pipeline::PipelineOptions& config) {
   auto describe = [&config] {
     return "threads=" + std::to_string(config.threads) +
            " chunk=" + std::to_string(config.chunk_size) +
@@ -241,12 +242,7 @@ std::optional<Violation> CheckSerialParallelEquivalence(
 
   const SerialResult oracle = RunSerial(log, config.use_valid_corpus);
 
-  pipeline::PipelineOptions options;
-  options.threads = config.threads;
-  options.chunk_size = config.chunk_size;
-  options.queue_capacity = config.queue_capacity;
-  options.shards = config.shards;
-  options.use_valid_corpus = config.use_valid_corpus;
+  pipeline::PipelineOptions options = config;
   // Collect the metrics registry alongside: the run's telemetry must be
   // internally consistent and scheduling-independent too.
   options.telemetry.metrics = true;
@@ -645,12 +641,7 @@ std::optional<Violation> CheckSourceEquivalence(
     }
   }
 
-  pipeline::PipelineOptions options;
-  options.threads = config.pipeline.threads;
-  options.chunk_size = config.pipeline.chunk_size;
-  options.queue_capacity = config.pipeline.queue_capacity;
-  options.shards = config.pipeline.shards;
-  options.use_valid_corpus = config.pipeline.use_valid_corpus;
+  pipeline::PipelineOptions options = config.pipeline;
   options.telemetry.metrics = true;
   pipeline::ParallelLogPipeline pipe(options);
 

@@ -10,13 +10,10 @@
 #include "corpus/analysis_scratch.h"
 #include "corpus/ingest.h"
 #include "corpus/report.h"
+#include "pipeline/pipeline.h"
 #include "sparql/ast.h"
 #include "sparql/parser.h"
 #include "util/rng.h"
-
-namespace sparqlog::pipeline {
-class ChunkSource;
-}  // namespace sparqlog::pipeline
 
 namespace sparqlog::testing {
 
@@ -87,27 +84,20 @@ SerialResult RunSerial(pipeline::ChunkSource& source,
 SerialResult RunSerial(const std::vector<std::string>& lines,
                        bool use_valid_corpus = false);
 
-/// One randomized pipeline configuration for the serial-vs-parallel
-/// equivalence check.
-struct EquivalenceConfig {
-  int threads = 2;
-  size_t chunk_size = 512;
-  size_t queue_capacity = 16;
-  /// Shard count decoupled from the worker count (0 = same as threads).
-  size_t shards = 0;
-  bool use_valid_corpus = false;
-};
-
-/// Samples thread/chunk/queue/shard counts from the ranges that shook
-/// out races during development (1..5 threads, tiny chunks included so
-/// chunk boundaries move, shards != threads half the time).
-EquivalenceConfig RandomEquivalenceConfig(util::Rng& rng);
+/// Samples a pipeline configuration for the serial-vs-parallel checks:
+/// thread/chunk/queue/shard counts from the ranges that shook out races
+/// during development (1..5 threads, tiny chunks included so chunk
+/// boundaries move, shards != threads half the time) and the corpus
+/// mode (valid a quarter of the time).
+pipeline::PipelineOptions RandomEquivalenceConfig(util::Rng& rng);
 
 /// Runs `log` through RunSerial and through ParallelLogPipeline under
-/// `config`, then compares Total/Valid/Unique, the line count, and the
-/// full StatisticsDigest. Any difference is a violation.
+/// `config` (metrics collection forced on), then compares
+/// Total/Valid/Unique, the line count, and the full StatisticsDigest.
+/// Any difference is a violation.
 std::optional<Violation> CheckSerialParallelEquivalence(
-    const std::vector<std::string>& log, const EquivalenceConfig& config);
+    const std::vector<std::string>& log,
+    const pipeline::PipelineOptions& config);
 
 /// One randomized configuration for the serial-vs-sharded streak check.
 struct StreakEquivalenceConfig {
@@ -143,7 +133,7 @@ std::optional<Violation> CheckScanEquivalence(std::string_view input);
 /// One configuration for the mmap/stream/vector source equivalence
 /// check: the pipeline config plus the file framing to exercise.
 struct SourceEquivalenceConfig {
-  EquivalenceConfig pipeline;
+  pipeline::PipelineOptions pipeline;
   /// Write CRLF line endings (both file sources must strip the '\r').
   bool crlf = false;
   /// End the file with a line terminator (getline drops the would-be

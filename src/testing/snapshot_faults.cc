@@ -148,18 +148,14 @@ StorageFaultPlan RandomStorageFaultPlan(util::Rng& rng) {
 
 std::optional<Violation> CheckSnapshotDurability(
     const std::vector<std::string>& log, const StorageFaultPlan& plan,
-    const EquivalenceConfig& config) {
+    const pipeline::PipelineOptions& config) {
   auto describe = [&] {
     return plan.Describe() + " threads=" + std::to_string(config.threads) +
            " shards=" + std::to_string(config.shards) +
            " lines=" + std::to_string(log.size());
   };
 
-  pipeline::PipelineOptions options;
-  options.threads = config.threads;
-  options.queue_capacity = config.queue_capacity;
-  options.shards = config.shards;
-  options.use_valid_corpus = config.use_valid_corpus;
+  pipeline::PipelineOptions options = config;
   // ~8 chunks regardless of log size, so the two setup segments (2
   // chunks each) leave input for the post-damage resume to re-read.
   options.chunk_size = std::max<size_t>(1, log.size() / 8);

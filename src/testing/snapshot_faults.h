@@ -77,7 +77,7 @@ StorageFaultPlan RandomStorageFaultPlan(util::Rng& rng);
 /// after itself.
 std::optional<Violation> CheckSnapshotDurability(
     const std::vector<std::string>& log, const StorageFaultPlan& plan,
-    const EquivalenceConfig& config);
+    const pipeline::PipelineOptions& config);
 
 }  // namespace sparqlog::testing
 

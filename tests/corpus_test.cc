@@ -4,12 +4,12 @@
 #include <string_view>
 #include <vector>
 
-#include "corpus/dictionary.h"
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
 #include "corpus/report.h"
 #include "pipeline/merge.h"
+#include "rdf/dictionary.h"
 #include "sparql/serializer.h"
 #include "testing/invariants.h"
 #include "util/fields.h"
@@ -364,7 +364,7 @@ const CorpusAnalyzer& PaperCorpusAnalyzer() {
 TEST(AnalyzerStateTest, RoundTripKeepsDigestAndBytes) {
   const CorpusAnalyzer& original = PaperCorpusAnalyzer();
   ASSERT_EQ(original.per_dataset().size(), 3u);
-  TermDictionary dict;
+  rdf::Dictionary dict;
   std::string blob;
   original.SaveState(blob, dict);
   EXPECT_EQ(dict.size(), 3u);
@@ -376,7 +376,7 @@ TEST(AnalyzerStateTest, RoundTripKeepsDigestAndBytes) {
   EXPECT_EQ(pipeline::StatisticsDigest(loaded),
             pipeline::StatisticsDigest(original));
 
-  TermDictionary dict2;
+  rdf::Dictionary dict2;
   std::string again;
   loaded.SaveState(again, dict2);
   EXPECT_EQ(again, blob);
@@ -384,7 +384,7 @@ TEST(AnalyzerStateTest, RoundTripKeepsDigestAndBytes) {
 }
 
 TEST(AnalyzerStateTest, EveryStrictPrefixIsRejected) {
-  TermDictionary dict;
+  rdf::Dictionary dict;
   std::string blob;
   PaperCorpusAnalyzer().SaveState(blob, dict);
   for (size_t len = 0; len < blob.size(); ++len) {
@@ -395,11 +395,11 @@ TEST(AnalyzerStateTest, EveryStrictPrefixIsRejected) {
 }
 
 TEST(AnalyzerStateTest, DatasetIdMissingFromDictionaryIsRejected) {
-  TermDictionary dict;
+  rdf::Dictionary dict;
   std::string blob;
   PaperCorpusAnalyzer().SaveState(blob, dict);
-  TermDictionary partial;
-  for (uint64_t id = 0; id + 1 < dict.size(); ++id) {
+  rdf::Dictionary partial;
+  for (rdf::TermId id = 1; id < dict.size(); ++id) {
     partial.Intern(*dict.term(id));
   }
   CorpusAnalyzer fresh;

@@ -26,6 +26,7 @@
 #include "util/rng.h"
 #include "util/snapshot_io.h"
 #include "util/status.h"
+#include "util/vbyte.h"
 
 namespace sparqlog {
 namespace {
@@ -345,7 +346,7 @@ TEST(FaultInjectionTest, MixedPlansPreserveConservation) {
   for (int round = 0; round < 40; ++round) {
     testing::FaultPlan plan = testing::RandomFaultPlan(rng);
     if (plan.any()) ++with_faults;
-    testing::EquivalenceConfig config = testing::RandomEquivalenceConfig(rng);
+    pipeline::PipelineOptions config = testing::RandomEquivalenceConfig(rng);
     auto v = testing::CheckFaultContainment(log, plan, config);
     EXPECT_FALSE(v.has_value())
         << v->invariant << ": " << v->detail << " (" << plan.Describe() << ")";
@@ -813,6 +814,84 @@ TEST(JournalTest, MmapLoadedCheckpointMatchesStreamed) {
     EXPECT_TRUE(writer.Finish() == image)
         << "re-encoded snapshot differs from " << gen_path;
   }
+  RemoveJournal(path);
+}
+
+TEST(JournalTest, OlderSchemaVersionIsRefused) {
+  // A checkpoint whose meta section carries the previous schema version
+  // (re-sealed, so every container checksum holds) is refused with a
+  // reason naming both versions, and is left in place: never loaded,
+  // never treated as corrupt, never silently restarted.
+  const std::vector<std::string> log = JournalTestLog();
+  pipeline::PipelineOptions options;
+  options.threads = 1;
+  const std::filesystem::path path = JournalPath("oldschema");
+  RemoveJournal(path);
+  pipeline::JournalOptions jopts;
+  jopts.path = path.string();
+  jopts.chunks_per_segment = 2;
+  jopts.max_segments = 1;
+  {
+    pipeline::VectorChunkSource source(log);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().generation, 1u);
+  }
+  util::snapshot::SnapshotStore store(path.string());
+  const std::string gen_path = store.GenerationPath(1);
+  std::string resealed;
+  {
+    auto loaded = util::snapshot::Snapshot::Load(
+        gen_path, util::snapshot::LoadMode::kStream);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    constexpr uint64_t kMetaSection = 1;  // the journal's meta section id
+    util::snapshot::SnapshotWriter writer;
+    bool rewrote = false;
+    for (const auto& [id, payload] : loaded.value().sections()) {
+      std::string bytes(payload);
+      if (id == kMetaSection) {
+        std::string_view cursor = bytes;
+        uint64_t version = 0;
+        ASSERT_TRUE(util::vbyte::GetVarint(cursor, version));
+        ASSERT_EQ(version, pipeline::kJournalVersion);
+        bytes.clear();
+        util::vbyte::PutVarint(bytes, pipeline::kJournalVersion - 1);
+        bytes.append(cursor);
+        rewrote = true;
+      }
+      writer.AddSection(id, std::move(bytes));
+    }
+    ASSERT_TRUE(rewrote);
+    resealed = writer.Finish();
+  }
+  {
+    std::ofstream out(gen_path, std::ios::binary | std::ios::trunc);
+    out << resealed;
+  }
+  {
+    pipeline::VectorChunkSource source(log);
+    pipeline::JournalOptions resume = jopts;
+    resume.max_segments = 0;
+    auto r = pipeline::RunWithJournal(options, source, resume);
+    ASSERT_FALSE(r.ok());
+    // The incompatibility reaches the caller inside the journal's hard
+    // error (not a fallback, since every generation shares the version).
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string expected =
+        "checkpoint schema version " +
+        std::to_string(pipeline::kJournalVersion - 1) + " (this build reads " +
+        std::to_string(pipeline::kJournalVersion) + ")";
+    EXPECT_NE(r.status().message().find(expected), std::string::npos)
+        << r.status().ToString();
+    EXPECT_EQ(source.offset(), 0u) << "the refused run consumed input";
+  }
+  auto gens = store.ReadManifest();
+  ASSERT_TRUE(gens.ok()) << gens.status().ToString();
+  EXPECT_EQ(gens.value().current, 1u);
+  std::ifstream in(gen_path, std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_TRUE(after == resealed) << "the refused checkpoint was rewritten";
   RemoveJournal(path);
 }
 

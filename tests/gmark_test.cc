@@ -69,9 +69,10 @@ TEST(GraphGenTest, EdgesRespectSchemaTypes) {
   std::vector<rdf::EncodedTriple> out;
   store.Match(0, authors, 0, out);
   for (const auto& t : out) {
-    EXPECT_NE(store.dict().Resolve(t.s).find("Paper/"), std::string::npos);
-    EXPECT_NE(store.dict().Resolve(t.o).find("Researcher/"),
-              std::string::npos);
+    ASSERT_NE(store.dict().term(t.s), nullptr);
+    ASSERT_NE(store.dict().term(t.o), nullptr);
+    EXPECT_NE(store.dict().term(t.s)->find("Paper/"), std::string::npos);
+    EXPECT_NE(store.dict().term(t.o)->find("Researcher/"), std::string::npos);
   }
 }
 

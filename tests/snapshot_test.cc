@@ -1,8 +1,8 @@
 // Tests for the durable snapshot stack: CRC32C, vbyte streams, the
-// corpus term dictionary, the snapshot container (every-byte corruption
-// matrix), the two-generation store, and the atomic-publish fault
-// hooks (util/crc32c.h, util/vbyte.h, corpus/dictionary.h,
-// util/snapshot_io.h).
+// snapshot container (every-byte corruption matrix), the
+// two-generation store, and the atomic-publish fault hooks
+// (util/crc32c.h, util/vbyte.h, util/snapshot_io.h). The dictionary
+// section's codec is tested with rdf::Dictionary in rdf_test.cc.
 
 #include <cstdint>
 #include <filesystem>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "corpus/dictionary.h"
 #include "gtest/gtest.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
@@ -241,63 +240,6 @@ TEST(VbyteTest, DeltaSortedRejectsCorruptStreams) {
     std::string_view in4(buf.data(), cut);
     EXPECT_FALSE(vbyte::GetDeltaSorted(in4, out)) << "cut " << cut;
   }
-}
-
-// ---------------------------------------------------------------------------
-// TermDictionary
-// ---------------------------------------------------------------------------
-
-TEST(TermDictionaryTest, InternIsIdempotentAndDense) {
-  corpus::TermDictionary dict;
-  const uint64_t a = dict.Intern("wikidata");
-  const uint64_t b = dict.Intern("dbpedia");
-  EXPECT_EQ(dict.Intern("wikidata"), a);
-  EXPECT_EQ(dict.Intern("dbpedia"), b);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(dict.size(), 2u);
-  ASSERT_NE(dict.term(a), nullptr);
-  EXPECT_EQ(*dict.term(a), "wikidata");
-  EXPECT_EQ(dict.term(99), nullptr);
-}
-
-TEST(TermDictionaryTest, EncodeDecodeRoundTrip) {
-  corpus::TermDictionary dict;
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 50; ++i) {
-    ids.push_back(dict.Intern("term-" + std::to_string(i * 7 % 50)));
-  }
-  std::string buf;
-  dict.EncodeTo(buf);
-  corpus::TermDictionary loaded;
-  std::string_view in = buf;
-  ASSERT_TRUE(loaded.DecodeFrom(in));
-  EXPECT_TRUE(in.empty());
-  ASSERT_EQ(loaded.size(), dict.size());
-  for (uint64_t id = 0; id < dict.size(); ++id) {
-    ASSERT_NE(loaded.term(id), nullptr);
-    EXPECT_EQ(*loaded.term(id), *dict.term(id));
-  }
-}
-
-TEST(TermDictionaryTest, DecodeRejectsTruncationAndDuplicates) {
-  corpus::TermDictionary dict;
-  dict.Intern("alpha");
-  dict.Intern("beta");
-  std::string buf;
-  dict.EncodeTo(buf);
-  for (size_t cut = 0; cut + 1 < buf.size(); ++cut) {
-    corpus::TermDictionary d;
-    std::string_view in(buf.data(), cut);
-    EXPECT_FALSE(d.DecodeFrom(in)) << "cut " << cut;
-  }
-  // Two identical terms cannot both intern to distinct dense ids.
-  std::string dup;
-  vbyte::PutVarint(dup, 2);
-  vbyte::PutLenPrefixed(dup, "same");
-  vbyte::PutLenPrefixed(dup, "same");
-  corpus::TermDictionary d;
-  std::string_view in = dup;
-  EXPECT_FALSE(d.DecodeFrom(in));
 }
 
 // ---------------------------------------------------------------------------

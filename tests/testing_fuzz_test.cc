@@ -240,7 +240,7 @@ TEST(EquivalenceTest, RandomConfigsProduceIdenticalDigests) {
     log.push_back(mutator.NextLine(texts[rng.Below(texts.size())]));
   }
   for (int round = 0; round < 4; ++round) {
-    EquivalenceConfig config = RandomEquivalenceConfig(rng);
+    pipeline::PipelineOptions config = RandomEquivalenceConfig(rng);
     auto violation = CheckSerialParallelEquivalence(log, config);
     ASSERT_FALSE(violation.has_value())
         << violation->invariant << ": " << violation->detail;
@@ -255,7 +255,7 @@ TEST(EquivalenceTest, ShardsDecoupledFromThreads) {
       "noise",
   };
   for (size_t shards : {1u, 2u, 3u, 7u}) {
-    EquivalenceConfig config;
+    pipeline::PipelineOptions config;
     config.threads = 2;
     config.shards = shards;
     config.chunk_size = 1;
