@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -33,12 +32,11 @@ inline std::string BenchJsonPath(const char* fallback) {
 }
 
 /// Positive integer knob from the environment (bench sizing): `fallback`
-/// when unset; anything but a decimal count in [1, max] is rejected.
-inline uint64_t EnvCount(const char* name, uint64_t fallback,
-                         uint64_t max = std::numeric_limits<uint64_t>::max()) {
+/// when unset; anything but a positive decimal count is rejected.
+inline uint64_t EnvCount(const char* name, uint64_t fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr) return fallback;
-  std::optional<uint64_t> v = util::ParseCount(env, max);
+  std::optional<uint64_t> v = util::ParseCount(env, UINT64_MAX);
   if (!v || *v == 0) BadEnvValue(name);
   return *v;
 }

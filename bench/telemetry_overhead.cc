@@ -36,11 +36,11 @@ namespace {
 using namespace sparqlog;
 
 struct Arm {
-  const char* name;
-  obs::TelemetryOptions telemetry;
+  const char* name = "";
+  obs::TelemetryOptions telemetry{};
   double best_s = 1e300;
-  corpus::CorpusStats stats;
-  std::optional<uint64_t> digest;
+  corpus::CorpusStats stats{};
+  std::optional<uint64_t> digest{};
   uint64_t lines = 0;
 };
 
@@ -77,10 +77,10 @@ int main() {
   std::cout << util::WithThousands(static_cast<long long>(lines.size()))
             << " log lines, best of " << rounds << " interleaved rounds\n\n";
 
-  Arm arms[3] = {{"off", {}}, {"metrics", {}}, {"metrics+trace", {}}};
-  arms[1].telemetry.metrics = true;
-  arms[2].telemetry.metrics = true;
-  arms[2].telemetry.trace = true;
+  Arm arms[3] = {{.name = "off"},
+                 {.name = "metrics", .telemetry = {.metrics = true}},
+                 {.name = "metrics+trace",
+                  .telemetry = {.metrics = true, .trace = true}}};
 
   // Warm-up round (page cache, allocator arenas), discarded.
   for (Arm& arm : arms) RunOnce(lines, arm);

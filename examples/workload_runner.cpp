@@ -1,12 +1,13 @@
 // Workload runner: generates a gMark "Bib" graph and chain/star/cycle
 // workloads, prints the generated SPARQL and SQL for one sample query,
 // and compares both engines on each workload — a miniature of the
-// Section 5.1 experiment.
+// Section 5.1 experiment. Work is counted in engine steps (one per
+// tuple probed or materialized), each query capped at kStepCap.
 //
 // Usage: workload_runner [graph_nodes]
 
-#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -15,12 +16,14 @@
 #include "gmark/query_gen.h"
 #include "sparql/serializer.h"
 #include "store/engine.h"
+#include "util/budget.h"
 #include "util/strings.h"
 #include "util/table.h"
 
+constexpr uint64_t kStepCap = 100000;
+
 int main(int argc, char** argv) {
   using namespace sparqlog;
-  using namespace std::chrono;
 
   std::optional<uint64_t> arg =
       argc > 1 ? util::ParseCount(argv[1], std::numeric_limits<uint64_t>::max())
@@ -50,8 +53,8 @@ int main(int argc, char** argv) {
 
   store::GraphEngine bg(store);
   store::RelationalEngine pg(store);
-  util::Table table({"Shape", "Len", "BG avg ms", "PG avg ms",
-                     "BG match%", "timeouts PG"});
+  util::Table table({"Shape", "Len", "BG mean steps", "PG mean steps",
+                     "BG match%", "PG capped"});
   for (auto shape : {gmark::QueryShape::kChain, gmark::QueryShape::kStar,
                      gmark::QueryShape::kCycle}) {
     const char* shape_name = shape == gmark::QueryShape::kChain  ? "chain"
@@ -63,29 +66,30 @@ int main(int argc, char** argv) {
       qopts.length = len;
       qopts.workload_size = 25;
       auto workload = gmark::GenerateWorkload(schema, qopts);
-      double bg_ms = 0, pg_ms = 0;
-      int matched = 0, evaluated = 0, pg_timeouts = 0;
+      uint64_t bg_steps = 0, pg_steps = 0;
+      int matched = 0, evaluated = 0, pg_capped = 0;
       for (const auto& q : workload) {
         auto bgp = gmark::CompileForEngine(q, store, schema);
         if (!bgp.has_value()) continue;
         ++evaluated;
-        store::EvalStats a =
-            bg.Evaluate(*bgp, store::EvalMode::kAsk, milliseconds(100));
-        store::EvalStats b =
-            pg.Evaluate(*bgp, store::EvalMode::kAsk, milliseconds(100));
-        bg_ms += a.elapsed_ns / 1e6;
-        pg_ms += b.elapsed_ns / 1e6;
+        util::StepBudget bg_budget(kStepCap), pg_budget(kStepCap);
+        store::EvalStats a = bg.Evaluate(*bgp, store::EvalMode::kAsk,
+                                         &bg_budget);
+        store::EvalStats b = pg.Evaluate(*bgp, store::EvalMode::kAsk,
+                                         &pg_budget);
+        bg_steps += a.steps;
+        pg_steps += b.steps;
         if (a.matched) ++matched;
-        if (b.timed_out) ++pg_timeouts;
+        if (b.capped) ++pg_capped;
       }
       if (evaluated == 0) continue;
-      char bg_buf[32], pg_buf[32], m_buf[32];
-      std::snprintf(bg_buf, sizeof(bg_buf), "%.3f", bg_ms / evaluated);
-      std::snprintf(pg_buf, sizeof(pg_buf), "%.3f", pg_ms / evaluated);
+      char m_buf[32];
       std::snprintf(m_buf, sizeof(m_buf), "%.0f%%",
                     100.0 * matched / evaluated);
-      table.AddRow({shape_name, std::to_string(len), bg_buf, pg_buf,
-                    m_buf, std::to_string(pg_timeouts)});
+      table.AddRow({shape_name, std::to_string(len),
+                    std::to_string(bg_steps / evaluated),
+                    std::to_string(pg_steps / evaluated), m_buf,
+                    std::to_string(pg_capped)});
     }
   }
   table.Print(std::cout);

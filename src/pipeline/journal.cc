@@ -267,7 +267,7 @@ util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
       if (st.code() == util::StatusCode::kUnsupported) {
         // Incompatibility is a property of the whole journal, not of
         // one damaged file; falling back cannot fix it.
-        return util::Status::InvalidArgument(
+        return util::Status::Unsupported(
             "journal: existing checkpoint at '" + jopts.path +
             "' was written by an incompatible configuration (" +
             st.message() + ")");

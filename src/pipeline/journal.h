@@ -75,11 +75,12 @@ struct JournalRunResult {
 
 /// Runs `options`' pipeline over `source` with journaling as described
 /// above. The source must support resume (MmapChunkSource,
-/// VectorChunkSource). Fails without touching the source if the
-/// journal manifest exists but no retained generation is intact, or the
-/// checkpoint was written by an incompatible configuration (different
-/// shard count, dataset, corpus mode, or analysis limits — checked via
-/// a fingerprint) or format version.
+/// VectorChunkSource); otherwise it fails with kUnsupported. Fails
+/// without touching the source with kInvalidArgument if the journal
+/// manifest exists but no retained generation is intact (damage), and
+/// with kUnsupported if the checkpoint was written by an incompatible
+/// configuration (different shard count, dataset, corpus mode, or
+/// analysis limits — checked via a fingerprint) or schema version.
 util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
                                               ChunkSource& source,
                                               const JournalOptions& journal);

@@ -6,14 +6,26 @@
 #include "analysis/operator_set.h"
 #include "corpus/generator.h"
 #include "corpus/profile.h"
+#include "gmark/graph_gen.h"
+#include "gmark/query_gen.h"
 #include "pipeline/chunk_source.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/streak_stage.h"
+#include "store/engine.h"
+#include "util/budget.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 namespace sparqlog::pipeline {
 namespace {
+
+// Figure 3's scaled-down setup (paper: 100k nodes, 100 queries per
+// workload, 300 s timeout). The cap was picked from 25k / 50k / 100k /
+// 200k / 500k steps as the one whose cyclePG capped shares come closest
+// to the paper's timeout shares in total.
+constexpr uint64_t kFigure3GraphNodes = 500;
+constexpr int kFigure3WorkloadSize = 100;
+constexpr uint64_t kFigure3StepCap = 100000;
 
 /// Records what a run lost to containment, so the report cannot quietly
 /// print numbers over a partial corpus.
@@ -604,6 +616,39 @@ void PrintTable6(std::ostream& out,
       << " (paper: longest 169, in the 2016 log)\n";
 }
 
+// Figure 3: mean work per query of chain and cycle Ask workloads on the
+// BG-like and PG-like engines, and the share of cyclePG queries that
+// reached the cap next to the paper's timeout share (Figure 3 bottom).
+void PrintFigure3(std::ostream& out, const std::vector<Figure3Row>& rows) {
+  out << "Figure 3: chain vs cycle Ask workloads on BG-like and PG-like "
+         "engines\n(gMark Bib graph, "
+      << kFigure3GraphNodes << " nodes; " << kFigure3WorkloadSize
+      << " queries per workload; cap "
+      << util::WithThousands(static_cast<long long>(kFigure3StepCap))
+      << " steps per query; paper: 100k nodes, 300 s timeout)\n\n";
+  util::Table table({"Workload", "chainBG", "chainPG", "cycleBG", "cyclePG",
+                     "cyclePG capped", "Paper t/o"});
+  const char* paper_timeouts[] = {"18%", "34%", "43%", "39%", "43%", "30%"};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Figure3Row& row = rows[i];
+    std::vector<std::string> cells = {"W-" + std::to_string(row.length)};
+    for (size_t k = 0; k < row.steps.size(); ++k) {
+      uint64_t queries = row.queries[k / 2];
+      cells.push_back(util::WithThousands(static_cast<long long>(
+          queries == 0 ? 0 : (row.steps[k] + queries / 2) / queries)));
+    }
+    cells.push_back(util::Percent(static_cast<double>(row.cycle_pg_capped),
+                                  static_cast<double>(row.queries[1])));
+    cells.push_back(paper_timeouts[i]);
+    table.AddRow(std::move(cells));
+  }
+  table.Print(out);
+  out << "\nMean steps per query (one step per tuple probed or "
+         "materialized; a capped query counts the whole cap, as the paper "
+         "counts the whole timeout). Paper: BG < PG and chain < cycle on "
+         "both engines; cyclePG times out on 18-43% of each workload.\n";
+}
+
 }  // namespace
 
 std::vector<std::vector<std::string>> Table6DayLogs(size_t base_queries) {
@@ -625,6 +670,45 @@ std::vector<std::vector<std::string>> Table6DayLogs(size_t base_queries) {
         days[d].session_rate, static_cast<uint64_t>(77 + d)));
   }
   return logs;
+}
+
+std::vector<Figure3Row> RunFigure3() {
+  const gmark::Schema schema = gmark::Schema::Bib();
+  store::TripleStore graph;
+  gmark::GraphGenOptions graph_options;
+  graph_options.num_nodes = kFigure3GraphNodes;
+  gmark::GenerateGraph(schema, graph_options, graph);
+  const store::GraphEngine bg(graph);
+  const store::RelationalEngine pg(graph);
+
+  std::vector<Figure3Row> rows;
+  for (int length = 3; length <= 8; ++length) {
+    Figure3Row row;
+    row.length = length;
+    for (size_t shape = 0; shape < 2; ++shape) {
+      gmark::QueryGenOptions options;
+      options.shape =
+          shape == 0 ? gmark::QueryShape::kChain : gmark::QueryShape::kCycle;
+      options.length = length;
+      options.workload_size = kFigure3WorkloadSize;
+      options.seed = static_cast<uint64_t>(1000 + length);
+      for (const gmark::GeneratedQuery& q :
+           gmark::GenerateWorkload(schema, options)) {
+        auto bgp = gmark::CompileForEngine(q, graph, schema);
+        if (!bgp.has_value()) continue;
+        ++row.queries[shape];
+        util::StepBudget bg_budget(kFigure3StepCap), pg_budget(kFigure3StepCap);
+        row.steps[shape * 2] +=
+            bg.Evaluate(*bgp, store::EvalMode::kAsk, &bg_budget).steps;
+        store::EvalStats pg_stats =
+            pg.Evaluate(*bgp, store::EvalMode::kAsk, &pg_budget);
+        row.steps[shape * 2 + 1] += pg_stats.steps;
+        if (shape == 1 && pg_stats.capped) ++row.cycle_pg_capped;
+      }
+    }
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 PaperReport RunPaperReport(double scale, size_t streak_queries) {
@@ -660,6 +744,7 @@ PaperReport RunPaperReport(double scale, size_t streak_queries) {
   for (size_t d = 0; d < days.size(); ++d) {
     report.days[d] = StreakStage().Run(days[d]).report;
   }
+  report.figure3 = RunFigure3();
   return report;
 }
 
@@ -673,6 +758,7 @@ void PrintPaperReport(std::ostream& out, const PaperReport& report) {
   PrintFigure5(out, report.unique);
   PrintAppendix(out, report.scale, report.valid);
   PrintTable6(out, report.days);
+  PrintFigure3(out, report.figure3);
 }
 
 void PrintQuerySummary(std::ostream& out, const corpus::CorpusAnalyzer& a) {

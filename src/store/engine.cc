@@ -7,7 +7,14 @@ namespace sparqlog::store {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+/// Estimated-cardinality threshold under which the relational engine
+/// picks a nested-loop join over a hash join. Single-variable joins
+/// estimate in the thousands and pick hash joins; the closing join of a
+/// cycle shares two variables, its independence-assumption estimate
+/// collapses below this threshold, and the engine picks a nested loop
+/// over the huge materialized intermediate — the classic correlated-
+/// selectivity failure.
+constexpr double kNljEstimateThreshold = 500.0;
 
 /// Bindings: variable id (1-based positive index) -> TermId (0 unbound).
 using Binding = std::vector<TermId>;
@@ -22,12 +29,20 @@ TermId Resolve(int64_t pos, const Binding& b) {
   return bound;
 }
 
-struct DeadlineChecker {
-  Clock::time_point deadline;
-  mutable int counter = 0;
-  bool Expired() const {
-    if (++counter % 1024 != 0) return false;
-    return Clock::now() >= deadline;
+/// Counts one evaluation's work into its stats and charges it to the
+/// caller's budget (nullptr: unlimited).
+struct StepMeter {
+  util::StepBudget* budget;
+  EvalStats& stats;
+
+  /// One tuple probed or materialized; false once the budget is spent.
+  bool Charge() {
+    if (budget != nullptr && !budget->Charge()) {
+      stats.capped = true;
+      return false;
+    }
+    ++stats.steps;
+    return true;
   }
 };
 
@@ -75,16 +90,11 @@ struct PipelineContext {
   const TripleStore& store;
   const std::vector<BgpPattern>& order;
   EvalMode mode;
-  DeadlineChecker deadline;
+  StepMeter meter;
   uint64_t results = 0;
-  bool timed_out = false;
 };
 
 bool Backtrack(PipelineContext& ctx, size_t depth, Binding& binding) {
-  if (ctx.deadline.Expired()) {
-    ctx.timed_out = true;
-    return true;  // abort
-  }
   if (depth == ctx.order.size()) {
     ++ctx.results;
     return ctx.mode == EvalMode::kAsk;  // stop at first witness
@@ -96,6 +106,7 @@ bool Backtrack(PipelineContext& ctx, size_t depth, Binding& binding) {
   std::vector<rdf::EncodedTriple> matches;
   ctx.store.Match(s, p, o, matches);
   for (const rdf::EncodedTriple& m : matches) {
+    if (!ctx.meter.Charge()) return true;  // abort
     // Bind unbound variables; verify consistency for repeated vars.
     TermId saved_s = 0, saved_p = 0, saved_o = 0;
     bool ok = true;
@@ -130,9 +141,8 @@ bool Backtrack(PipelineContext& ctx, size_t depth, Binding& binding) {
 }  // namespace
 
 EvalStats GraphEngine::Evaluate(const BgpQuery& q, EvalMode mode,
-                                std::chrono::nanoseconds timeout) const {
+                                util::StepBudget* budget) const {
   EvalStats stats;
-  auto start = Clock::now();
 
   // Greedy ordering: start from the most selective pattern; repeatedly
   // add the connected pattern with the lowest conditional estimate.
@@ -160,17 +170,12 @@ EvalStats GraphEngine::Evaluate(const BgpQuery& q, EvalMode mode,
     }
   }
 
-  PipelineContext ctx{store_, order, mode,
-                      DeadlineChecker{start + timeout}, 0, false};
+  PipelineContext ctx{store_, order, mode, StepMeter{budget, stats}};
   Binding binding(static_cast<size_t>(q.num_vars), 0);
   Backtrack(ctx, 0, binding);
 
-  stats.timed_out = ctx.timed_out;
   stats.num_results = ctx.results;
   stats.matched = ctx.results > 0;
-  auto elapsed = ctx.timed_out ? timeout : (Clock::now() - start);
-  stats.elapsed_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   return stats;
 }
 
@@ -189,8 +194,9 @@ struct Relation {
   size_t size() const { return schema.empty() ? 0 : rows.size() / width(); }
 };
 
-Relation ScanPattern(const TripleStore& store, const BgpPattern& t) {
-  Relation rel;
+/// Materializes the rows matching `t`; false once the budget is spent.
+bool ScanPattern(const TripleStore& store, const BgpPattern& t,
+                 StepMeter& meter, Relation& rel) {
   std::vector<rdf::EncodedTriple> matches;
   store.Match(t.s >= 1 ? static_cast<TermId>(t.s) : 0,
               t.p >= 1 ? static_cast<TermId>(t.p) : 0,
@@ -205,6 +211,7 @@ Relation ScanPattern(const TripleStore& store, const BgpPattern& t) {
   }
   for (int64_t pos : var_pos) rel.schema.push_back(VarIndex(pos));
   for (const rdf::EncodedTriple& m : matches) {
+    if (!meter.Charge()) return false;
     // Repeated-variable consistency within the triple.
     TermId values[3] = {m.s, m.p, m.o};
     int64_t positions[3] = {t.s, t.p, t.o};
@@ -225,7 +232,7 @@ Relation ScanPattern(const TripleStore& store, const BgpPattern& t) {
       }
     }
   }
-  return rel;
+  return true;
 }
 
 std::vector<std::pair<size_t, size_t>> SharedColumns(const Relation& a,
@@ -283,11 +290,11 @@ bool RowsMatch(const Relation& a, const Relation& b, size_t ra, size_t rb,
 /// *believes* inputs are small.
 bool NestedLoopJoin(const Relation& a, const Relation& b,
                     const std::vector<std::pair<size_t, size_t>>& shared,
-                    const DeadlineChecker& deadline, Relation& out) {
+                    StepMeter& meter, Relation& out) {
   out = JoinSchema(a, b, shared);
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t j = 0; j < b.size(); ++j) {
-      if (deadline.Expired()) return false;
+      if (!meter.Charge()) return false;
       if (RowsMatch(a, b, i, j, shared)) EmitJoined(a, b, i, j, shared, out);
     }
   }
@@ -297,22 +304,22 @@ bool NestedLoopJoin(const Relation& a, const Relation& b,
 /// Hash join on the first shared column (residual equality on the rest).
 bool HashJoin(const Relation& a, const Relation& b,
               const std::vector<std::pair<size_t, size_t>>& shared,
-              const DeadlineChecker& deadline, Relation& out) {
+              StepMeter& meter, Relation& out) {
   out = JoinSchema(a, b, shared);
   if (shared.empty()) {
-    return NestedLoopJoin(a, b, shared, deadline, out);
+    return NestedLoopJoin(a, b, shared, meter, out);
   }
   auto [key_a, key_b] = shared[0];
   std::unordered_multimap<TermId, size_t> table;
   table.reserve(b.size());
   for (size_t j = 0; j < b.size(); ++j) {
-    if (deadline.Expired()) return false;
+    if (!meter.Charge()) return false;
     table.emplace(b.rows[j * b.width() + key_b], j);
   }
   for (size_t i = 0; i < a.size(); ++i) {
     auto range = table.equal_range(a.rows[i * a.width() + key_a]);
     for (auto it = range.first; it != range.second; ++it) {
-      if (deadline.Expired()) return false;
+      if (!meter.Charge()) return false;
       if (RowsMatch(a, b, i, it->second, shared)) {
         EmitJoined(a, b, i, it->second, shared, out);
       }
@@ -339,11 +346,10 @@ double EstimateScan(const TripleStore& store, const BgpPattern& t) {
 }  // namespace
 
 EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
-                                     std::chrono::nanoseconds timeout) const {
+                                     util::StepBudget* budget) const {
   (void)mode;  // relational plans materialize fully even under EXISTS
   EvalStats stats;
-  auto start = Clock::now();
-  DeadlineChecker deadline{start + timeout};
+  StepMeter meter{budget, stats};
 
   // Left-deep pipeline in syntactic order; independence-assumption
   // estimates drive the operator choice per step.
@@ -352,7 +358,8 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
   double distinct_guess = 0;
   bool first = true;
   for (const BgpPattern& t : q.triples) {
-    Relation next = ScanPattern(store_, t);
+    Relation next;
+    if (!ScanPattern(store_, t, meter, next)) return stats;
     if (first) {
       acc = std::move(next);
       est = EstimateScan(store_, t);
@@ -371,18 +378,11 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
       join_est /= std::max(1.0, distinct_guess);
     }
     Relation out;
-    bool finished;
     stats.intermediate_tuples += acc.size() + next.size();
-    if (join_est <= options_.nlj_estimate_threshold) {
-      finished = NestedLoopJoin(acc, next, shared, deadline, out);
-    } else {
-      finished = HashJoin(acc, next, shared, deadline, out);
-    }
-    if (!finished) {
-      stats.timed_out = true;
-      stats.elapsed_ns = static_cast<double>(timeout.count());
-      return stats;
-    }
+    bool finished = join_est <= kNljEstimateThreshold
+                        ? NestedLoopJoin(acc, next, shared, meter, out)
+                        : HashJoin(acc, next, shared, meter, out);
+    if (!finished) return stats;
     acc = std::move(out);
     est = join_est;
     distinct_guess = std::max(
@@ -394,9 +394,6 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
   stats.num_results = acc.size();
   stats.matched = acc.size() > 0;
   stats.intermediate_tuples += acc.size();
-  auto elapsed = Clock::now() - start;
-  stats.elapsed_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
   return stats;
 }
 

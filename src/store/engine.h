@@ -1,12 +1,12 @@
 #ifndef SPARQLOG_STORE_ENGINE_H_
 #define SPARQLOG_STORE_ENGINE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "store/store.h"
+#include "util/budget.h"
 
 namespace sparqlog::store {
 
@@ -34,8 +34,8 @@ struct EvalStats {
   bool matched = false;          ///< Ask answer / result-set non-empty
   uint64_t num_results = 0;      ///< Select result count (Ask: 0 or 1)
   uint64_t intermediate_tuples = 0;  ///< total materialized tuples
-  bool timed_out = false;
-  double elapsed_ns = 0;
+  uint64_t steps = 0;    ///< tuples probed or materialized (work done)
+  bool capped = false;   ///< budget ran out: the other fields are partial
 };
 
 /// Abstract query engine interface over a shared TripleStore.
@@ -44,11 +44,11 @@ class Engine {
   virtual ~Engine() = default;
   virtual std::string name() const = 0;
 
-  /// Evaluates `q` with a wall-clock deadline; on timeout, stats report
-  /// timed_out and elapsed_ns includes the full timeout (the paper's
-  /// Figure 3 counts timeouts at the 300s cap).
+  /// Evaluates `q`, charging `budget` one step per tuple probed or
+  /// materialized. A null budget is unlimited, as in the analysis
+  /// kernels; steps are counted either way.
   virtual EvalStats Evaluate(const BgpQuery& q, EvalMode mode,
-                             std::chrono::nanoseconds timeout) const = 0;
+                             util::StepBudget* budget = nullptr) const = 0;
 };
 
 /// Blazegraph stand-in: pipelined index nested-loop joins with greedy
@@ -59,7 +59,7 @@ class GraphEngine : public Engine {
   explicit GraphEngine(const TripleStore& store) : store_(store) {}
   std::string name() const override { return "GraphEngine(BG)"; }
   EvalStats Evaluate(const BgpQuery& q, EvalMode mode,
-                     std::chrono::nanoseconds timeout) const override;
+                     util::StepBudget* budget = nullptr) const override;
 
  private:
   const TripleStore& store_;
@@ -74,28 +74,13 @@ class GraphEngine : public Engine {
 /// observes for PG cycle workloads (Figure 3 bottom).
 class RelationalEngine : public Engine {
  public:
-  struct Options {
-    /// Estimated-cardinality threshold under which a nested-loop join is
-    /// chosen over a hash join. Single-variable joins estimate in the
-    /// thousands and pick hash joins; the closing join of a cycle shares
-    /// two variables, its independence-assumption estimate collapses
-    /// below this threshold, and the engine picks a nested loop over the
-    /// huge materialized intermediate — the classic correlated-
-    /// selectivity failure.
-    double nlj_estimate_threshold = 500.0;
-  };
-
-  explicit RelationalEngine(const TripleStore& store)
-      : store_(store), options_() {}
-  RelationalEngine(const TripleStore& store, const Options& options)
-      : store_(store), options_(options) {}
+  explicit RelationalEngine(const TripleStore& store) : store_(store) {}
   std::string name() const override { return "RelationalEngine(PG)"; }
   EvalStats Evaluate(const BgpQuery& q, EvalMode mode,
-                     std::chrono::nanoseconds timeout) const override;
+                     util::StepBudget* budget = nullptr) const override;
 
  private:
   const TripleStore& store_;
-  Options options_;
 };
 
 }  // namespace sparqlog::store

@@ -7,10 +7,11 @@ namespace sparqlog::util {
 
 /// Cooperative step-count budget for the exponential analysis kernels
 /// (det-k-decomp, treewidth elimination search, girth BFS, blocked
-/// Myers). A budget counts abstract work units, not wall-clock time, so
-/// the abandon/complete decision for a given input is bit-reproducible
-/// across machines, thread counts, and runs — the property the
-/// StatisticsDigest equivalence checks rely on.
+/// Myers) and the query engines (store/engine.h). A budget counts
+/// abstract work units, not wall-clock time, so the abandon/complete
+/// decision for a given input is bit-reproducible across machines,
+/// thread counts, and runs — the property the StatisticsDigest
+/// equivalence checks rely on.
 ///
 /// A default-constructed budget (or one built with limit 0) is
 /// unlimited: Charge() always succeeds and exhausted() stays false.

@@ -550,7 +550,8 @@ TEST(JournalTest, IncompatibleCheckpointIsRejected) {
     resume.max_segments = 0;
     auto r = pipeline::RunWithJournal(changed, source, resume);
     ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+    // Incompatible, not damaged: kUnsupported, never kInvalidArgument.
+    EXPECT_EQ(r.status().code(), util::StatusCode::kUnsupported);
   }
   RemoveJournal(path);
 }
@@ -874,9 +875,9 @@ TEST(JournalTest, OlderSchemaVersionIsRefused) {
     resume.max_segments = 0;
     auto r = pipeline::RunWithJournal(options, source, resume);
     ASSERT_FALSE(r.ok());
-    // The incompatibility reaches the caller inside the journal's hard
-    // error (not a fallback, since every generation shares the version).
-    EXPECT_EQ(r.status().code(), util::StatusCode::kInvalidArgument);
+    // The incompatibility reaches the caller as kUnsupported (not a
+    // fallback, since every generation shares the version).
+    EXPECT_EQ(r.status().code(), util::StatusCode::kUnsupported);
     const std::string expected =
         "checkpoint schema version " +
         std::to_string(pipeline::kJournalVersion - 1) + " (this build reads " +

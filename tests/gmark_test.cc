@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "gmark/graph_gen.h"
 #include "gmark/query_gen.h"
 #include "gmark/schema.h"
@@ -13,8 +11,6 @@
 
 namespace sparqlog::gmark {
 namespace {
-
-using namespace std::chrono_literals;
 
 TEST(SchemaTest, BibSchemaWellFormed) {
   Schema s = Schema::Bib();
@@ -171,11 +167,9 @@ TEST(WorkloadTest, CompileAndRunOnEngines) {
     auto bgp = CompileForEngine(q, store, Schema::Bib());
     if (!bgp.has_value()) continue;
     ++compiled;
-    store::EvalStats a = bg.Evaluate(*bgp, store::EvalMode::kAsk, 2s);
-    store::EvalStats b = pg.Evaluate(*bgp, store::EvalMode::kAsk, 2s);
-    if (!a.timed_out && !b.timed_out) {
-      EXPECT_EQ(a.matched, b.matched) << q.sql;
-    }
+    store::EvalStats a = bg.Evaluate(*bgp, store::EvalMode::kAsk);
+    store::EvalStats b = pg.Evaluate(*bgp, store::EvalMode::kAsk);
+    EXPECT_EQ(a.matched, b.matched) << q.sql;
   }
   EXPECT_GT(compiled, 0);
 }

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
@@ -14,8 +12,6 @@
 
 namespace sparqlog {
 namespace {
-
-using namespace std::chrono_literals;
 
 /// End-to-end: synthetic log -> ingestion -> analyzer, checking that the
 /// cross-module invariants the paper relies on hold on a mixed corpus.
@@ -73,8 +69,8 @@ TEST(IntegrationTest, LogToReportPipeline) {
 
 /// Figure 3's qualitative claim, scaled down and asserted on a
 /// deterministic cost proxy. Wall-clock comparisons flake under
-/// sanitizers (the old form compared elapsed_ns and timeout counts), so
-/// the engine gap is measured in wasted work per answer: materialized
+/// sanitizers, so the engine gap is measured in wasted work per answer:
+/// materialized
 /// intermediate tuples divided by result count. Chains are productive
 /// for the relational engine (nearly every materialized tuple extends
 /// into an answer); cycles materialize the same open-path intermediates
@@ -103,22 +99,17 @@ TEST(IntegrationTest, ChainVsCycleEngineGap) {
   struct WorkloadCost {
     uint64_t tuples = 0;
     uint64_t results = 0;
-    int timeouts = 0;
   };
-  // The deadline is a safety net, not part of the assertion: a timed-out
-  // evaluation reports partial tuple counts, so it is generous enough
-  // that even sanitizer builds finish every query.
+  // Unlimited budget: every compiled query runs to completion.
   auto run = [&](const store::Engine& engine,
                  const std::vector<gmark::GeneratedQuery>& workload) {
     WorkloadCost cost;
     for (const auto& q : workload) {
       auto bgp = gmark::CompileForEngine(q, store, gmark::Schema::Bib());
       if (!bgp.has_value()) continue;
-      store::EvalStats stats =
-          engine.Evaluate(*bgp, store::EvalMode::kAsk, 120s);
+      store::EvalStats stats = engine.Evaluate(*bgp, store::EvalMode::kAsk);
       cost.tuples += stats.intermediate_tuples;
       cost.results += stats.num_results;
-      if (stats.timed_out) ++cost.timeouts;
     }
     return cost;
   };
@@ -130,10 +121,6 @@ TEST(IntegrationTest, ChainVsCycleEngineGap) {
   WorkloadCost pg_chain = run(pg, chains);
   WorkloadCost pg_cycle = run(pg, cycles);
 
-  ASSERT_EQ(bg_chain.timeouts + bg_cycle.timeouts + pg_chain.timeouts +
-                pg_cycle.timeouts,
-            0)
-      << "an engine hit the safety-net deadline; counts are partial";
   // Wasted work per answer (tuples / results, compared by integer
   // cross-multiplication): cycles cost the relational engine at least
   // 20x more materialization per answer than chains. The observed gap

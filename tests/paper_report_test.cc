@@ -32,5 +32,26 @@ TEST(PaperReportTest, MatchesGolden) {
   EXPECT_EQ(out.str(), golden.str());
 }
 
+// Figure 3's qualitative result in work units: over W-3..W-8 the BG-like
+// engine does less work than the PG-like one on both shapes, and cycles
+// cost more than chains on both engines.
+TEST(PaperReportTest, Figure3OrdersEnginesAndShapes) {
+  std::vector<Figure3Row> rows = RunFigure3();
+  ASSERT_EQ(rows.size(), 6u);
+  uint64_t chain_bg = 0, chain_pg = 0, cycle_bg = 0, cycle_pg = 0;
+  for (const Figure3Row& row : rows) {
+    EXPECT_GT(row.queries[0], 0u) << "W-" << row.length;
+    EXPECT_GT(row.queries[1], 0u) << "W-" << row.length;
+    chain_bg += row.steps[0];
+    chain_pg += row.steps[1];
+    cycle_bg += row.steps[2];
+    cycle_pg += row.steps[3];
+  }
+  EXPECT_LT(chain_bg, chain_pg);
+  EXPECT_LT(cycle_bg, cycle_pg);
+  EXPECT_LT(chain_bg, cycle_bg);
+  EXPECT_LT(chain_pg, cycle_pg);
+}
+
 }  // namespace
 }  // namespace sparqlog::pipeline

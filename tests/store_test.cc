@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "store/engine.h"
 #include "store/store.h"
 
 namespace sparqlog::store {
 namespace {
-
-using namespace std::chrono_literals;
 
 TripleStore SmallGraph() {
   TripleStore s;
@@ -106,8 +102,8 @@ TEST(EngineTest, AskChainBothEnginesAgree) {
   RelationalEngine pg(s);
   for (int len = 1; len <= 4; ++len) {
     BgpQuery q = ChainQuery(s, len);
-    EvalStats a = bg.Evaluate(q, EvalMode::kAsk, 1s);
-    EvalStats b = pg.Evaluate(q, EvalMode::kAsk, 1s);
+    EvalStats a = bg.Evaluate(q, EvalMode::kAsk);
+    EvalStats b = pg.Evaluate(q, EvalMode::kAsk);
     EXPECT_EQ(a.matched, b.matched) << "len=" << len;
     EXPECT_TRUE(a.matched);
   }
@@ -119,8 +115,8 @@ TEST(EngineTest, SelectCountsAgree) {
   RelationalEngine pg(s);
   for (int len = 1; len <= 3; ++len) {
     BgpQuery q = ChainQuery(s, len);
-    EvalStats a = bg.Evaluate(q, EvalMode::kSelect, 1s);
-    EvalStats b = pg.Evaluate(q, EvalMode::kSelect, 1s);
+    EvalStats a = bg.Evaluate(q, EvalMode::kSelect);
+    EvalStats b = pg.Evaluate(q, EvalMode::kSelect);
     EXPECT_EQ(a.num_results, b.num_results) << "len=" << len;
     EXPECT_GT(a.num_results, 0u);
   }
@@ -132,12 +128,12 @@ TEST(EngineTest, CycleDetection) {
   RelationalEngine pg(s);
   // The knows-cycle has length 3: a cycle query of length 3 matches,
   // length 4 does not (no 4-cycle: dave -> alice closes nothing).
-  EvalStats a3 = bg.Evaluate(CycleQuery(s, 3), EvalMode::kAsk, 1s);
-  EvalStats b3 = pg.Evaluate(CycleQuery(s, 3), EvalMode::kAsk, 1s);
+  EvalStats a3 = bg.Evaluate(CycleQuery(s, 3), EvalMode::kAsk);
+  EvalStats b3 = pg.Evaluate(CycleQuery(s, 3), EvalMode::kAsk);
   EXPECT_TRUE(a3.matched);
   EXPECT_TRUE(b3.matched);
-  EvalStats a4 = bg.Evaluate(CycleQuery(s, 4), EvalMode::kAsk, 1s);
-  EvalStats b4 = pg.Evaluate(CycleQuery(s, 4), EvalMode::kAsk, 1s);
+  EvalStats a4 = bg.Evaluate(CycleQuery(s, 4), EvalMode::kAsk);
+  EvalStats b4 = pg.Evaluate(CycleQuery(s, 4), EvalMode::kAsk);
   EXPECT_FALSE(a4.matched);
   EXPECT_FALSE(b4.matched);
 }
@@ -147,8 +143,8 @@ TEST(EngineTest, SelectCycleCountsAgree) {
   GraphEngine bg(s);
   RelationalEngine pg(s);
   BgpQuery q = CycleQuery(s, 3);
-  EvalStats a = bg.Evaluate(q, EvalMode::kSelect, 1s);
-  EvalStats b = pg.Evaluate(q, EvalMode::kSelect, 1s);
+  EvalStats a = bg.Evaluate(q, EvalMode::kSelect);
+  EvalStats b = pg.Evaluate(q, EvalMode::kSelect);
   EXPECT_EQ(a.num_results, b.num_results);
   EXPECT_EQ(a.num_results, 3u);  // 3 rotations of the triangle
 }
@@ -164,8 +160,8 @@ TEST(EngineTest, ConstantsInPatterns) {
   p.p = static_cast<int64_t>(s.dict().Lookup("knows"));
   p.o = x;
   q.triples.push_back(p);
-  EXPECT_EQ(bg.Evaluate(q, EvalMode::kSelect, 1s).num_results, 1u);
-  EXPECT_EQ(pg.Evaluate(q, EvalMode::kSelect, 1s).num_results, 1u);
+  EXPECT_EQ(bg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
+  EXPECT_EQ(pg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
 }
 
 TEST(EngineTest, EmptyResultHandled) {
@@ -180,8 +176,8 @@ TEST(EngineTest, EmptyResultHandled) {
   // A term known to the dictionary but never asserted in a triple.
   p.o = static_cast<int64_t>(s.dict().Intern("Nobody"));
   q.triples.push_back(p);
-  EXPECT_FALSE(bg.Evaluate(q, EvalMode::kAsk, 1s).matched);
-  EXPECT_FALSE(pg.Evaluate(q, EvalMode::kAsk, 1s).matched);
+  EXPECT_FALSE(bg.Evaluate(q, EvalMode::kAsk).matched);
+  EXPECT_FALSE(pg.Evaluate(q, EvalMode::kAsk).matched);
 }
 
 TEST(EngineTest, RepeatedVariableWithinTriple) {
@@ -198,26 +194,51 @@ TEST(EngineTest, RepeatedVariableWithinTriple) {
   p.p = static_cast<int64_t>(s.dict().Lookup("self"));
   p.o = x;  // same variable: only the true self-loop matches
   q.triples.push_back(p);
-  EXPECT_EQ(bg.Evaluate(q, EvalMode::kSelect, 1s).num_results, 1u);
-  EXPECT_EQ(pg.Evaluate(q, EvalMode::kSelect, 1s).num_results, 1u);
+  EXPECT_EQ(bg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
+  EXPECT_EQ(pg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
 }
 
-TEST(EngineTest, TimeoutReported) {
-  // A large random graph and a long cycle query with a tiny deadline.
+TEST(EngineTest, StepCapReported) {
+  // A 6-cycle query over a 100-node graph (n -> 37n mod 100), on both
+  // engines.
   TripleStore s;
   for (int i = 0; i < 3000; ++i) {
     s.Add("n" + std::to_string(i % 100), "e",
           "n" + std::to_string((i * 37) % 100));
   }
   s.Build();
-  RelationalEngine pg(s);
   BgpQuery q = CycleQuery(s, 6);
   // Rebuild against this store's dictionary.
   for (auto& t : q.triples) {
     t.p = static_cast<int64_t>(s.dict().Lookup("e"));
   }
-  EvalStats stats = pg.Evaluate(q, EvalMode::kSelect, 1us);
-  EXPECT_TRUE(stats.timed_out);
+  GraphEngine bg(s);
+  RelationalEngine pg(s);
+  for (const Engine* engine : {static_cast<const Engine*>(&bg),
+                               static_cast<const Engine*>(&pg)}) {
+    SCOPED_TRACE(engine->name());
+    // A cap of one step stops the evaluation at its second tuple.
+    util::StepBudget tiny(1);
+    EvalStats capped = engine->Evaluate(q, EvalMode::kSelect, &tiny);
+    EXPECT_TRUE(capped.capped);
+    EXPECT_EQ(capped.steps, 1u);
+
+    // Steps are a pure function of the store and the query.
+    EvalStats first = engine->Evaluate(q, EvalMode::kSelect);
+    EvalStats second = engine->Evaluate(q, EvalMode::kSelect);
+    EXPECT_FALSE(first.capped);
+    EXPECT_GT(first.steps, 1u);
+    // 37^6 = 9 (mod 100), so only the walks from 0, 25, 50 and 75 close.
+    EXPECT_EQ(first.num_results, 4u);
+    EXPECT_EQ(first.steps, second.steps);
+
+    // A cap the evaluation never reaches changes nothing.
+    util::StepBudget generous(first.steps * 2);
+    EvalStats limited = engine->Evaluate(q, EvalMode::kSelect, &generous);
+    EXPECT_FALSE(limited.capped);
+    EXPECT_EQ(limited.steps, first.steps);
+    EXPECT_EQ(limited.num_results, first.num_results);
+  }
 }
 
 }  // namespace
