@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
   const sparql::Query& q = parsed.value();
   std::cout << "Canonical form:\n" << sparql::Serialize(q) << "\n\n";
 
-  analysis::QueryFeatures f = analysis::ExtractFeatures(q);
+  // Recycled working state: one per thread, reused across queries.
+  fragments::FragmentScratch scratch;
+  analysis::QueryFeatures f = analysis::ExtractFeatures(q, scratch.vars);
   std::cout << "Triples: " << f.num_triples
             << ", filter: " << (f.filter ? "yes" : "no")
             << ", optional: " << (f.optional ? "yes" : "no")
@@ -47,7 +49,7 @@ int main(int argc, char** argv) {
                     : "indeterminate")
             << "\n";
 
-  fragments::FragmentClass fc = fragments::ClassifyFragment(q);
+  fragments::FragmentClass fc = fragments::ClassifyFragment(q, scratch);
   std::cout << "Fragments: CQ=" << fc.cq << " CPF=" << fc.cpf
             << " CQF=" << fc.cqf << " AOF=" << fc.aof
             << " well-designed=" << fc.well_designed

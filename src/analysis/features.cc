@@ -160,7 +160,8 @@ void WalkExpr(const Expr& e, QueryFeatures& f, bool in_body) {
 
 }  // namespace
 
-QueryFeatures ExtractFeatures(const Query& q) {
+QueryFeatures ExtractFeatures(const Query& q,
+                              fragments::VariableTable& vars) {
   QueryFeatures f;
   f.form = q.form;
   f.has_body = q.has_body;
@@ -186,7 +187,7 @@ QueryFeatures ExtractFeatures(const Query& q) {
   }
   if (q.trailing_values.has_value()) f.values = true;
 
-  f.projection = ClassifyProjection(q);
+  f.projection = ClassifyProjection(q, vars);
   return f;
 }
 

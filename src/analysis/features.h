@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "fragments/scratch.h"
 #include "sparql/ast.h"
 
 namespace sparqlog::analysis {
@@ -79,8 +80,10 @@ struct QueryFeatures {
   bool opset_other = false;
 };
 
-/// Extracts all features in a single traversal.
-QueryFeatures ExtractFeatures(const sparql::Query& q);
+/// Extracts all features in a single traversal; the projection check
+/// runs on `vars` (recycled working state, see ClassifyProjection).
+QueryFeatures ExtractFeatures(const sparql::Query& q,
+                              fragments::VariableTable& vars);
 
 }  // namespace sparqlog::analysis
 

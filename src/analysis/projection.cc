@@ -1,7 +1,6 @@
 #include "analysis/projection.h"
 
-#include <set>
-#include <string>
+#include <string_view>
 
 namespace sparqlog::analysis {
 
@@ -28,16 +27,18 @@ bool ContainsBind(const Pattern& p) {
 
 }  // namespace
 
-ProjectionUse ClassifyProjection(const Query& q) {
+ProjectionUse ClassifyProjection(const Query& q,
+                                 fragments::VariableTable& vars) {
   if (!q.has_body) return ProjectionUse::kNo;
   switch (q.form) {
     case QueryForm::kConstruct:
     case QueryForm::kDescribe:
       return ProjectionUse::kNo;
     case QueryForm::kAsk: {
-      std::set<std::string> vars;
-      q.where.CollectVariables(vars);
-      return vars.empty() ? ProjectionUse::kNo : ProjectionUse::kYes;
+      // The walk stops at the first variable.
+      const bool no_variable = sparql::ForEachVariable(
+          q.where, [](std::string_view) { return false; });
+      return no_variable ? ProjectionUse::kNo : ProjectionUse::kYes;
     }
     case QueryForm::kSelect: {
       if (q.select_star) return ProjectionUse::kNo;
@@ -48,17 +49,18 @@ ProjectionUse ClassifyProjection(const Query& q) {
       if (has_as || ContainsBind(q.where)) {
         return ProjectionUse::kIndeterminate;
       }
-      std::set<std::string> in_scope;
-      q.where.CollectInScopeVariables(in_scope);
-      std::set<std::string> selected;
+      vars.Clear();
       for (const sparql::SelectItem& item : q.select_items) {
-        selected.insert(std::string(item.var.value));
+        vars.Intern(item.var.value);
       }
+      const int selected = vars.size();
       // Projection iff some in-scope variable is not selected.
-      for (const std::string& v : in_scope) {
-        if (selected.find(v) == selected.end()) return ProjectionUse::kYes;
-      }
-      return ProjectionUse::kNo;
+      const bool all_selected = sparql::ForEachInScopeVariable(
+          q.where,
+          [&vars, selected](std::string_view v) {
+            return vars.Intern(v) < selected;
+          });
+      return all_selected ? ProjectionUse::kNo : ProjectionUse::kYes;
     }
   }
   return ProjectionUse::kNo;

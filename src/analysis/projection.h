@@ -2,6 +2,7 @@
 #define SPARQLOG_ANALYSIS_PROJECTION_H_
 
 #include "analysis/features.h"
+#include "fragments/scratch.h"
 #include "sparql/ast.h"
 
 namespace sparqlog::analysis {
@@ -17,7 +18,12 @@ namespace sparqlog::analysis {
 ///  * CONSTRUCT / DESCRIBE are counted as not using projection.
 ///  * Queries whose classification is ambiguous because of BIND or
 ///    `(expr AS ?v)` return kIndeterminate.
-ProjectionUse ClassifyProjection(const sparql::Query& q);
+///
+/// `vars` is recycled working state: the selected variables take the
+/// first ids, so an in-scope variable is unselected iff its id is not
+/// below their count.
+ProjectionUse ClassifyProjection(const sparql::Query& q,
+                                 fragments::VariableTable& vars);
 
 }  // namespace sparqlog::analysis
 

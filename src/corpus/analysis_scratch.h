@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "fragments/scratch.h"
 #include "graph/canonical.h"
 #include "graph/shapes.h"
 #include "width/hypertree.h"
@@ -11,13 +12,14 @@
 namespace sparqlog::corpus {
 
 /// Recycled per-analyzer working state for the structural-analysis hot
-/// path (Table 4 shapes, Section 6 widths): triple/filter collection
-/// buffers, the term interner and union-find of the canonical builders,
-/// the canonical graph/hypergraph output buffers, and the shape /
-/// treewidth / GHW scratch spaces. One instance lives inside each
-/// CorpusAnalyzer — one analyzer per pipeline shard, each driven by a
-/// single worker thread — mirroring the per-worker decode scratch of
-/// the ingest hot path. Nothing here is part of the analyzer's
+/// path (Figure 5 fragments, Table 4 shapes, Section 6 widths): the
+/// fragment classifier's variable table and flat algebra, triple/filter
+/// collection buffers, the term interner and union-find of the
+/// canonical builders, the canonical graph/hypergraph output buffers,
+/// and the shape / treewidth / GHW scratch spaces. One instance lives
+/// inside each CorpusAnalyzer — one analyzer per pipeline shard, each
+/// driven by a single worker thread — mirroring the per-worker decode
+/// scratch of the ingest hot path. Nothing here is part of the analyzer's
 /// statistics; merging and digests ignore it.
 struct AnalysisScratch {
   std::vector<const sparql::TriplePattern*> triples;
@@ -28,6 +30,7 @@ struct AnalysisScratch {
   graph::ShapeScratch shape;
   width::TreewidthScratch treewidth;
   width::GhwScratch ghw;
+  fragments::FragmentScratch fragments;
 };
 
 }  // namespace sparqlog::corpus

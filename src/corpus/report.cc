@@ -33,13 +33,13 @@ util::Status CorpusAnalyzer::AddQueryBudgeted(const Query& q,
   // finished. A kTimeout return therefore leaves the analyzer exactly
   // as it was — the conservation invariant's "abandoned queries
   // contribute to no statistic".
-  QueryFeatures f = ExtractFeatures(q);
+  QueryFeatures f = ExtractFeatures(q, scratch_.fragments.vars);
   bool select_ask = f.form == QueryForm::kSelect || f.form == QueryForm::kAsk;
   bool classify = select_ask && q.has_body;
   FragmentClass fc;
   ShapeOutcome outcome;
   if (classify) {
-    fc = ClassifyFragment(q);
+    fc = ClassifyFragment(q, scratch_.fragments);
     util::Status st = ComputeShapes(q, fc, limits, outcome);
     if (!st.ok()) return st;
   }

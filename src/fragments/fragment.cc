@@ -1,8 +1,6 @@
 #include "fragments/fragment.h"
 
-#include <functional>
-#include <set>
-#include <string>
+#include <string_view>
 
 #include "fragments/pattern_tree.h"
 
@@ -42,23 +40,7 @@ void Scan(const Pattern& p, BodyScan& s) {
       s.only_triples_and = false;
       if (!IsSimpleFilter(p.expr)) s.simple_filters = false;
       // EXISTS embeds patterns: not AOF.
-      {
-        std::set<std::string> ignored;
-        const Expr& e = p.expr;
-        std::function<bool(const Expr&)> uses_pattern =
-            [&](const Expr& x) -> bool {
-          if (x.kind == ExprKind::kExists || x.kind == ExprKind::kNotExists) {
-            return true;
-          }
-          for (const Expr& a : x.args) {
-            if (uses_pattern(a)) return true;
-          }
-          return false;
-        };
-        if (uses_pattern(e)) {
-          s.only_triples_and_f = s.aof = false;
-        }
-      }
+      if (ExprUsesPatterns(p.expr)) s.only_triples_and_f = s.aof = false;
       return;
     case PatternKind::kOptional:
       s.only_triples_and = s.only_triples_and_f = false;
@@ -74,16 +56,26 @@ void Scan(const Pattern& p, BodyScan& s) {
 }  // namespace
 
 bool IsSimpleFilter(const Expr& e) {
-  std::set<std::string> vars;
-  e.CollectVariables(vars);
-  if (vars.size() <= 1) return true;
+  // At most one distinct variable: the walk stops at a second one.
+  std::string_view first;
+  bool seen = false;
+  const bool at_most_one = sparql::ForEachVariable(
+      e, [&first, &seen](std::string_view v) {
+        if (!seen) {
+          first = v;
+          seen = true;
+          return true;
+        }
+        return v == first;
+      });
+  if (at_most_one) return true;
   // The form ?x = ?y is allowed (footnote 20: such filters collapse
   // nodes in the canonical graph).
   return e.kind == ExprKind::kCompare && e.op == "=" && e.args.size() == 2 &&
          e.args[0].is_variable() && e.args[1].is_variable();
 }
 
-FragmentClass ClassifyFragment(const Query& q) {
+FragmentClass ClassifyFragment(const Query& q, FragmentScratch& scratch) {
   FragmentClass fc;
   fc.select_or_ask =
       q.form == QueryForm::kSelect || q.form == QueryForm::kAsk;
@@ -102,18 +94,28 @@ FragmentClass ClassifyFragment(const Query& q) {
   fc.cpf = s.only_triples_and_f && modifiers_ok;
   fc.cqf = fc.cpf && s.simple_filters;
 
-  if (fc.aof) {
-    fc.well_designed = IsWellDesigned(q.where);
-    if (fc.well_designed) {
-      PatternTreeResult tree = BuildPatternTree(q.where);
-      if (tree.ok) {
-        fc.interface_width = tree.interface_width;
-        fc.cqof = fc.simple_filters && tree.connected_variables &&
-                  tree.interface_width <= 1;
-      }
-    }
+  if (!fc.aof) return fc;
+  if (s.only_triples_and_f) {
+    // No OPTIONAL, so no LeftJoin: well designed, and the pattern tree
+    // is one node (interface width 0, every variable connected).
+    fc.well_designed = true;
+    fc.interface_width = 0;
+    fc.cqof = fc.simple_filters;
+    return fc;
+  }
+  AofStructure aof = AnalyzeAof(q.where, scratch);
+  fc.well_designed = aof.ok && aof.well_designed;
+  if (fc.well_designed) {
+    fc.interface_width = aof.interface_width;
+    fc.cqof = fc.simple_filters && aof.connected_variables &&
+              aof.interface_width <= 1;
   }
   return fc;
+}
+
+FragmentClass ClassifyFragment(const Query& q) {
+  thread_local FragmentScratch scratch;
+  return ClassifyFragment(q, scratch);
 }
 
 }  // namespace sparqlog::fragments

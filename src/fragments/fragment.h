@@ -1,6 +1,7 @@
 #ifndef SPARQLOG_FRAGMENTS_FRAGMENT_H_
 #define SPARQLOG_FRAGMENTS_FRAGMENT_H_
 
+#include "fragments/scratch.h"
 #include "sparql/ast.h"
 
 namespace sparqlog::fragments {
@@ -38,7 +39,13 @@ struct FragmentClass {
   bool var_predicate = false;
 };
 
-/// Classifies `q` against all fragments in one pass.
+/// Classifies `q` against all fragments in one pass over the body plus,
+/// for AOF bodies with OPTIONAL, one algebra translation on `scratch`
+/// (pattern_tree.h). Allocates nothing once `scratch` is warm.
+FragmentClass ClassifyFragment(const sparql::Query& q,
+                               FragmentScratch& scratch);
+
+/// The same, on the calling thread's scratch.
 FragmentClass ClassifyFragment(const sparql::Query& q);
 
 /// True iff the filter constraint is "simple" in the sense of

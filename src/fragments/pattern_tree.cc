@@ -1,8 +1,7 @@
 #include "fragments/pattern_tree.h"
 
 #include <algorithm>
-#include <map>
-#include <memory>
+#include <bit>
 
 namespace sparqlog::fragments {
 
@@ -10,21 +9,122 @@ using sparql::Expr;
 using sparql::ExprKind;
 using sparql::Pattern;
 using sparql::PatternKind;
-using sparql::TriplePattern;
 
 namespace {
 
-/// Internal SPARQL-algebra view of an AOF pattern: BGPs combined with
-/// Join, LeftJoin (OPTIONAL), and Filter, per the standard translation
-/// of group graph patterns.
-struct AlgebraNode {
-  enum class Kind { kBgp, kJoin, kLeftJoin };
-  Kind kind = Kind::kBgp;
-  std::vector<const TriplePattern*> triples;          // kBgp
-  std::vector<const Expr*> filters;                   // applied here
-  std::vector<std::unique_ptr<AlgebraNode>> children; // 2 for joins
-  std::set<std::string> vars;                         // subtree variables
+using Kind = AlgebraNode::Kind;
+
+/// The bitsets of algebra node i, each FragmentScratch::words long, at
+/// masks[(i * kMasksPerNode + k) * words].
+enum Mask : size_t {
+  kOwn,      // variables of the node's own triples and filters
+  kTriples,  // variables of the node's own triples (kBgp only)
+  kSubtree,  // vars(P): every triple and filter in the subtree
+  kOutside,  // every triple and filter outside the subtree
+  kMasksPerNode,
 };
+
+uint64_t* NodeMask(FragmentScratch& s, int node, Mask k) {
+  return s.masks.data() +
+         (static_cast<size_t>(node) * kMasksPerNode + k) *
+             static_cast<size_t>(s.words);
+}
+
+uint64_t* TreeMask(FragmentScratch& s, int tree_node) {
+  return s.tree_masks.data() +
+         static_cast<size_t>(tree_node) * static_cast<size_t>(s.words);
+}
+
+void OrInto(uint64_t* to, const uint64_t* from, int words) {
+  for (int k = 0; k < words; ++k) to[k] |= from[k];
+}
+
+int NewNode(FragmentScratch& s, Kind kind, int left = -1, int right = -1) {
+  s.nodes.push_back(AlgebraNode{kind, false, false, left, right, -1});
+  s.masks.resize(s.masks.size() +
+                     kMasksPerNode * static_cast<size_t>(s.words),
+                 0);
+  return static_cast<int>(s.nodes.size()) - 1;
+}
+
+int NewTreeNode(FragmentScratch& s, int parent) {
+  s.tree_parent.push_back(parent);
+  s.tree_masks.resize(s.tree_masks.size() + static_cast<size_t>(s.words), 0);
+  return static_cast<int>(s.tree_parent.size()) - 1;
+}
+
+/// ORs the variables of `atom` (a triple pattern or a filter expression)
+/// into `mask`.
+template <typename Atom>
+void AddVariables(VariableTable& vars, const Atom& atom, uint64_t* mask) {
+  sparql::ForEachVariable(atom, [&vars, mask](std::string_view v) {
+    const int id = vars.Intern(v);
+    mask[id >> 6] |= uint64_t{1} << (id & 63);
+    return true;
+  });
+}
+
+/// Merges BGPs; Join otherwise. An empty BGP is the identity.
+int Join(FragmentScratch& s, int a, int b) {
+  AlgebraNode& na = s.nodes[static_cast<size_t>(a)];
+  const AlgebraNode& nb = s.nodes[static_cast<size_t>(b)];
+  if (na.kind == Kind::kBgp && !na.has_triples && !na.has_filters) return b;
+  if (na.kind == Kind::kBgp && nb.kind == Kind::kBgp && !na.has_filters &&
+      !nb.has_filters) {
+    na.has_triples = na.has_triples || nb.has_triples;
+    OrInto(NodeMask(s, a, kOwn), NodeMask(s, b, kOwn), s.words);
+    OrInto(NodeMask(s, a, kTriples), NodeMask(s, b, kTriples), s.words);
+    return a;
+  }
+  return NewNode(s, Kind::kJoin, a, b);
+}
+
+/// Translates an AOF group pattern into the algebra, per the standard
+/// translation of group graph patterns; returns the node index, or -1 if
+/// the body is not AOF.
+int Translate(const Pattern& p, FragmentScratch& s) {
+  if (p.kind == PatternKind::kTriple) {
+    if (p.triple.has_path) return -1;
+    const int n = NewNode(s, Kind::kBgp);
+    s.nodes[static_cast<size_t>(n)].has_triples = true;
+    AddVariables(s.vars, p.triple, NodeMask(s, n, kTriples));
+    std::copy_n(NodeMask(s, n, kTriples), s.words, NodeMask(s, n, kOwn));
+    return n;
+  }
+  if (p.kind != PatternKind::kGroup) return -1;
+
+  int acc = NewNode(s, Kind::kBgp);  // empty BGP
+  for (const Pattern& c : p.children) {
+    switch (c.kind) {
+      case PatternKind::kTriple:
+      case PatternKind::kGroup: {
+        const int t = Translate(c, s);
+        if (t < 0) return -1;
+        acc = Join(s, acc, t);
+        break;
+      }
+      case PatternKind::kFilter:
+        break;  // below: filters of a group apply to the whole group
+      case PatternKind::kOptional: {
+        const int body = Translate(c.children[0], s);
+        if (body < 0) return -1;
+        acc = NewNode(s, Kind::kLeftJoin, acc, body);
+        break;
+      }
+      default:
+        return -1;  // not an AOF pattern
+    }
+  }
+  for (const Pattern& c : p.children) {
+    if (c.kind != PatternKind::kFilter) continue;
+    if (ExprUsesPatterns(c.expr)) return -1;
+    s.nodes[static_cast<size_t>(acc)].has_filters = true;
+    AddVariables(s.vars, c.expr, NodeMask(s, acc, kOwn));
+  }
+  return acc;
+}
+
+}  // namespace
 
 bool ExprUsesPatterns(const Expr& e) {
   if (e.kind == ExprKind::kExists || e.kind == ExprKind::kNotExists) {
@@ -36,261 +136,92 @@ bool ExprUsesPatterns(const Expr& e) {
   return false;
 }
 
-void ComputeVars(AlgebraNode& n) {
-  for (const TriplePattern* tp : n.triples) tp->CollectVariables(n.vars);
-  for (const Expr* f : n.filters) f->CollectVariables(n.vars);
-  for (auto& c : n.children) {
-    ComputeVars(*c);
-    n.vars.insert(c->vars.begin(), c->vars.end());
-  }
-}
+AofStructure AnalyzeAof(const Pattern& body, FragmentScratch& s) {
+  AofStructure out;
+  // Dense ids first, so every bitset has its final width.
+  s.vars.Clear();
+  sparql::ForEachVariable(body, [&s](std::string_view v) {
+    s.vars.Intern(v);
+    return true;
+  });
+  s.words = std::max(1, (s.vars.size() + 63) / 64);
+  const int w = s.words;
+  s.nodes.clear();
+  s.masks.clear();
+  const int root = Translate(body, s);
+  if (root < 0) return out;
+  out.ok = true;
 
-/// Translates an AOF group pattern into the algebra. Returns nullptr if
-/// the body is not AOF (anything besides triples without paths, groups,
-/// filters without EXISTS, and OPTIONAL).
-std::unique_ptr<AlgebraNode> Translate(const Pattern& p) {
-  if (p.kind == PatternKind::kTriple) {
-    if (p.triple.has_path) return nullptr;
-    auto node = std::make_unique<AlgebraNode>();
-    node->triples.push_back(&p.triple);
-    return node;
+  // vars(P) bottom-up: operands precede the node that uses them.
+  for (size_t i = 0; i < s.nodes.size(); ++i) {
+    const AlgebraNode& n = s.nodes[i];
+    const int node = static_cast<int>(i);
+    uint64_t* sub = NodeMask(s, node, kSubtree);
+    std::copy_n(NodeMask(s, node, kOwn), w, sub);
+    if (n.kind == Kind::kBgp) continue;
+    OrInto(sub, NodeMask(s, n.left, kSubtree), w);
+    OrInto(sub, NodeMask(s, n.right, kSubtree), w);
   }
-  if (p.kind != PatternKind::kGroup) return nullptr;
 
-  auto acc = std::make_unique<AlgebraNode>();  // empty BGP
-  std::vector<const Expr*> filters;
-  auto join = [](std::unique_ptr<AlgebraNode> a,
-                 std::unique_ptr<AlgebraNode> b) {
-    // Merge BGPs; Join otherwise. An empty BGP is the identity.
-    if (a->kind == AlgebraNode::Kind::kBgp && a->triples.empty() &&
-        a->filters.empty() && a->children.empty()) {
-      return b;
+  // Top-down from the root, which no operand index exceeds: the
+  // variables outside each subtree, Definition 5.3 at each
+  // LeftJoin(L, R) — vars(R) \ vars(L) must not occur outside it — and
+  // the pattern-tree node of every reached algebra node.
+  s.tree_parent.clear();
+  s.tree_masks.clear();
+  s.nodes[static_cast<size_t>(root)].tree_node = NewTreeNode(s, -1);
+  out.well_designed = true;
+  for (int i = root; i >= 0; --i) {
+    const AlgebraNode& n = s.nodes[static_cast<size_t>(i)];
+    if (n.tree_node < 0) continue;  // merged away: not in the algebra
+    if (n.kind == Kind::kBgp) {
+      OrInto(TreeMask(s, n.tree_node), NodeMask(s, i, kTriples), w);
+      continue;
     }
-    if (a->kind == AlgebraNode::Kind::kBgp &&
-        b->kind == AlgebraNode::Kind::kBgp && a->filters.empty() &&
-        b->filters.empty()) {
-      a->triples.insert(a->triples.end(), b->triples.begin(),
-                        b->triples.end());
-      return a;
-    }
-    auto j = std::make_unique<AlgebraNode>();
-    j->kind = AlgebraNode::Kind::kJoin;
-    j->children.push_back(std::move(a));
-    j->children.push_back(std::move(b));
-    return j;
-  };
-
-  for (const Pattern& c : p.children) {
-    switch (c.kind) {
-      case PatternKind::kTriple: {
-        auto t = Translate(c);
-        if (t == nullptr) return nullptr;
-        acc = join(std::move(acc), std::move(t));
-        break;
-      }
-      case PatternKind::kGroup: {
-        auto g = Translate(c);
-        if (g == nullptr) return nullptr;
-        acc = join(std::move(acc), std::move(g));
-        break;
-      }
-      case PatternKind::kFilter:
-        if (ExprUsesPatterns(c.expr)) return nullptr;
-        filters.push_back(&c.expr);
-        break;
-      case PatternKind::kOptional: {
-        auto body = Translate(c.children[0]);
-        if (body == nullptr) return nullptr;
-        auto lj = std::make_unique<AlgebraNode>();
-        lj->kind = AlgebraNode::Kind::kLeftJoin;
-        lj->children.push_back(std::move(acc));
-        lj->children.push_back(std::move(body));
-        acc = std::move(lj);
-        break;
-      }
-      default:
-        return nullptr;  // not an AOF pattern
-    }
-  }
-  // Filters of a group apply to the whole group.
-  acc->filters.insert(acc->filters.end(), filters.begin(), filters.end());
-  return acc;
-}
-
-/// Linearizes the atoms (triples/filters) of the algebra tree in DFS
-/// order, recording for each LeftJoin node its subtree range. Used for
-/// the Definition 5.3 check.
-struct LeftJoinInfo {
-  size_t lo = 0, hi = 0;                 // atom index range of the subtree
-  size_t right_lo = 0, right_hi = 0;     // atom range of the right child
-  std::set<std::string> left_vars;
-  std::set<std::string> right_vars;
-};
-
-void Linearize(const AlgebraNode& n,
-               std::vector<std::set<std::string>>& atoms,
-               std::vector<LeftJoinInfo>& leftjoins) {
-  size_t lo = atoms.size();
-  size_t right_lo = 0, right_hi = 0;
-  if (n.kind == AlgebraNode::Kind::kLeftJoin) {
-    Linearize(*n.children[0], atoms, leftjoins);
-    right_lo = atoms.size();
-    Linearize(*n.children[1], atoms, leftjoins);
-    right_hi = atoms.size();
-  } else {
-    for (auto& c : n.children) Linearize(*c, atoms, leftjoins);
-  }
-  for (const TriplePattern* tp : n.triples) {
-    std::set<std::string> vars;
-    tp->CollectVariables(vars);
-    atoms.push_back(std::move(vars));
-  }
-  for (const Expr* f : n.filters) {
-    std::set<std::string> vars;
-    f->CollectVariables(vars);
-    atoms.push_back(std::move(vars));
-  }
-  if (n.kind == AlgebraNode::Kind::kLeftJoin) {
-    LeftJoinInfo info;
-    info.lo = lo;
-    info.hi = atoms.size();
-    info.right_lo = right_lo;
-    info.right_hi = right_hi;
-    info.left_vars = n.children[0]->vars;
-    info.right_vars = n.children[1]->vars;
-    leftjoins.push_back(std::move(info));
-  }
-}
-
-/// Pattern-tree construction from the algebra via OPT-normal form.
-PatternTreeNode Normalize(const AlgebraNode& n) {
-  switch (n.kind) {
-    case AlgebraNode::Kind::kBgp: {
-      PatternTreeNode t;
-      t.triples = n.triples;
-      t.filters = n.filters;
-      return t;
-    }
-    case AlgebraNode::Kind::kJoin: {
-      // (P1 OPT P2) AND P3 => (P1 AND P3) OPT P2: merge the mandatory
-      // roots, hoist all optional children as siblings.
-      PatternTreeNode a = Normalize(*n.children[0]);
-      PatternTreeNode b = Normalize(*n.children[1]);
-      PatternTreeNode t;
-      t.triples = a.triples;
-      t.triples.insert(t.triples.end(), b.triples.begin(), b.triples.end());
-      t.filters = a.filters;
-      t.filters.insert(t.filters.end(), b.filters.begin(), b.filters.end());
-      t.filters.insert(t.filters.end(), n.filters.begin(), n.filters.end());
-      t.children = std::move(a.children);
-      for (auto& c : b.children) t.children.push_back(std::move(c));
-      return t;
-    }
-    case AlgebraNode::Kind::kLeftJoin: {
-      PatternTreeNode left = Normalize(*n.children[0]);
-      PatternTreeNode right = Normalize(*n.children[1]);
-      left.filters.insert(left.filters.end(), n.filters.begin(),
-                          n.filters.end());
-      left.children.push_back(std::move(right));
-      return left;
-    }
-  }
-  return PatternTreeNode{};
-}
-
-int InterfaceWidth(const PatternTreeNode& node) {
-  int width = 0;
-  std::set<std::string> vars = node.Vars();
-  for (const PatternTreeNode& child : node.children) {
-    std::set<std::string> child_vars = child.Vars();
-    std::set<std::string> common;
-    std::set_intersection(vars.begin(), vars.end(), child_vars.begin(),
-                          child_vars.end(),
-                          std::inserter(common, common.begin()));
-    width = std::max(width, static_cast<int>(common.size()));
-    width = std::max(width, InterfaceWidth(child));
-  }
-  return width;
-}
-
-void NumberNodes(const PatternTreeNode& node, int parent, int& next,
-                 std::vector<int>& parents,
-                 std::vector<const PatternTreeNode*>& nodes) {
-  int id = next++;
-  parents.push_back(parent);
-  nodes.push_back(&node);
-  for (const PatternTreeNode& c : node.children) {
-    NumberNodes(c, id, next, parents, nodes);
-  }
-}
-
-bool ConnectedVariables(const PatternTreeNode& root) {
-  std::vector<int> parents;
-  std::vector<const PatternTreeNode*> nodes;
-  int next = 0;
-  NumberNodes(root, -1, next, parents, nodes);
-  // For every variable: the set of nodes whose CQ mentions it must form
-  // a connected subtree, i.e. every such node except the topmost has a
-  // parent chain to the topmost passing only through mention-nodes.
-  std::map<std::string, std::vector<int>> occurrences;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    for (const std::string& v : nodes[i]->Vars()) {
-      occurrences[v].push_back(static_cast<int>(i));
-    }
-  }
-  for (const auto& [var, occ] : occurrences) {
-    std::set<int> members(occ.begin(), occ.end());
-    // Connectivity: all members must reach the shallowest member through
-    // member-only parent chains; equivalently, each member's parent is a
-    // member, except for exactly one root-most node.
-    int roots = 0;
-    for (int m : occ) {
-      int parent = parents[static_cast<size_t>(m)];
-      if (parent < 0 || members.count(parent) == 0) ++roots;
-    }
-    if (roots != 1) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::set<std::string> PatternTreeNode::Vars() const {
-  std::set<std::string> vars;
-  for (const TriplePattern* tp : triples) tp->CollectVariables(vars);
-  return vars;
-}
-
-bool IsWellDesigned(const Pattern& body) {
-  std::unique_ptr<AlgebraNode> algebra = Translate(body);
-  if (algebra == nullptr) return false;
-  ComputeVars(*algebra);
-  std::vector<std::set<std::string>> atoms;
-  std::vector<LeftJoinInfo> leftjoins;
-  Linearize(*algebra, atoms, leftjoins);
-  for (const LeftJoinInfo& lj : leftjoins) {
-    // W = vars(R) \ vars(L) must not occur outside [lo, hi).
-    for (const std::string& w : lj.right_vars) {
-      if (lj.left_vars.count(w) > 0) continue;
-      for (size_t i = 0; i < atoms.size(); ++i) {
-        if (i >= lj.lo && i < lj.hi) continue;
-        if (atoms[i].count(w) > 0) return false;
+    const uint64_t* outside = NodeMask(s, i, kOutside);
+    const uint64_t* own = NodeMask(s, i, kOwn);
+    const uint64_t* left = NodeMask(s, n.left, kSubtree);
+    const uint64_t* right = NodeMask(s, n.right, kSubtree);
+    uint64_t* left_out = NodeMask(s, n.left, kOutside);
+    uint64_t* right_out = NodeMask(s, n.right, kOutside);
+    const bool left_join = n.kind == Kind::kLeftJoin;
+    for (int k = 0; k < w; ++k) {
+      const uint64_t base = outside[k] | own[k];
+      left_out[k] = base | right[k];
+      right_out[k] = base | left[k];
+      if (left_join && (right[k] & ~left[k] & outside[k]) != 0) {
+        out.well_designed = false;
       }
     }
+    // A Join's operands share their roots (OPT-normal form); a
+    // LeftJoin's right operand is a child of its left operand's root.
+    s.nodes[static_cast<size_t>(n.left)].tree_node = n.tree_node;
+    s.nodes[static_cast<size_t>(n.right)].tree_node =
+        left_join ? NewTreeNode(s, n.tree_node) : n.tree_node;
   }
-  return true;
-}
 
-PatternTreeResult BuildPatternTree(const Pattern& body) {
-  PatternTreeResult result;
-  std::unique_ptr<AlgebraNode> algebra = Translate(body);
-  if (algebra == nullptr) return result;
-  ComputeVars(*algebra);
-  result.ok = true;
-  result.root = Normalize(*algebra);
-  result.interface_width = InterfaceWidth(result.root);
-  result.connected_variables = ConnectedVariables(result.root);
-  return result;
+  // A variable's tree nodes are connected iff exactly one of them has a
+  // parent without it: the per-node "topmost" sets must be disjoint.
+  // One more bitset past the tree holds the union of those seen so far.
+  const int tree_size = static_cast<int>(s.tree_parent.size());
+  const int seen = NewTreeNode(s, -1);
+  out.connected_variables = true;
+  for (int t = 0; t < tree_size; ++t) {
+    const int parent = s.tree_parent[static_cast<size_t>(t)];
+    const uint64_t* vars = TreeMask(s, t);
+    const uint64_t* parent_vars = parent >= 0 ? TreeMask(s, parent) : nullptr;
+    uint64_t* seen_tops = TreeMask(s, seen);
+    int common = 0;
+    for (int k = 0; k < w; ++k) {
+      const uint64_t inherited = parent_vars != nullptr ? parent_vars[k] : 0;
+      common += std::popcount(vars[k] & inherited);
+      const uint64_t tops = vars[k] & ~inherited;
+      if ((tops & seen_tops[k]) != 0) out.connected_variables = false;
+      seen_tops[k] |= tops;
+    }
+    out.interface_width = std::max(out.interface_width, common);
+  }
+  return out;
 }
 
 }  // namespace sparqlog::fragments

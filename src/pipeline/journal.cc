@@ -143,9 +143,7 @@ util::Status RestoreCheckpoint(const snap::Snapshot& snapshot,
         " (this build reads " + std::to_string(kJournalVersion) + ")");
   }
   if (fp != fingerprint) {
-    return util::Status::Unsupported(
-        "checkpoint was written by an incompatible configuration "
-        "(options fingerprint mismatch)");
+    return util::Status::Unsupported("options fingerprint mismatch");
   }
   if (shard_count != shards.size()) {
     return util::Status::Unsupported(

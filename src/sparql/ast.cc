@@ -167,12 +167,10 @@ Expr Expr::Binary(ExprKind k, std::string_view op, Expr lhs, Expr rhs) {
 }
 
 void Expr::CollectVariables(std::set<std::string>& out) const {
-  if (kind == ExprKind::kTerm) {
-    if (term.is_variable()) out.insert(std::string(term.value));
-    return;
-  }
-  for (const Expr& a : args) a.CollectVariables(out);
-  if (pattern) pattern->CollectVariables(out);
+  ForEachVariable(*this, [&out](std::string_view v) {
+    out.emplace(v);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -197,11 +195,10 @@ TriplePattern TriplePattern::MakePath(Term s, PathExpr path, Term o) {
 }
 
 void TriplePattern::CollectVariables(std::set<std::string>& out) const {
-  if (subject.is_variable()) out.insert(std::string(subject.value));
-  if (!has_path && predicate.is_variable()) {
-    out.insert(std::string(predicate.value));
-  }
-  if (object.is_variable()) out.insert(std::string(object.value));
+  ForEachVariable(*this, [&out](std::string_view v) {
+    out.emplace(v);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -287,35 +284,10 @@ Pattern Pattern::Graph(Term iv, Pattern body) {
 }
 
 void Pattern::CollectVariables(std::set<std::string>& out) const {
-  switch (kind) {
-    case PatternKind::kTriple:
-      triple.CollectVariables(out);
-      return;
-    case PatternKind::kFilter:
-      expr.CollectVariables(out);
-      return;
-    case PatternKind::kBind:
-      expr.CollectVariables(out);
-      if (var.is_variable()) out.insert(std::string(var.value));
-      return;
-    case PatternKind::kValues:
-      for (const Term& v : values_vars) {
-        if (v.is_variable()) out.insert(std::string(v.value));
-      }
-      return;
-    case PatternKind::kGraph:
-    case PatternKind::kService:
-      if (graph.is_variable()) out.insert(std::string(graph.value));
-      break;
-    case PatternKind::kSubSelect:
-      if (subquery && subquery->has_body) {
-        subquery->where.CollectVariables(out);
-      }
-      return;
-    default:
-      break;
-  }
-  for (const Pattern& c : children) c.CollectVariables(out);
+  ForEachVariable(*this, [&out](std::string_view v) {
+    out.emplace(v);
+    return true;
+  });
 }
 
 void Pattern::CollectTriples(std::vector<const TriplePattern*>& out) const {
@@ -330,41 +302,10 @@ void Pattern::CollectTriples(std::vector<const TriplePattern*>& out) const {
 }
 
 void Pattern::CollectInScopeVariables(std::set<std::string>& out) const {
-  switch (kind) {
-    case PatternKind::kTriple:
-      triple.CollectVariables(out);
-      return;
-    case PatternKind::kFilter:
-      return;  // FILTER does not bind variables.
-    case PatternKind::kBind:
-      if (var.is_variable()) out.insert(std::string(var.value));
-      return;
-    case PatternKind::kValues:
-      for (const Term& v : values_vars) {
-        if (v.is_variable()) out.insert(std::string(v.value));
-      }
-      return;
-    case PatternKind::kMinus:
-      return;  // MINUS does not expose bindings.
-    case PatternKind::kGraph:
-    case PatternKind::kService:
-      if (graph.is_variable()) out.insert(std::string(graph.value));
-      break;
-    case PatternKind::kSubSelect:
-      if (subquery) {
-        if (subquery->select_star && subquery->has_body) {
-          subquery->where.CollectInScopeVariables(out);
-        } else {
-          for (const SelectItem& item : subquery->select_items) {
-            out.insert(std::string(item.var.value));
-          }
-        }
-      }
-      return;
-    default:
-      break;
-  }
-  for (const Pattern& c : children) c.CollectInScopeVariables(out);
+  ForEachInScopeVariable(*this, [&out](std::string_view v) {
+    out.emplace(v);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------

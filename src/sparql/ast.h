@@ -352,6 +352,123 @@ struct Query {
   std::set<std::string> BodyVariables() const;
 };
 
+// ---------------------------------------------------------------------------
+// Variable walks. Each calls `f(name)` (a std::string_view without the
+// leading '?') once per variable occurrence, in tree order, until `f`
+// returns false; the walk returns false iff `f` stopped it. The
+// CollectVariables / CollectInScopeVariables members are these walks
+// into a set; callers that need no set (early exits, dense variable ids)
+// walk directly.
+// ---------------------------------------------------------------------------
+
+template <typename F>
+bool ForEachVariable(const Expr& e, F&& f);
+template <typename F>
+bool ForEachVariable(const Pattern& p, F&& f);
+
+/// The variables of a triple pattern (a path's predicate has none).
+template <typename F>
+bool ForEachVariable(const TriplePattern& t, F&& f) {
+  if (t.subject.is_variable() && !f(std::string_view(t.subject.value))) {
+    return false;
+  }
+  if (!t.has_path && t.predicate.is_variable() &&
+      !f(std::string_view(t.predicate.value))) {
+    return false;
+  }
+  return !t.object.is_variable() || f(std::string_view(t.object.value));
+}
+
+/// Every variable of an expression, including inside EXISTS patterns.
+template <typename F>
+bool ForEachVariable(const Expr& e, F&& f) {
+  if (e.kind == ExprKind::kTerm) {
+    return !e.term.is_variable() || f(std::string_view(e.term.value));
+  }
+  for (const Expr& a : e.args) {
+    if (!ForEachVariable(a, f)) return false;
+  }
+  return !e.pattern || ForEachVariable(*e.pattern, f);
+}
+
+/// Every variable of a pattern (into subquery bodies, not their SELECT
+/// clauses).
+template <typename F>
+bool ForEachVariable(const Pattern& p, F&& f) {
+  auto term = [&f](const Term& t) {
+    return !t.is_variable() || f(std::string_view(t.value));
+  };
+  switch (p.kind) {
+    case PatternKind::kTriple:
+      return ForEachVariable(p.triple, f);
+    case PatternKind::kFilter:
+      return ForEachVariable(p.expr, f);
+    case PatternKind::kBind:
+      return ForEachVariable(p.expr, f) && term(p.var);
+    case PatternKind::kValues:
+      for (const Term& v : p.values_vars) {
+        if (!term(v)) return false;
+      }
+      return true;
+    case PatternKind::kGraph:
+    case PatternKind::kService:
+      if (!term(p.graph)) return false;
+      break;
+    case PatternKind::kSubSelect:
+      return !(p.subquery && p.subquery->has_body) ||
+             ForEachVariable(p.subquery->where, f);
+    default:
+      break;
+  }
+  for (const Pattern& c : p.children) {
+    if (!ForEachVariable(c, f)) return false;
+  }
+  return true;
+}
+
+/// The in-scope variables of a pattern per SPARQL 1.1 Section 18.2.1:
+/// no FILTER constraints, no MINUS bodies, and of a subquery only what
+/// it projects.
+template <typename F>
+bool ForEachInScopeVariable(const Pattern& p, F&& f) {
+  auto term = [&f](const Term& t) {
+    return !t.is_variable() || f(std::string_view(t.value));
+  };
+  switch (p.kind) {
+    case PatternKind::kTriple:
+      return ForEachVariable(p.triple, f);
+    case PatternKind::kFilter:
+    case PatternKind::kMinus:
+      return true;
+    case PatternKind::kBind:
+      return term(p.var);
+    case PatternKind::kValues:
+      for (const Term& v : p.values_vars) {
+        if (!term(v)) return false;
+      }
+      return true;
+    case PatternKind::kGraph:
+    case PatternKind::kService:
+      if (!term(p.graph)) return false;
+      break;
+    case PatternKind::kSubSelect:
+      if (!p.subquery) return true;
+      if (p.subquery->select_star && p.subquery->has_body) {
+        return ForEachInScopeVariable(p.subquery->where, f);
+      }
+      for (const SelectItem& item : p.subquery->select_items) {
+        if (!f(std::string_view(item.var.value))) return false;
+      }
+      return true;
+    default:
+      break;
+  }
+  for (const Pattern& c : p.children) {
+    if (!ForEachInScopeVariable(c, f)) return false;
+  }
+  return true;
+}
+
 }  // namespace sparqlog::sparql
 
 #endif  // SPARQLOG_SPARQL_AST_H_

@@ -83,12 +83,12 @@ void TripleStore::Match(TermId s, TermId p, TermId o,
     return;
   }
   if (p != 0 && o != 0) {
-    EncodedTriple lo{0, p, o};
-    auto begin = std::lower_bound(pos_.begin(), pos_.end(), lo, PosLess());
-    emit_range(begin, pos_.end(), [&](const EncodedTriple& t) {
-      return t.p == p && t.o == o;
-    });
-    // Early exit: the range is contiguous, stop at the first mismatch.
+    // POS index: the (p, o) rows are one contiguous run.
+    auto begin = std::lower_bound(pos_.begin(), pos_.end(),
+                                  EncodedTriple{0, p, o}, PosLess());
+    auto end = std::upper_bound(pos_.begin(), pos_.end(),
+                                EncodedTriple{~TermId{0}, p, o}, PosLess());
+    out.insert(out.end(), begin, end);
     return;
   }
   if (p != 0) {

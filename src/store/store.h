@@ -15,7 +15,7 @@ using rdf::EncodedTriple;
 using rdf::TermId;
 
 /// An in-memory, dictionary-encoded RDF triple store with the three
-/// standard access paths (SPO, POS, OSP sorted vectors). This is the
+/// access paths SPO, POS and PSO (sorted vectors). This is the
 /// shared substrate under both query engines of the Section 5.1
 /// experiment (one store, two execution strategies).
 class TripleStore {

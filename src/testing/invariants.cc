@@ -6,10 +6,12 @@
 #include <iterator>
 #include <utility>
 
+#include "analysis/projection.h"
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
 #include "corpus/report.h"
+#include "fragments/fragment.h"
 #include "graph/canonical.h"
 #include "graph/shapes.h"
 #include "obs/metrics.h"
@@ -21,6 +23,7 @@
 #include "sparql/serializer.h"
 #include "streaks/streaks.h"
 #include "testing/reference_analysis.h"
+#include "testing/reference_fragments.h"
 #include "util/ascii.h"
 #include "util/simd_scan.h"
 #include "util/strings.h"
@@ -711,11 +714,57 @@ std::optional<Violation> CheckSourceEquivalence(
 std::optional<Violation> CheckAnalysisEquivalence(
     const sparql::Query& q, corpus::AnalysisScratch& scratch,
     int max_ghw_edges) {
-  if (!q.has_body) return std::nullopt;
   std::string text = sparql::Serialize(q);
   auto fail = [&text](const std::string& detail) {
     return Violate("analysis-old-vs-new", detail, text);
   };
+
+  // ---- Fragment classes (Section 5.2) and projection (Section 4.4) ----
+  const fragments::FragmentClass ref_fc = reference::ClassifyFragment(q);
+  const fragments::FragmentClass new_fc =
+      fragments::ClassifyFragment(q, scratch.fragments);
+  auto field = [&](const char* name, int a, int b)
+      -> std::optional<Violation> {
+    if (a == b) return std::nullopt;
+    return fail(std::string("FragmentClass.") + name + " differs: old " +
+                std::to_string(a) + " vs new " + std::to_string(b));
+  };
+  if (auto v = field("select_or_ask", ref_fc.select_or_ask,
+                     new_fc.select_or_ask)) {
+    return v;
+  }
+  if (auto v = field("aof", ref_fc.aof, new_fc.aof)) return v;
+  if (auto v = field("cq", ref_fc.cq, new_fc.cq)) return v;
+  if (auto v = field("cpf", ref_fc.cpf, new_fc.cpf)) return v;
+  if (auto v = field("cqf", ref_fc.cqf, new_fc.cqf)) return v;
+  if (auto v = field("well_designed", ref_fc.well_designed,
+                     new_fc.well_designed)) {
+    return v;
+  }
+  if (auto v = field("cqof", ref_fc.cqof, new_fc.cqof)) return v;
+  if (auto v = field("simple_filters", ref_fc.simple_filters,
+                     new_fc.simple_filters)) {
+    return v;
+  }
+  if (auto v = field("interface_width", ref_fc.interface_width,
+                     new_fc.interface_width)) {
+    return v;
+  }
+  if (auto v = field("num_triples", ref_fc.num_triples,
+                     new_fc.num_triples)) {
+    return v;
+  }
+  if (auto v = field("var_predicate", ref_fc.var_predicate,
+                     new_fc.var_predicate)) {
+    return v;
+  }
+  if (auto v = field("projection",
+                     static_cast<int>(reference::ClassifyProjection(q)),
+                     static_cast<int>(analysis::ClassifyProjection(
+                         q, scratch.fragments.vars)))) {
+    return v;
+  }
+  if (!q.has_body) return std::nullopt;
 
   scratch.triples.clear();
   scratch.filters.clear();

@@ -156,8 +156,10 @@ std::optional<Violation> CheckSourceEquivalence(
 
 /// Replays one query's structural analysis through the pre-change
 /// implementations (testing/reference_analysis: NodeKey-string interning,
-/// std::set graphs, restart kernelization, set-based det-k-decomp) and
-/// the allocation-lean scratch path, comparing canonical graph size,
+/// std::set graphs, restart kernelization, set-based det-k-decomp;
+/// testing/reference_fragments: string-set fragment classification and
+/// projection) and the allocation-lean scratch path, comparing every
+/// FragmentClass field, ClassifyProjection, canonical graph size,
 /// node terms, every ShapeClass flag, girth, treewidth, and — for
 /// hypergraphs of at most `max_ghw_edges` hyperedges, since both exact
 /// searches are exponential in the worst case — GHW width and

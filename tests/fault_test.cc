@@ -552,6 +552,12 @@ TEST(JournalTest, IncompatibleCheckpointIsRejected) {
     ASSERT_FALSE(r.ok());
     // Incompatible, not damaged: kUnsupported, never kInvalidArgument.
     EXPECT_EQ(r.status().code(), util::StatusCode::kUnsupported);
+    // The reason is stated once, not once per layer that reports it.
+    const std::string& msg = r.status().message();
+    const std::string phrase = "incompatible configuration";
+    const size_t first = msg.find(phrase);
+    ASSERT_NE(first, std::string::npos) << msg;
+    EXPECT_EQ(msg.find(phrase, first + 1), std::string::npos) << msg;
   }
   RemoveJournal(path);
 }

@@ -15,7 +15,8 @@ using sparql::QueryForm;
 QueryFeatures Features(std::string_view text) {
   auto r = ParseQuery(text);
   EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << text;
-  return ExtractFeatures(r.value());
+  fragments::VariableTable vars;
+  return ExtractFeatures(r.value(), vars);
 }
 
 // ---------------------------------------------------------------------------

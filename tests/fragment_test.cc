@@ -1,14 +1,25 @@
+#include "obs/alloc_hooks.h"  // counting operator new, once per binary
+
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "analysis/projection.h"
 #include "fragments/fragment.h"
 #include "fragments/pattern_tree.h"
+#include "obs/alloc_tracker.h"
 #include "sparql/parser.h"
+#include "sparql/serializer.h"
+#include "testing/reference_fragments.h"
 
 namespace sparqlog::fragments {
 namespace {
 
 using sparql::ParseQuery;
 using sparql::Query;
+using testing::reference::BuildPatternTree;
+using testing::reference::PatternTreeResult;
 
 FragmentClass Classify(std::string_view text) {
   auto r = ParseQuery(text);
@@ -177,8 +188,22 @@ TEST(WellDesignedTest, CqIsTriviallyWellDesigned) {
 }
 
 // ---------------------------------------------------------------------------
-// Pattern trees
+// Pattern trees. The node structure is read off the string-set oracle's
+// materialized tree; AnalyzeAof, which never materializes it, must agree
+// with that tree on AOF-ness, interface width and connectivity.
 // ---------------------------------------------------------------------------
+
+PatternTreeResult TreeOf(const sparql::Pattern& body) {
+  PatternTreeResult tree = BuildPatternTree(body);
+  FragmentScratch scratch;
+  AofStructure aof = AnalyzeAof(body, scratch);
+  EXPECT_EQ(aof.ok, tree.ok);
+  if (tree.ok) {
+    EXPECT_EQ(aof.interface_width, tree.interface_width);
+    EXPECT_EQ(aof.connected_variables, tree.connected_variables);
+  }
+  return tree;
+}
 
 TEST(PatternTreeTest, OptNormalFormHoistsJoin) {
   // {t1 OPTIONAL {t2} t3}: the rewrite puts t1, t3 in the root and t2 as
@@ -186,7 +211,7 @@ TEST(PatternTreeTest, OptNormalFormHoistsJoin) {
   auto r = ParseQuery(
       "SELECT * WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z } ?x <r> ?w }");
   ASSERT_TRUE(r.ok());
-  PatternTreeResult tree = BuildPatternTree(r.value().where);
+  PatternTreeResult tree = TreeOf(r.value().where);
   ASSERT_TRUE(tree.ok);
   EXPECT_EQ(tree.root.triples.size(), 2u);
   ASSERT_EQ(tree.root.children.size(), 1u);
@@ -198,7 +223,7 @@ TEST(PatternTreeTest, SiblingOptionalsBecomeSiblings) {
       "SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E } "
       "OPTIONAL { ?A <web> ?W } }");
   ASSERT_TRUE(r.ok());
-  PatternTreeResult tree = BuildPatternTree(r.value().where);
+  PatternTreeResult tree = TreeOf(r.value().where);
   ASSERT_TRUE(tree.ok);
   EXPECT_EQ(tree.root.children.size(), 2u);
   EXPECT_TRUE(tree.connected_variables);
@@ -210,7 +235,7 @@ TEST(PatternTreeTest, ConnectednessViolationDetected) {
       "SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E } "
       "OPTIONAL { ?E <host> ?H } }");
   ASSERT_TRUE(r.ok());
-  PatternTreeResult tree = BuildPatternTree(r.value().where);
+  PatternTreeResult tree = TreeOf(r.value().where);
   ASSERT_TRUE(tree.ok);
   EXPECT_FALSE(tree.connected_variables);
 }
@@ -219,7 +244,7 @@ TEST(PatternTreeTest, NonAofReturnsNotOk) {
   auto r = ParseQuery(
       "SELECT * WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } }");
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(BuildPatternTree(r.value().where).ok);
+  EXPECT_FALSE(TreeOf(r.value().where).ok);
 }
 
 TEST(PatternTreeTest, FiltersAttachToNodes) {
@@ -227,7 +252,7 @@ TEST(PatternTreeTest, FiltersAttachToNodes) {
       "SELECT * WHERE { ?x <p> ?y FILTER(?y > 1) OPTIONAL "
       "{ ?x <q> ?z FILTER(?z > 2) } }");
   ASSERT_TRUE(r.ok());
-  PatternTreeResult tree = BuildPatternTree(r.value().where);
+  PatternTreeResult tree = TreeOf(r.value().where);
   ASSERT_TRUE(tree.ok);
   EXPECT_EQ(tree.root.filters.size(), 1u);
   ASSERT_EQ(tree.root.children.size(), 1u);
@@ -251,6 +276,134 @@ TEST(SimpleFilterTest, Definitions) {
   EXPECT_FALSE(IsSimpleFilter(expr("?x < ?y")));
   EXPECT_FALSE(IsSimpleFilter(expr("?x = ?y || ?a = ?b")));
   EXPECT_TRUE(IsSimpleFilter(expr("REGEX(?x, \"^A\")")));
+  for (const char* text :
+       {"?x > 1", "?x = ?y", "?x < ?y", "?x = ?y || ?a = ?b", "?x = ?x",
+        "EXISTS { ?x <p> ?y }", "NOT EXISTS { ?x <p> <o> }"}) {
+    EXPECT_EQ(IsSimpleFilter(expr(text)),
+              testing::reference::IsSimpleFilter(expr(text)))
+        << text;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Variable ids at the one-word/multi-word edge, and the warm scratch.
+// ---------------------------------------------------------------------------
+
+std::string Var(int i) { return "?v" + std::to_string(i); }
+
+/// A chain ?v0 <p> ?v1 . ?v1 <p> ?v2 ... over n distinct variables whose
+/// every third triple opens an OPTIONAL nested in the previous one (the
+/// parser caps nesting at 128), so each level shares one variable with
+/// its parent.
+std::string NestedChain(int n) {
+  std::string q = "SELECT * WHERE {";
+  int opened = 0;
+  for (int i = 0; i + 1 < n; ++i) {
+    if (i > 0 && i % 3 == 0) {
+      q += " OPTIONAL {";
+      ++opened;
+    }
+    q += " " + Var(i) + " <p> " + Var(i + 1) + " .";
+  }
+  return q + std::string(static_cast<size_t>(opened), '}') + " }";
+}
+
+/// `{ ?v0 <p> ?v1 OPTIONAL { ?v1 <p> ?v2 } OPTIONAL { ?v2 <p> ?v3 } ... }`:
+/// sibling OPTIONALs sharing a variable the root lacks (not well
+/// designed from the second one on).
+std::string SiblingChain(int n) {
+  std::string q = "SELECT * WHERE { ?v0 <p> ?v1";
+  for (int i = 1; i + 1 < n; ++i) {
+    q += " OPTIONAL { " + Var(i) + " <p> " + Var(i + 1) + " }";
+  }
+  return q + " }";
+}
+
+/// A mandatory chain over n variables, then one OPTIONAL sharing the
+/// variables 62..64 (on both sides of the first word boundary) with it,
+/// plus an equality filter between the first and last variable.
+std::string WideInterface(int n) {
+  std::string q = "SELECT * WHERE {";
+  for (int i = 0; i + 1 < n; ++i) {
+    q += " " + Var(i) + " <p> " + Var(i + 1) + " .";
+  }
+  q += " OPTIONAL { ?v62 <q> ?v63 . ?v64 <q> ?w }";
+  q += " FILTER(" + Var(0) + " = " + Var(n - 1) + ") }";
+  return q;
+}
+
+void ExpectSameAsOracle(const std::string& text) {
+  auto r = ParseQuery(text);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Query& q = r.value();
+  FragmentScratch scratch;
+  const FragmentClass got = ClassifyFragment(q, scratch);
+  const FragmentClass want = testing::reference::ClassifyFragment(q);
+  EXPECT_EQ(got.select_or_ask, want.select_or_ask);
+  EXPECT_EQ(got.aof, want.aof);
+  EXPECT_EQ(got.cq, want.cq);
+  EXPECT_EQ(got.cpf, want.cpf);
+  EXPECT_EQ(got.cqf, want.cqf);
+  EXPECT_EQ(got.well_designed, want.well_designed);
+  EXPECT_EQ(got.cqof, want.cqof);
+  EXPECT_EQ(got.simple_filters, want.simple_filters);
+  EXPECT_EQ(got.interface_width, want.interface_width);
+  EXPECT_EQ(got.num_triples, want.num_triples);
+  EXPECT_EQ(got.var_predicate, want.var_predicate);
+  EXPECT_EQ(analysis::ClassifyProjection(q, scratch.vars),
+            testing::reference::ClassifyProjection(q));
+}
+
+TEST(FragmentTest, OptionalChainsAcrossTheWordBoundaryMatchOracle) {
+  for (int n : {63, 64, 65, 130}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ExpectSameAsOracle(NestedChain(n));
+    ExpectSameAsOracle(SiblingChain(n));
+    ExpectSameAsOracle(WideInterface(n));
+
+    // The bitsets really are ceil(n / 64) words wide.
+    auto r = ParseQuery(NestedChain(n));
+    ASSERT_TRUE(r.ok());
+    FragmentScratch scratch;
+    FragmentClass fc = ClassifyFragment(r.value(), scratch);
+    EXPECT_TRUE(fc.well_designed);
+    EXPECT_EQ(fc.interface_width, 1);
+    EXPECT_TRUE(fc.cqof);
+    EXPECT_EQ(scratch.vars.size(), n);
+    EXPECT_EQ(scratch.words, (n + 63) / 64);
+  }
+}
+
+TEST(FragmentTest, WideInterfaceCountsAcrossWords) {
+  FragmentClass fc = Classify(WideInterface(130));
+  EXPECT_TRUE(fc.well_designed);
+  EXPECT_EQ(fc.interface_width, 3);  // ?v62, ?v63 and ?v64
+  EXPECT_FALSE(fc.cqof);
+}
+
+TEST(FragmentTest, WarmScratchClassifiesWithoutAllocating) {
+  const std::string texts[] = {
+      NestedChain(130), SiblingChain(70), WideInterface(65),
+      "SELECT ?x WHERE { ?x <p> ?y OPTIONAL { ?y <q> ?z FILTER(?z > 1) } }",
+      "ASK { ?x <p> ?y . ?y <q> ?z }"};
+  std::vector<Query> queries;
+  for (const std::string& text : texts) {
+    auto r = ParseQuery(text);
+    ASSERT_TRUE(r.ok()) << text;
+    queries.push_back(std::move(r).value());
+  }
+  FragmentScratch scratch;
+  for (const Query& q : queries) {
+    ClassifyFragment(q, scratch);  // warm up
+    analysis::ClassifyProjection(q, scratch.vars);
+  }
+  for (const Query& q : queries) {
+    const uint64_t before = obs::ThreadAllocationCount();
+    ClassifyFragment(q, scratch);
+    analysis::ClassifyProjection(q, scratch.vars);
+    EXPECT_EQ(obs::ThreadAllocationCount() - before, 0u)
+        << sparql::Serialize(q);
+  }
 }
 
 }  // namespace

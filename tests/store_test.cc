@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "store/engine.h"
 #include "store/store.h"
 
@@ -48,6 +50,27 @@ TEST(StoreTest, MatchByPredicateObject) {
   std::vector<rdf::EncodedTriple> out;
   s.Match(0, s.dict().Lookup("knows"), s.dict().Lookup("alice"), out);
   EXPECT_EQ(out.size(), 2u);  // carol, dave
+}
+
+// Every (p, o) pair of the dictionary, present or not: the POS range
+// returns exactly the rows a filter over the full scan keeps.
+TEST(StoreTest, MatchByPredicateObjectEqualsBruteForce) {
+  TripleStore s = SmallGraph();
+  std::vector<rdf::EncodedTriple> all;
+  s.Match(0, 0, 0, all);
+  const TermId max_id = static_cast<TermId>(s.dict().size());
+  for (TermId p = 1; p <= max_id; ++p) {
+    for (TermId o = 1; o <= max_id; ++o) {
+      std::vector<rdf::EncodedTriple> expected;
+      for (const rdf::EncodedTriple& t : all) {
+        if (t.p == p && t.o == o) expected.push_back(t);
+      }
+      std::vector<rdf::EncodedTriple> got;
+      s.Match(0, p, o, got);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "p=" << p << " o=" << o;
+    }
+  }
 }
 
 TEST(StoreTest, MatchFullScan) {
