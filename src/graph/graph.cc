@@ -85,57 +85,11 @@ bool Graph::HasSelfLoop(int v) const {
   return std::binary_search(self_loops_.begin(), self_loops_.end(), v);
 }
 
-std::vector<std::vector<int>> Graph::ConnectedComponents() const {
-  std::vector<std::vector<int>> components;
-  std::vector<bool> seen(static_cast<size_t>(num_nodes_), false);
-  std::vector<int> frontier;
-  for (int start = 0; start < num_nodes_; ++start) {
-    if (seen[static_cast<size_t>(start)]) continue;
-    std::vector<int> comp;
-    frontier.clear();
-    frontier.push_back(start);
-    seen[static_cast<size_t>(start)] = true;
-    while (!frontier.empty()) {
-      int v = frontier.back();
-      frontier.pop_back();
-      comp.push_back(v);
-      for (int w : Neighbors(v)) {
-        if (!seen[static_cast<size_t>(w)]) {
-          seen[static_cast<size_t>(w)] = true;
-          frontier.push_back(w);
-        }
-      }
-    }
-    std::sort(comp.begin(), comp.end());
-    components.push_back(std::move(comp));
-  }
-  return components;
-}
-
-Graph Graph::InducedSubgraph(const std::vector<int>& nodes,
-                             std::vector<int>* index_map) const {
-  std::vector<int> map(static_cast<size_t>(num_nodes_), -1);
-  Graph sub(static_cast<int>(nodes.size()));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    map[static_cast<size_t>(nodes[i])] = static_cast<int>(i);
-  }
-  for (int v : nodes) {
-    int nv = map[static_cast<size_t>(v)];
-    if (HasSelfLoop(v)) sub.AddEdge(nv, nv);
-    for (int w : Neighbors(v)) {
-      int nw = map[static_cast<size_t>(w)];
-      if (nw >= 0 && nv < nw) sub.AddEdge(nv, nw);
-    }
-  }
-  if (index_map != nullptr) *index_map = std::move(map);
-  return sub;
-}
-
 bool Graph::IsAcyclic(bool ignore_self_loops) const {
   if (!ignore_self_loops && !self_loops_.empty()) return false;
   // A graph is a forest iff every component has |E| = |V| - 1, i.e.
   // globally |E_proper| = |V| - #components. Count components with a
-  // plain DFS over a seen bitmap (no component lists needed).
+  // plain DFS over a seen bitmap.
   std::vector<bool> seen(static_cast<size_t>(num_nodes_), false);
   std::vector<int> frontier;
   int components = 0;

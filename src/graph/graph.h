@@ -118,14 +118,6 @@ class Graph {
   /// The adjacency mask of v; only valid when small().
   uint64_t AdjacencyBits(int v) const { return bits_[static_cast<size_t>(v)]; }
 
-  /// Connected components as lists of node indices (singletons included).
-  std::vector<std::vector<int>> ConnectedComponents() const;
-
-  /// The node-induced subgraph; `index_map` (optional out) maps original
-  /// node index -> new index (-1 if removed).
-  Graph InducedSubgraph(const std::vector<int>& nodes,
-                        std::vector<int>* index_map = nullptr) const;
-
   /// True iff the graph has no cycle (ignoring self-loops if
   /// `ignore_self_loops`, else a self-loop counts as a cycle).
   bool IsAcyclic(bool ignore_self_loops = false) const;

@@ -1,7 +1,6 @@
 #include "graph/hypergraph.h"
 
 #include <algorithm>
-#include <set>
 
 namespace sparqlog::graph {
 
@@ -26,95 +25,76 @@ void Hypergraph::AddEdgeSorted(const int* begin, const int* end) {
   offsets_.push_back(static_cast<int>(pool_.size()));
 }
 
-bool Hypergraph::IsAlphaAcyclic() const {
+bool Hypergraph::IsAlphaAcyclic(std::vector<uint64_t>& words) const {
   // GYO reduction: repeatedly (1) delete nodes that occur in exactly one
   // edge, (2) delete edges contained in another remaining edge. The
-  // hypergraph is alpha-acyclic iff this empties all edges. Generic
-  // (allocating) form — the hot path runs the bitset GYO inside
-  // width::GeneralizedHypertreeWidth instead.
-  std::vector<std::set<int>> edges(static_cast<size_t>(num_edges()));
-  for (int e = 0; e < num_edges(); ++e) {
-    auto span = edge(e);
-    edges[static_cast<size_t>(e)].insert(span.begin(), span.end());
+  // hypergraph is alpha-acyclic iff this empties all edges. Deleted
+  // edges are zero masks.
+  const size_t m = static_cast<size_t>(num_edges());
+  const size_t vw = (static_cast<size_t>(num_nodes_) + 63) / 64;
+  if (words.size() < (m + 2) * vw) words.resize((m + 2) * vw);
+  std::fill_n(words.begin(), (m + 2) * vw, 0);
+  uint64_t* masks = words.data();
+  for (size_t e = 0; e < m; ++e) {
+    for (int v : edge(static_cast<int>(e))) {
+      masks[e * vw + static_cast<size_t>(v >> 6)] |= 1ULL << (v & 63);
+    }
   }
-  std::vector<bool> alive(edges.size(), true);
+  uint64_t* seen_once = masks + m * vw;
+  uint64_t* seen_twice = seen_once + vw;
+  auto row = [masks, vw](size_t e) { return masks + e * vw; };
+  auto empty = [vw](const uint64_t* r) {
+    return std::all_of(r, r + vw, [](uint64_t w) { return w == 0; });
+  };
   bool changed = true;
   while (changed) {
     changed = false;
-    // Count node occurrences among live edges.
-    std::vector<int> occurrences(static_cast<size_t>(num_nodes_), 0);
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (!alive[i]) continue;
-      for (int v : edges[i]) ++occurrences[static_cast<size_t>(v)];
+    // Rule 1: nodes occurring in exactly one live edge.
+    std::fill_n(seen_once, 2 * vw, 0);
+    for (size_t e = 0; e < m; ++e) {
+      for (size_t w = 0; w < vw; ++w) {
+        uint64_t r = row(e)[w];
+        seen_twice[w] |= seen_once[w] & r;
+        seen_once[w] |= r;
+      }
     }
-    // Rule 1: remove nodes occurring in a single edge.
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (!alive[i]) continue;
-      for (auto it = edges[i].begin(); it != edges[i].end();) {
-        if (occurrences[static_cast<size_t>(*it)] == 1) {
-          it = edges[i].erase(it);
+    uint64_t* singles = seen_once;
+    for (size_t w = 0; w < vw; ++w) singles[w] &= ~seen_twice[w];
+    for (size_t e = 0; e < m; ++e) {
+      for (size_t w = 0; w < vw; ++w) {
+        if ((row(e)[w] & singles[w]) != 0) {
+          row(e)[w] &= ~singles[w];
           changed = true;
-        } else {
-          ++it;
         }
       }
-      if (edges[i].empty()) alive[i] = false;
     }
-    // Rule 2: remove edges contained in another live edge.
-    for (size_t i = 0; i < edges.size(); ++i) {
-      if (!alive[i]) continue;
-      for (size_t j = 0; j < edges.size(); ++j) {
-        if (i == j || !alive[j]) continue;
-        if (std::includes(edges[j].begin(), edges[j].end(),
-                          edges[i].begin(), edges[i].end()) &&
-            // Break ties between identical edges by index.
-            (edges[i] != edges[j] || i > j)) {
-          alive[i] = false;
+    // Rule 2: edges contained in another live edge (ties between
+    // identical edges broken by index). A live edge's superset is live.
+    for (size_t i = 0; i < m; ++i) {
+      uint64_t* ri = row(i);
+      if (empty(ri)) continue;
+      for (size_t j = 0; j < m; ++j) {
+        const uint64_t* rj = row(j);
+        size_t w = 0;
+        while (w < vw && (ri[w] & ~rj[w]) == 0) ++w;
+        if (w < vw || i == j) continue;
+        if (i > j || !std::equal(ri, ri + vw, rj)) {
+          std::fill_n(ri, vw, 0);
           changed = true;
           break;
         }
       }
     }
   }
-  for (size_t i = 0; i < edges.size(); ++i) {
-    if (alive[i]) return false;
+  for (size_t e = 0; e < m; ++e) {
+    if (!empty(row(e))) return false;
   }
   return true;
 }
 
-std::vector<std::vector<int>> Hypergraph::ConnectedComponents() const {
-  std::vector<std::vector<int>> node_edges(static_cast<size_t>(num_nodes_));
-  for (int e = 0; e < num_edges(); ++e) {
-    for (int v : edge(e)) {
-      node_edges[static_cast<size_t>(v)].push_back(e);
-    }
-  }
-  std::vector<std::vector<int>> components;
-  std::vector<bool> seen(static_cast<size_t>(num_nodes_), false);
-  std::vector<int> frontier;
-  for (int start = 0; start < num_nodes_; ++start) {
-    if (seen[static_cast<size_t>(start)]) continue;
-    std::vector<int> comp;
-    frontier.clear();
-    frontier.push_back(start);
-    seen[static_cast<size_t>(start)] = true;
-    while (!frontier.empty()) {
-      int v = frontier.back();
-      frontier.pop_back();
-      comp.push_back(v);
-      for (int e : node_edges[static_cast<size_t>(v)]) {
-        for (int w : edge(e)) {
-          if (!seen[static_cast<size_t>(w)]) {
-            seen[static_cast<size_t>(w)] = true;
-            frontier.push_back(w);
-          }
-        }
-      }
-    }
-    std::sort(comp.begin(), comp.end());
-    components.push_back(std::move(comp));
-  }
-  return components;
+bool Hypergraph::IsAlphaAcyclic() const {
+  std::vector<uint64_t> words;
+  return IsAlphaAcyclic(words);
 }
 
 }  // namespace sparqlog::graph

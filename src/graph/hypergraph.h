@@ -1,6 +1,7 @@
 #ifndef SPARQLOG_GRAPH_HYPERGRAPH_H_
 #define SPARQLOG_GRAPH_HYPERGRAPH_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,11 +41,11 @@ class Hypergraph {
 
   /// True iff the hypergraph is alpha-acyclic (GYO reduction succeeds),
   /// which is equivalent to generalized hypertree width <= 1 for
-  /// non-trivial hypergraphs.
+  /// non-trivial hypergraphs. The reduction runs to a fixpoint over one
+  /// ceil(n/64)-word vertex mask per edge, held in `words`; the
+  /// overload taking it allocates nothing once `words` is warm.
+  bool IsAlphaAcyclic(std::vector<uint64_t>& words) const;
   bool IsAlphaAcyclic() const;
-
-  /// Connected components of the node set (via shared edges).
-  std::vector<std::vector<int>> ConnectedComponents() const;
 
  private:
   std::vector<int> pool_;

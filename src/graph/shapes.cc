@@ -1,167 +1,9 @@
 #include "graph/shapes.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 #include <vector>
 
 namespace sparqlog::graph {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Set-based block helpers, kept for the standalone IsPetal /
-// IsFlowerWithCenter predicates (test API; not on the per-query hot
-// path — ClassifyShape below has its own scratch-reusing pass).
-// ---------------------------------------------------------------------------
-
-/// Biconnected components (blocks) as edge lists, via Tarjan/Hopcroft.
-/// Self-loops are not part of any block here; handled separately.
-std::vector<std::vector<std::pair<int, int>>> Blocks(const Graph& g) {
-  int n = g.num_nodes();
-  std::vector<int> disc(static_cast<size_t>(n), -1),
-      low(static_cast<size_t>(n), 0);
-  std::vector<std::pair<int, int>> edge_stack;
-  std::vector<std::vector<std::pair<int, int>>> blocks;
-  int timer = 0;
-
-  std::function<void(int, int)> dfs = [&](int u, int parent) {
-    disc[static_cast<size_t>(u)] = low[static_cast<size_t>(u)] = timer++;
-    bool skipped_parent_edge = false;
-    for (int v : g.Neighbors(u)) {
-      if (v == parent && !skipped_parent_edge) {
-        // Skip exactly one copy of the tree edge back to the parent.
-        skipped_parent_edge = true;
-        continue;
-      }
-      if (disc[static_cast<size_t>(v)] < 0) {
-        edge_stack.emplace_back(u, v);
-        dfs(v, u);
-        low[static_cast<size_t>(u)] =
-            std::min(low[static_cast<size_t>(u)], low[static_cast<size_t>(v)]);
-        if (low[static_cast<size_t>(v)] >= disc[static_cast<size_t>(u)]) {
-          // u is an articulation point (or root): pop one block.
-          std::vector<std::pair<int, int>> block;
-          for (;;) {
-            auto e = edge_stack.back();
-            edge_stack.pop_back();
-            block.push_back(e);
-            if (e.first == u && e.second == v) break;
-          }
-          blocks.push_back(std::move(block));
-        }
-      } else if (disc[static_cast<size_t>(v)] < disc[static_cast<size_t>(u)]) {
-        edge_stack.emplace_back(u, v);
-        low[static_cast<size_t>(u)] =
-            std::min(low[static_cast<size_t>(u)], disc[static_cast<size_t>(v)]);
-      }
-    }
-  };
-
-  for (int u = 0; u < n; ++u) {
-    if (disc[static_cast<size_t>(u)] < 0) dfs(u, -1);
-  }
-  return blocks;
-}
-
-std::set<int> BlockNodes(const std::vector<std::pair<int, int>>& block) {
-  std::set<int> nodes;
-  for (const auto& [u, v] : block) {
-    nodes.insert(u);
-    nodes.insert(v);
-  }
-  return nodes;
-}
-
-/// Checks whether a cyclic block is a petal and reports its allowed
-/// attachment nodes: for a plain cycle, every node; for a generalized
-/// theta (two branch nodes of equal degree, rest degree 2), the two
-/// branch nodes; empty set if not a petal.
-std::set<int> PetalCenters(const std::vector<std::pair<int, int>>& block) {
-  std::set<int> nodes = BlockNodes(block);
-  std::vector<std::pair<int, int>> degrees;  // (node, degree in block)
-  for (int v : nodes) {
-    int d = 0;
-    for (const auto& [a, b] : block) {
-      if (a == v || b == v) ++d;
-    }
-    degrees.emplace_back(v, d);
-  }
-  std::set<int> branch;
-  for (const auto& [v, d] : degrees) {
-    if (d > 2) branch.insert(v);
-    if (d < 2) return {};  // cannot happen in a 2-connected block
-  }
-  if (branch.empty()) return nodes;  // a simple cycle
-  if (branch.size() != 2) return {};
-  auto it = branch.begin();
-  int u = *it++;
-  int v = *it;
-  int du = 0, dv = 0;
-  for (const auto& [a, b] : block) {
-    if (a == u || b == u) ++du;
-    if (a == v || b == v) ++dv;
-  }
-  if (du != dv) return {};
-  // Two equal-degree branch nodes, all others degree 2, 2-connected:
-  // a union of du internally node-disjoint u-v paths, i.e. a petal.
-  return branch;
-}
-
-}  // namespace
-
-bool IsPetal(const Graph& g) {
-  if (!g.self_loops().empty()) return false;
-  if (g.num_nodes() < 2 || g.IsAcyclic()) return false;
-  auto components = g.ConnectedComponents();
-  if (components.size() != 1) return false;
-  std::vector<std::pair<int, int>> edges;
-  for (int u = 0; u < g.num_nodes(); ++u) {
-    for (int v : g.Neighbors(u)) {
-      if (u < v) edges.emplace_back(u, v);
-    }
-  }
-  // A petal is a single 2-connected block with the branch structure above.
-  auto blocks = Blocks(g);
-  if (blocks.size() != 1) return false;
-  if (blocks[0].size() != edges.size()) return false;
-  return !PetalCenters(blocks[0]).empty();
-}
-
-bool IsFlowerWithCenter(const Graph& g, int x) {
-  // All self-loops must sit at the center.
-  for (int v : g.self_loops()) {
-    if (v != x) return false;
-  }
-  auto blocks = Blocks(g);
-  std::set<std::pair<int, int>> petal_edges;
-  for (const auto& block : blocks) {
-    if (block.size() <= 1) continue;  // a bridge, part of the acyclic part
-    std::set<int> centers = PetalCenters(block);
-    if (centers.count(x) == 0) return false;
-    for (const auto& [u, v] : block) {
-      petal_edges.insert({std::min(u, v), std::max(u, v)});
-    }
-  }
-  // Remove petal edges; every remaining nontrivial component must
-  // contain x (trees attach to the flower at the center only).
-  Graph rest(g.num_nodes());
-  for (int u = 0; u < g.num_nodes(); ++u) {
-    for (int v : g.Neighbors(u)) {
-      if (u < v && petal_edges.count({u, v}) == 0) rest.AddEdge(u, v);
-    }
-  }
-  for (const auto& comp : rest.ConnectedComponents()) {
-    if (comp.size() <= 1) continue;
-    bool has_edge = false;
-    for (int v : comp) {
-      if (rest.Degree(v) > 0) has_edge = true;
-    }
-    if (!has_edge) continue;
-    if (std::find(comp.begin(), comp.end(), x) == comp.end()) return false;
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // Scratch-reusing classifier: one CSR snapshot, one component pass, one
@@ -171,10 +13,11 @@ bool IsFlowerWithCenter(const Graph& g, int x) {
 
 namespace {
 
-/// Fills s.centers_tmp (ascending) with the petal centers of s.block;
-/// leaves it empty when the block is not a petal. Scratch twin of
-/// PetalCenters above.
-void PetalCentersScratch(ShapeScratch& s) {
+/// Fills s.centers_tmp (ascending) with the allowed attachment nodes of
+/// the cyclic block s.block: for a plain cycle, every node; for a
+/// generalized theta (two branch nodes of equal degree, rest degree 2),
+/// the two branch nodes. Leaves it empty when the block is not a petal.
+void PetalCenters(ShapeScratch& s) {
   auto& bn = s.block_nodes;
   bn.clear();
   for (const auto& [u, v] : s.block) {
@@ -220,43 +63,36 @@ void PetalCentersScratch(ShapeScratch& s) {
 }
 
 /// Folds one popped block into the per-component flower state.
-void AbsorbBlock(const Graph& g, ShapeScratch& s) {
+void AbsorbBlock(ShapeScratch& s) {
   if (s.block.size() == 1) {
     s.bridge_edges.push_back(s.block[0]);
     return;
   }
   size_t c = static_cast<size_t>(s.comp_id[static_cast<size_t>(s.block[0].first)]);
   if (s.comp_flower_bad[c]) return;
-  PetalCentersScratch(s);
+  PetalCenters(s);
   if (s.centers_tmp.empty()) {
     s.comp_flower_bad[c] = 1;
     return;
   }
-  if (g.small()) {
-    uint64_t m = 0;
-    for (int x : s.centers_tmp) m |= 1ULL << x;
-    if (!s.comp_cand_init[c]) {
-      s.comp_cand_bits[c] = m;
-    } else {
-      s.comp_cand_bits[c] &= m;
-    }
+  auto& list = s.comp_cand_list[c];
+  if (!s.comp_cand_init[c]) {
+    list = s.centers_tmp;
   } else {
-    auto& list = s.comp_cand_list[c];
-    if (!s.comp_cand_init[c]) {
-      list = s.centers_tmp;
-    } else {
-      s.intersect_tmp.clear();
-      std::set_intersection(list.begin(), list.end(), s.centers_tmp.begin(),
-                            s.centers_tmp.end(),
-                            std::back_inserter(s.intersect_tmp));
-      list.swap(s.intersect_tmp);
-    }
+    // Keep the candidates that are also centers of this block.
+    list.erase(std::remove_if(list.begin(), list.end(),
+                              [&s](int x) {
+                                return !std::binary_search(
+                                    s.centers_tmp.begin(),
+                                    s.centers_tmp.end(), x);
+                              }),
+               list.end());
   }
   s.comp_cand_init[c] = 1;
 }
 
-/// Iterative Tarjan block DFS (mirrors the recursive Blocks() above,
-/// blocks popped at the same articulation points) feeding AbsorbBlock.
+/// Iterative Tarjan block DFS feeding AbsorbBlock. Self-loops are not
+/// part of any block; ClassifyShape handles them separately.
 void BlocksScratch(const Graph& g, ShapeScratch& s) {
   int n = g.num_nodes();
   s.disc.assign(static_cast<size_t>(n), -1);
@@ -309,7 +145,7 @@ void BlocksScratch(const Graph& g, ShapeScratch& s) {
             s.block.push_back(e);
             if (e.first == p.v && e.second == child) break;
           }
-          AbsorbBlock(g, s);
+          AbsorbBlock(s);
         }
       }
     }
@@ -451,15 +287,11 @@ ShapeClass ClassifyShape(const Graph& g, ShapeScratch& s,
   // ---- Flowers (Definition 6.1) ----
   s.comp_flower_bad.assign(static_cast<size_t>(num_comps), 0);
   s.comp_cand_init.assign(static_cast<size_t>(num_comps), 0);
-  if (g.small()) {
-    s.comp_cand_bits.assign(static_cast<size_t>(num_comps), 0);
-  } else {
-    if (s.comp_cand_list.size() < static_cast<size_t>(num_comps)) {
-      s.comp_cand_list.resize(static_cast<size_t>(num_comps));
-    }
-    for (int c = 0; c < num_comps; ++c) {
-      s.comp_cand_list[static_cast<size_t>(c)].clear();
-    }
+  if (s.comp_cand_list.size() < static_cast<size_t>(num_comps)) {
+    s.comp_cand_list.resize(static_cast<size_t>(num_comps));
+  }
+  for (int c = 0; c < num_comps; ++c) {
+    s.comp_cand_list[static_cast<size_t>(c)].clear();
   }
   s.bridge_edges.clear();
   BlocksScratch(g, s);
@@ -508,31 +340,16 @@ ShapeClass ClassifyShape(const Graph& g, ShapeScratch& s,
         ok = candidate_ok(c, s.comp_loop_first[static_cast<size_t>(c)]);
       }
     } else if (loops <= 1) {
-      if (g.small()) {
-        uint64_t cand = s.comp_cand_bits[static_cast<size_t>(c)];
-        if (loops == 1) {
-          cand &= 1ULL << s.comp_loop_first[static_cast<size_t>(c)];
-        }
-        while (cand != 0) {
-          int x = std::countr_zero(cand);
-          cand &= cand - 1;
+      const auto& list = s.comp_cand_list[static_cast<size_t>(c)];
+      if (loops == 1) {
+        int x = s.comp_loop_first[static_cast<size_t>(c)];
+        ok = std::binary_search(list.begin(), list.end(), x) &&
+             candidate_ok(c, x);
+      } else {
+        for (int x : list) {
           if (candidate_ok(c, x)) {
             ok = true;
             break;
-          }
-        }
-      } else {
-        const auto& list = s.comp_cand_list[static_cast<size_t>(c)];
-        if (loops == 1) {
-          int x = s.comp_loop_first[static_cast<size_t>(c)];
-          ok = std::binary_search(list.begin(), list.end(), x) &&
-               candidate_ok(c, x);
-        } else {
-          for (int x : list) {
-            if (candidate_ok(c, x)) {
-              ok = true;
-              break;
-            }
           }
         }
       }

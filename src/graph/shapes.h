@@ -1,7 +1,6 @@
 #ifndef SPARQLOG_GRAPH_SHAPES_H_
 #define SPARQLOG_GRAPH_SHAPES_H_
 
-#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -21,7 +20,11 @@ struct ShapeClass {
   bool tree = false;         ///< connected and acyclic
   bool forest = false;       ///< acyclic
   bool cycle = false;        ///< single simple cycle
-  bool flower = false;       ///< Definition 6.1
+  /// Definition 6.1: connected, with a center x such that every cyclic
+  /// block is a petal (two nodes joined by >= 2 internally node-disjoint
+  /// paths) attached at x, every self-loop is at x, and all acyclic
+  /// parts attach to the rest at x only.
+  bool flower = false;
   bool flower_set = false;   ///< every component a flower
   int girth = 0;             ///< shortest cycle length; 0 if acyclic
   /// True if the girth BFS ran out of its step budget; `girth` is then
@@ -32,8 +35,8 @@ struct ShapeClass {
 /// Recycled working state for ClassifyShape: a CSR adjacency snapshot,
 /// component labels with per-component aggregates, girth BFS buffers,
 /// an iterative block (biconnected-component) DFS, and the per-component
-/// flower-candidate sets. One instance per analyzer; cleared, not
-/// reallocated, between queries.
+/// flower-candidate sets, each a sorted node list at every graph size.
+/// One instance per analyzer; cleared, not reallocated, between queries.
 struct ShapeScratch {
   // CSR adjacency snapshot of the graph under classification.
   std::vector<int> csr_off, csr_adj;
@@ -56,11 +59,10 @@ struct ShapeScratch {
   std::vector<Frame> frames;
   std::vector<std::pair<int, int>> block;
   std::vector<int> block_nodes, block_deg;
-  std::vector<int> centers_tmp, intersect_tmp;
+  std::vector<int> centers_tmp;
   // Per-component flower-candidate state.
   std::vector<unsigned char> comp_flower_bad, comp_cand_init;
-  std::vector<uint64_t> comp_cand_bits;          // graphs of <= 64 nodes
-  std::vector<std::vector<int>> comp_cand_list;  // larger graphs (sorted)
+  std::vector<std::vector<int>> comp_cand_list;  // sorted petal centers
   // Bridge edges (blocks of one edge) and their union-find components:
   // the "rest" graph of the flower definition once petal edges are gone.
   std::vector<std::pair<int, int>> bridge_edges;
@@ -79,16 +81,6 @@ struct ShapeScratch {
 ShapeClass ClassifyShape(const Graph& g, ShapeScratch& scratch,
                          util::StepBudget* girth_budget = nullptr);
 ShapeClass ClassifyShape(const Graph& g);
-
-/// True iff `g` (connected, with designated endpoints) is a petal: two
-/// nodes s,t joined by >= 2 internally node-disjoint paths. Exposed for
-/// tests.
-bool IsPetal(const Graph& g);
-
-/// True iff connected graph `g` is a flower with center `x`
-/// (Definition 6.1): every cyclic block is a petal attached at x, every
-/// self-loop is at x, and all acyclic parts attach to the rest at x only.
-bool IsFlowerWithCenter(const Graph& g, int x);
 
 }  // namespace sparqlog::graph
 

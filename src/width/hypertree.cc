@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace sparqlog::width {
@@ -16,384 +12,342 @@ using graph::Hypergraph;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Bitset path: vertices and edge ids both fit in one 64-bit word, so
-// components, bags, connectors, separators, and the memo key are all
-// plain masks. Candidate and sub-component enumeration is ascending by
-// id — the same order as the pre-change set-based search — so the
-// separator found first (and with it decomposition_nodes) is identical.
-// ---------------------------------------------------------------------------
+size_t WordsFor(int bits) { return (static_cast<size_t>(bits) + 63) / 64; }
 
-/// GYO reduction over vertex masks: alpha-acyclic iff all edges empty.
-bool IsAlphaAcyclicBits(std::vector<uint64_t>& masks) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Nodes occurring in exactly one live edge.
-    uint64_t seen_once = 0, seen_twice = 0;
-    for (uint64_t m : masks) {
-      seen_twice |= seen_once & m;
-      seen_once |= m;
+void SetBit(uint64_t* set, int i) {
+  set[static_cast<size_t>(i) >> 6] |= 1ULL << (i & 63);
+}
+
+/// Calls f(i) for each set bit i of the `n`-word set, ascending.
+template <typename F>
+void ForEachBit(const uint64_t* set, size_t n, F f) {
+  for (size_t w = 0; w < n; ++w) {
+    uint64_t word = set[w];
+    while (word != 0) {
+      f(static_cast<int>(w * 64) + std::countr_zero(word));
+      word &= word - 1;
     }
-    uint64_t singles = seen_once & ~seen_twice;
-    if (singles != 0) {
-      for (uint64_t& m : masks) {
-        uint64_t next = m & ~singles;
-        if (next != m) {
-          m = next;
-          changed = true;
-        }
+  }
+}
+
+bool Intersects(const uint64_t* a, const uint64_t* b, size_t n) {
+  for (size_t w = 0; w < n; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return false;
+}
+
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+/// Exact decider for "this component has a generalized hypertree
+/// decomposition of width <= k", following the recursive det-k-decomp
+/// scheme: pick a separator of <= k hyperedges covering the connector,
+/// recurse on the remaining connected pieces.
+///
+/// Every set lives on the scratch word stack and is named by its
+/// offset, because a recursive call may grow (and so move) the stack;
+/// pointers are fetched afresh after each call. Candidates and
+/// sub-component seeds are enumerated ascending by id across words, so
+/// the separator found first — and with it decomposition_nodes and the
+/// step count — does not depend on the word width.
+class DetKDecomp {
+ public:
+  DetKDecomp(GhwScratch& s, int m, size_t vw, util::StepBudget* budget)
+      : s_(s), m_(m), vw_(vw), ew_(WordsFor(m)), budget_(budget) {
+    if (s_.memo_stamps.empty()) {
+      Grow();
+    } else if (s_.memo_keys.size() < s_.memo_stamps.size() * KeyWords()) {
+      s_.memo_keys.resize(s_.memo_stamps.size() * KeyWords());
+    }
+  }
+
+  /// Decides the whole hypergraph at width `k` on an empty memo.
+  std::optional<int> Solve(int k) {
+    k_ = k;
+    top_ = 0;
+    memo_live_ = 0;
+    if (++s_.memo_epoch == 0) {
+      std::fill(s_.memo_stamps.begin(), s_.memo_stamps.end(), 0);
+      s_.memo_epoch = 1;
+    }
+    size_t all_edges = Push(ew_);
+    size_t none = Push(vw_);
+    std::fill_n(W(all_edges), ew_, 0);
+    for (int e = 0; e < m_; ++e) SetBit(W(all_edges), e);
+    std::fill_n(W(none), vw_, 0);
+    return Decompose(all_edges, none);
+  }
+
+ private:
+  /// Stack offsets of one Decompose call's sets.
+  struct Frame {
+    size_t edge_ids, connector, comp_vertices, candidates;
+  };
+
+  uint64_t* W(size_t off) { return s_.words.data() + off; }
+  const uint64_t* Edge(int e) const {
+    return s_.edge_masks.data() + static_cast<size_t>(e) * vw_;
+  }
+  size_t KeyWords() const { return ew_ + vw_; }
+
+  /// Pushes `n` words holding stale values for the caller to fill; the
+  /// caller pops by restoring `top_`.
+  size_t Push(size_t n) {
+    size_t off = top_;
+    top_ += n;
+    if (top_ > s_.words.size()) s_.words.resize(top_);
+    return off;
+  }
+
+  /// Smallest set bit >= `from` of the `n`-word set at `off`, or -1.
+  int NextBit(size_t off, size_t n, int from) {
+    size_t w = static_cast<size_t>(from) >> 6;
+    if (w >= n) return -1;
+    uint64_t word = W(off)[w] & (~0ULL << (from & 63));
+    for (;;) {
+      if (word != 0) {
+        return static_cast<int>(w * 64) + std::countr_zero(word);
       }
+      if (++w == n) return -1;
+      word = W(off)[w];
     }
-    // Edges contained in another live edge (ties broken by index).
-    for (size_t i = 0; i < masks.size(); ++i) {
-      if (masks[i] == 0) continue;
-      for (size_t j = 0; j < masks.size(); ++j) {
-        if (i == j || masks[j] == 0) continue;
-        if ((masks[i] & ~masks[j]) == 0 &&
-            (masks[i] != masks[j] || i > j)) {
-          masks[i] = 0;
-          changed = true;
+  }
+
+  std::optional<int> Decompose(size_t edge_ids, size_t connector) {
+    if (budget_ != nullptr && budget_->exhausted()) return std::nullopt;
+    size_t slot = FindSlot(edge_ids, connector);
+    if (s_.memo_stamps[slot] == s_.memo_epoch) {
+      int nodes = s_.memo_nodes[slot];
+      return nodes < 0 ? std::nullopt : std::optional<int>(nodes);
+    }
+    std::optional<int> result = DecomposeUncached(edge_ids, connector);
+    // A result computed under an exhausted budget reflects a truncated
+    // search; memoizing it would poison later (or resumed) lookups.
+    if (budget_ == nullptr || !budget_->exhausted()) {
+      Memoize(edge_ids, connector, result.value_or(-1));
+    }
+    return result;
+  }
+
+  // The word counts are copied into locals in the loops below: a store
+  // through a uint64_t* may alias a size_t member, which would force a
+  // reload after every store.
+
+  std::optional<int> DecomposeUncached(size_t edge_ids, size_t connector) {
+    const size_t vw = vw_, ew = ew_;
+    size_t mark = top_;
+    Frame f{edge_ids, connector, Push(vw), Push(ew)};
+    size_t bag = Push(vw);
+    uint64_t* cv = W(f.comp_vertices);
+    const uint64_t* ids = W(edge_ids);
+    const uint64_t* conn = W(connector);
+    for (size_t w = 0; w < vw; ++w) cv[w] = 0;
+    ForEachBit(ids, ew, [&](int e) {
+      const uint64_t* edge = Edge(e);
+      for (size_t w = 0; w < vw; ++w) cv[w] |= edge[w];
+    });
+    // Candidate separator edges: any edge of the hypergraph that touches
+    // the component or helps cover the connector.
+    uint64_t* candidates = W(f.candidates);
+    for (size_t w = 0; w < ew; ++w) candidates[w] = 0;
+    for (int e = 0; e < m_; ++e) {
+      const uint64_t* edge = Edge(e);
+      for (size_t w = 0; w < vw; ++w) {
+        if ((edge[w] & (cv[w] | conn[w])) != 0) {
+          SetBit(candidates, e);
           break;
         }
       }
     }
-  }
-  for (uint64_t m : masks) {
-    if (m != 0) return false;
-  }
-  return true;
-}
-
-struct MaskPairHash {
-  size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
-    uint64_t h = p.first * 0x9E3779B97F4A7C15ULL;
-    h ^= p.second + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
-/// Exact decider for "this component has a generalized hypertree
-/// decomposition of width <= k" over bitsets, following the recursive
-/// det-k-decomp scheme: pick a separator of <= k hyperedges covering
-/// the connector, recurse on the remaining connected pieces.
-class BitDetKDecomp {
- public:
-  BitDetKDecomp(const std::vector<uint64_t>& edge_masks, int k,
-                util::StepBudget* budget)
-      : edges_(edge_masks),
-        m_(static_cast<int>(edge_masks.size())),
-        k_(k),
-        budget_(budget) {}
-
-  std::optional<int> Decompose(uint64_t edge_ids, uint64_t connector) {
-    if (budget_ != nullptr && budget_->exhausted()) return std::nullopt;
-    auto key = std::make_pair(edge_ids, connector);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    std::optional<int> result = DecomposeUncached(edge_ids, connector);
-    // A result computed under an exhausted budget reflects a truncated
-    // search; memoizing it would poison later (or resumed) lookups.
-    if (budget_ == nullptr || !budget_->exhausted()) memo_.emplace(key, result);
+    uint64_t* b = W(bag);
+    for (size_t w = 0; w < vw; ++w) b[w] = 0;
+    std::optional<int> result =
+        TrySeparators(f, /*start=*/0, /*depth=*/0, bag);
+    top_ = mark;
     return result;
   }
 
- private:
-  uint64_t VerticesOf(uint64_t edge_ids) const {
-    uint64_t out = 0;
-    while (edge_ids != 0) {
-      out |= edges_[static_cast<size_t>(std::countr_zero(edge_ids))];
-      edge_ids &= edge_ids - 1;
-    }
-    return out;
-  }
-
-  std::optional<int> DecomposeUncached(uint64_t edge_ids,
-                                       uint64_t connector) {
-    uint64_t comp_vertices = VerticesOf(edge_ids);
-    // Candidate separator edges: any edge of the hypergraph that touches
-    // the component or helps cover the connector.
-    uint64_t candidates = 0;
-    for (int e = 0; e < m_; ++e) {
-      if ((edges_[static_cast<size_t>(e)] & (comp_vertices | connector)) !=
-          0) {
-        candidates |= 1ULL << e;
-      }
-    }
-    return TrySeparators(edge_ids, connector, comp_vertices, candidates,
-                         /*start=*/0, /*depth=*/0, /*bag=*/0);
-  }
-
-  std::optional<int> TrySeparators(uint64_t edge_ids, uint64_t connector,
-                                   uint64_t comp_vertices,
-                                   uint64_t candidates, int start, int depth,
-                                   uint64_t bag) {
+  std::optional<int> TrySeparators(const Frame& f, int start, int depth,
+                                   size_t bag) {
     if (budget_ != nullptr && !budget_->Charge()) return std::nullopt;
     if (depth > 0) {
-      std::optional<int> nodes =
-          CheckSeparator(edge_ids, connector, comp_vertices, bag);
+      std::optional<int> nodes = CheckSeparator(f, bag);
       if (nodes.has_value()) return nodes;
     }
     if (depth == k_) return std::nullopt;
-    // Enumerate remaining candidates ascending from `start`, exactly
-    // like the set-based search's index loop.
-    uint64_t below = start >= 64 ? ~0ULL : ((1ULL << start) - 1);
-    uint64_t rest = candidates & ~below;
-    while (rest != 0) {
-      int e = std::countr_zero(rest);
-      rest &= rest - 1;
-      std::optional<int> nodes = TrySeparators(
-          edge_ids, connector, comp_vertices, candidates, e + 1, depth + 1,
-          bag | edges_[static_cast<size_t>(e)]);
-      if (nodes.has_value()) return nodes;
+    const size_t vw = vw_, ew = ew_;
+    size_t mark = top_;
+    size_t next_bag = Push(vw);
+    std::optional<int> nodes;
+    for (int e = NextBit(f.candidates, ew, start); e >= 0;
+         e = NextBit(f.candidates, ew, e + 1)) {
+      uint64_t* nb = W(next_bag);
+      const uint64_t* b = W(bag);
+      const uint64_t* edge = Edge(e);
+      for (size_t w = 0; w < vw; ++w) nb[w] = b[w] | edge[w];
+      nodes = TrySeparators(f, e + 1, depth + 1, next_bag);
+      if (nodes.has_value()) break;
     }
-    return std::nullopt;
+    top_ = mark;
+    return nodes;
   }
 
-  std::optional<int> CheckSeparator(uint64_t edge_ids, uint64_t connector,
-                                    uint64_t comp_vertices, uint64_t bag) {
+  std::optional<int> CheckSeparator(const Frame& f, size_t bag) {
     if (budget_ != nullptr && !budget_->Charge()) return std::nullopt;
-    // The bag must cover the connector.
-    if ((connector & ~bag) != 0) return std::nullopt;
-    // Progress condition: the bag must cover at least one component
-    // vertex outside the connector, so every child subproblem is
-    // strictly smaller and the recursion terminates.
-    if ((comp_vertices & ~connector & bag) == 0) return std::nullopt;
+    const size_t vw = vw_, ew = ew_;
+    {
+      // The bag must cover the connector, and (progress condition) at
+      // least one component vertex outside it, so every child
+      // subproblem is strictly smaller and the recursion terminates.
+      const uint64_t* b = W(bag);
+      const uint64_t* conn = W(f.connector);
+      const uint64_t* cv = W(f.comp_vertices);
+      uint64_t covers_new = 0;
+      for (size_t w = 0; w < vw; ++w) {
+        if ((conn[w] & ~b[w]) != 0) return std::nullopt;
+        covers_new |= cv[w] & ~conn[w] & b[w];
+      }
+      if (covers_new == 0) return std::nullopt;
+    }
     // Split the remaining vertices into connected sub-components
-    // (connectivity via the component's edges minus bag vertices).
-    uint64_t remaining = comp_vertices & ~bag;
+    // (connectivity via the component's edges minus bag vertices);
+    // each one found is taken out of `remaining`.
+    size_t mark = top_;
+    size_t remaining = Push(vw);
+    size_t comp = Push(vw);
+    size_t comp_edges = Push(ew);
+    size_t sub_connector = Push(vw);
+    {
+      uint64_t* r = W(remaining);
+      const uint64_t* cv = W(f.comp_vertices);
+      const uint64_t* b = W(bag);
+      for (size_t w = 0; w < vw; ++w) r[w] = cv[w] & ~b[w];
+    }
     int total_nodes = 1;
-    uint64_t assigned = 0;
-    uint64_t seeds = remaining;
-    while (seeds != 0) {
-      int seed = std::countr_zero(seeds);
-      seeds &= seeds - 1;
-      if ((assigned >> seed) & 1) continue;
-      // Flood-fill one sub-component.
-      uint64_t comp = 1ULL << seed;
-      uint64_t frontier = comp;
-      while (frontier != 0) {
-        uint64_t next = 0;
-        uint64_t ids = edge_ids;
-        while (ids != 0) {
-          int e = std::countr_zero(ids);
-          ids &= ids - 1;
-          if ((edges_[static_cast<size_t>(e)] & frontier) != 0) {
-            next |= edges_[static_cast<size_t>(e)];
+    for (int seed = NextBit(remaining, vw, 0); seed >= 0;
+         seed = NextBit(remaining, vw, seed + 1)) {
+      uint64_t* r = W(remaining);
+      uint64_t* c = W(comp);
+      uint64_t* ce = W(comp_edges);
+      uint64_t* sc = W(sub_connector);
+      const uint64_t* b = W(bag);
+      const uint64_t* ids = W(f.edge_ids);
+      // Flood-fill one sub-component: absorb the non-bag vertices of
+      // every edge that touches it until nothing grows.
+      for (size_t w = 0; w < vw; ++w) {
+        c[w] = w == static_cast<size_t>(seed) >> 6 ? 1ULL << (seed & 63) : 0;
+      }
+      for (bool grew = true; grew;) {
+        grew = false;
+        ForEachBit(ids, ew, [&](int e) {
+          const uint64_t* edge = Edge(e);
+          if (!Intersects(edge, c, vw)) return;
+          for (size_t w = 0; w < vw; ++w) {
+            uint64_t add = edge[w] & ~b[w] & ~c[w];
+            c[w] |= add;
+            grew |= add != 0;
           }
-        }
-        frontier = next & ~bag & ~comp;
-        comp |= frontier;
+        });
       }
-      assigned |= comp;
       // Edges and sub-connector of this component.
-      uint64_t comp_edges = 0;
-      uint64_t sub_connector = 0;
-      uint64_t ids = edge_ids;
-      while (ids != 0) {
-        int e = std::countr_zero(ids);
-        ids &= ids - 1;
-        if ((edges_[static_cast<size_t>(e)] & comp) != 0) {
-          comp_edges |= 1ULL << e;
-          sub_connector |= edges_[static_cast<size_t>(e)] & bag;
-        }
+      for (size_t w = 0; w < vw; ++w) {
+        r[w] &= ~c[w];
+        sc[w] = 0;
       }
+      for (size_t w = 0; w < ew; ++w) ce[w] = 0;
+      ForEachBit(ids, ew, [&](int e) {
+        const uint64_t* edge = Edge(e);
+        if (!Intersects(edge, c, vw)) return;
+        SetBit(ce, e);
+        for (size_t w = 0; w < vw; ++w) sc[w] |= edge[w] & b[w];
+      });
       std::optional<int> sub_nodes = Decompose(comp_edges, sub_connector);
-      if (!sub_nodes.has_value()) return std::nullopt;
+      if (!sub_nodes.has_value()) {
+        top_ = mark;
+        return std::nullopt;
+      }
       total_nodes += *sub_nodes;
     }
+    top_ = mark;
     // Edges fully inside the bag are covered by this node.
     return total_nodes;
   }
 
-  const std::vector<uint64_t>& edges_;
+  // ---- Memo: open addressing with linear probing, load <= 1/2 ----
+
+  uint64_t HashKey(const uint64_t* edge_ids, const uint64_t* connector) const {
+    uint64_t h = 0;
+    for (size_t w = 0; w < ew_; ++w) h = Mix(h ^ edge_ids[w]);
+    for (size_t w = 0; w < vw_; ++w) h = Mix(h ^ connector[w]);
+    return h;
+  }
+
+  /// The slot holding the key, else the empty slot where it would go.
+  size_t FindSlot(size_t edge_ids, size_t connector) {
+    size_t cap = s_.memo_stamps.size();
+    const uint64_t* ids = W(edge_ids);
+    const uint64_t* conn = W(connector);
+    size_t slot = static_cast<size_t>(HashKey(ids, conn)) & (cap - 1);
+    while (s_.memo_stamps[slot] == s_.memo_epoch) {
+      const uint64_t* key = s_.memo_keys.data() + slot * KeyWords();
+      if (std::equal(ids, ids + ew_, key) &&
+          std::equal(conn, conn + vw_, key + ew_)) {
+        return slot;
+      }
+      slot = (slot + 1) & (cap - 1);
+    }
+    return slot;
+  }
+
+  void Memoize(size_t edge_ids, size_t connector, int nodes) {
+    if (2 * (memo_live_ + 1) > s_.memo_stamps.size()) Grow();
+    size_t slot = FindSlot(edge_ids, connector);
+    if (s_.memo_stamps[slot] != s_.memo_epoch) ++memo_live_;
+    s_.memo_stamps[slot] = s_.memo_epoch;
+    s_.memo_nodes[slot] = nodes;
+    uint64_t* key = s_.memo_keys.data() + slot * KeyWords();
+    std::copy_n(W(edge_ids), ew_, key);
+    std::copy_n(W(connector), vw_, key + ew_);
+  }
+
+  /// Doubles the table (64 slots when empty), re-inserting the live
+  /// slots.
+  void Grow() {
+    size_t old_cap = s_.memo_stamps.size();
+    size_t cap = std::max<size_t>(64, 2 * old_cap);
+    size_t kw = KeyWords();
+    std::vector<uint64_t> keys(cap * kw);
+    std::vector<int> nodes(cap);
+    std::vector<uint32_t> stamps(cap, 0);
+    for (size_t old = 0; old < old_cap; ++old) {
+      if (s_.memo_stamps[old] != s_.memo_epoch) continue;
+      const uint64_t* key = s_.memo_keys.data() + old * kw;
+      size_t slot = static_cast<size_t>(HashKey(key, key + ew_)) & (cap - 1);
+      while (stamps[slot] == s_.memo_epoch) slot = (slot + 1) & (cap - 1);
+      stamps[slot] = s_.memo_epoch;
+      nodes[slot] = s_.memo_nodes[old];
+      std::copy_n(key, kw, keys.data() + slot * kw);
+    }
+    s_.memo_keys = std::move(keys);
+    s_.memo_nodes = std::move(nodes);
+    s_.memo_stamps = std::move(stamps);
+  }
+
+  GhwScratch& s_;
   int m_;
-  int k_;
+  size_t vw_;
+  size_t ew_;
   util::StepBudget* budget_;
-  std::unordered_map<std::pair<uint64_t, uint64_t>, std::optional<int>,
-                     MaskPairHash>
-      memo_;
+  int k_ = 0;
+  size_t top_ = 0;
+  size_t memo_live_ = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Generic fallback (> 64 nodes or > 64 edges; never query-sized
-// inputs): the pre-change set-based det-k-decomp, fed from the CSR
-// hypergraph.
-// ---------------------------------------------------------------------------
-
-class SetDetKDecomp {
- public:
-  SetDetKDecomp(const std::vector<std::set<int>>& edges, int k,
-                util::StepBudget* budget)
-      : edges_(edges), k_(k), budget_(budget) {}
-
-  std::optional<int> Decompose(const std::vector<int>& edge_ids,
-                               const std::set<int>& connector) {
-    if (budget_ != nullptr && budget_->exhausted()) return std::nullopt;
-    auto key = std::make_pair(edge_ids, connector);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    std::optional<int> result = DecomposeUncached(edge_ids, connector);
-    if (budget_ == nullptr || !budget_->exhausted()) {
-      memo_.emplace(std::move(key), result);
-    }
-    return result;
-  }
-
- private:
-  std::set<int> VerticesOf(const std::vector<int>& edge_ids) const {
-    std::set<int> out;
-    for (int e : edge_ids) {
-      const auto& edge = edges_[static_cast<size_t>(e)];
-      out.insert(edge.begin(), edge.end());
-    }
-    return out;
-  }
-
-  std::optional<int> DecomposeUncached(const std::vector<int>& edge_ids,
-                                       const std::set<int>& connector) {
-    std::set<int> comp_vertices = VerticesOf(edge_ids);
-    std::vector<int> candidates;
-    for (int e = 0; e < static_cast<int>(edges_.size()); ++e) {
-      const auto& edge = edges_[static_cast<size_t>(e)];
-      bool touches = false;
-      for (int v : edge) {
-        if (comp_vertices.count(v) > 0 || connector.count(v) > 0) {
-          touches = true;
-          break;
-        }
-      }
-      if (touches) candidates.push_back(e);
-    }
-
-    std::vector<int> chosen;
-    return TrySeparators(edge_ids, connector, comp_vertices, candidates, 0,
-                         chosen);
-  }
-
-  std::optional<int> TrySeparators(const std::vector<int>& edge_ids,
-                                   const std::set<int>& connector,
-                                   const std::set<int>& comp_vertices,
-                                   const std::vector<int>& candidates,
-                                   size_t start, std::vector<int>& chosen) {
-    if (budget_ != nullptr && !budget_->Charge()) return std::nullopt;
-    if (!chosen.empty()) {
-      std::optional<int> nodes =
-          CheckSeparator(edge_ids, connector, comp_vertices, chosen);
-      if (nodes.has_value()) return nodes;
-    }
-    if (chosen.size() == static_cast<size_t>(k_)) return std::nullopt;
-    for (size_t i = start; i < candidates.size(); ++i) {
-      chosen.push_back(candidates[i]);
-      std::optional<int> nodes = TrySeparators(
-          edge_ids, connector, comp_vertices, candidates, i + 1, chosen);
-      chosen.pop_back();
-      if (nodes.has_value()) return nodes;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<int> CheckSeparator(const std::vector<int>& edge_ids,
-                                    const std::set<int>& connector,
-                                    const std::set<int>& comp_vertices,
-                                    const std::vector<int>& separator) {
-    if (budget_ != nullptr && !budget_->Charge()) return std::nullopt;
-    std::set<int> bag;
-    for (int e : separator) {
-      const auto& edge = edges_[static_cast<size_t>(e)];
-      bag.insert(edge.begin(), edge.end());
-    }
-    for (int v : connector) {
-      if (bag.count(v) == 0) return std::nullopt;
-    }
-    bool covers_new = false;
-    for (int v : comp_vertices) {
-      if (connector.count(v) == 0 && bag.count(v) > 0) {
-        covers_new = true;
-        break;
-      }
-    }
-    if (!covers_new) return std::nullopt;
-    std::set<int> remaining;
-    for (int v : comp_vertices) {
-      if (bag.count(v) == 0) remaining.insert(v);
-    }
-    int total_nodes = 1;
-    std::set<int> assigned;
-    for (int seed : remaining) {
-      if (assigned.count(seed) > 0) continue;
-      std::set<int> comp{seed};
-      std::vector<int> frontier{seed};
-      std::set<int> comp_edges;
-      while (!frontier.empty()) {
-        int v = frontier.back();
-        frontier.pop_back();
-        for (int e : edge_ids) {
-          const auto& edge = edges_[static_cast<size_t>(e)];
-          if (edge.count(v) == 0) continue;
-          comp_edges.insert(e);
-          for (int w : edge) {
-            if (bag.count(w) > 0 || comp.count(w) > 0) continue;
-            comp.insert(w);
-            frontier.push_back(w);
-          }
-        }
-      }
-      assigned.insert(comp.begin(), comp.end());
-      std::set<int> sub_connector;
-      for (int e : comp_edges) {
-        const auto& edge = edges_[static_cast<size_t>(e)];
-        for (int w : edge) {
-          if (bag.count(w) > 0) sub_connector.insert(w);
-        }
-      }
-      std::vector<int> sub_edges(comp_edges.begin(), comp_edges.end());
-      std::optional<int> sub_nodes = Decompose(sub_edges, sub_connector);
-      if (!sub_nodes.has_value()) return std::nullopt;
-      total_nodes += *sub_nodes;
-    }
-    return total_nodes;
-  }
-
-  const std::vector<std::set<int>>& edges_;
-  int k_;
-  util::StepBudget* budget_;
-  std::map<std::pair<std::vector<int>, std::set<int>>, std::optional<int>>
-      memo_;
-};
-
-GhwResult GenericGhw(const Hypergraph& hg, int max_k,
-                     util::StepBudget* budget) {
-  GhwResult result;
-  if (hg.IsAlphaAcyclic()) {
-    result.width = 1;
-    result.decomposition_nodes = hg.num_edges();
-    return result;
-  }
-  std::vector<std::set<int>> edges(static_cast<size_t>(hg.num_edges()));
-  for (int e = 0; e < hg.num_edges(); ++e) {
-    auto span = hg.edge(e);
-    edges[static_cast<size_t>(e)].insert(span.begin(), span.end());
-  }
-  std::vector<int> all_edges(static_cast<size_t>(hg.num_edges()));
-  for (int e = 0; e < hg.num_edges(); ++e) {
-    all_edges[static_cast<size_t>(e)] = e;
-  }
-  for (int k = 2; k <= max_k; ++k) {
-    SetDetKDecomp solver(edges, k, budget);
-    std::optional<int> nodes = solver.Decompose(all_edges, {});
-    if (nodes.has_value()) {
-      result.width = k;
-      result.decomposition_nodes = *nodes;
-      return result;
-    }
-    if (budget != nullptr && budget->exhausted()) break;
-  }
-  result.width = max_k + 1;
-  result.exact = false;
-  result.abandoned = budget != nullptr && budget->exhausted();
-  return result;
-}
 
 }  // namespace
 
@@ -402,26 +356,22 @@ GhwResult GeneralizedHypertreeWidth(const Hypergraph& hg, GhwScratch& scratch,
   GhwResult result;
   int m = hg.num_edges();
   if (m == 0) return result;
-  if (hg.num_nodes() > 64 || m > 64) return GenericGhw(hg, max_k, budget);
-
-  scratch.edge_masks.assign(static_cast<size_t>(m), 0);
-  for (int e = 0; e < m; ++e) {
-    for (int v : hg.edge(e)) {
-      scratch.edge_masks[static_cast<size_t>(e)] |= 1ULL << v;
-    }
-  }
-
-  scratch.gyo_masks = scratch.edge_masks;
-  if (IsAlphaAcyclicBits(scratch.gyo_masks)) {
+  if (hg.IsAlphaAcyclic(scratch.words)) {
     result.width = 1;
     result.decomposition_nodes = m;
     return result;
   }
 
-  uint64_t all_edges = m == 64 ? ~0ULL : ((1ULL << m) - 1);
+  size_t vw = WordsFor(hg.num_nodes());
+  scratch.edge_masks.assign(static_cast<size_t>(m) * vw, 0);
+  for (int e = 0; e < m; ++e) {
+    uint64_t* row = scratch.edge_masks.data() + static_cast<size_t>(e) * vw;
+    for (int v : hg.edge(e)) SetBit(row, v);
+  }
+
+  DetKDecomp solver(scratch, m, vw, budget);
   for (int k = 2; k <= max_k; ++k) {
-    BitDetKDecomp solver(scratch.edge_masks, k, budget);
-    std::optional<int> nodes = solver.Decompose(all_edges, 0);
+    std::optional<int> nodes = solver.Solve(k);
     if (nodes.has_value()) {
       result.width = k;
       result.decomposition_nodes = *nodes;

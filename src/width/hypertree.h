@@ -26,21 +26,34 @@ struct GhwResult {
   bool abandoned = false;
 };
 
-/// Recycled working state for the bitset GHW path (hypergraphs of
-/// <= 64 nodes and <= 64 edges — every query hypergraph the paper
-/// measures). Larger inputs use the generic set-based search.
+/// Recycled working state for GeneralizedHypertreeWidth. Vertex sets
+/// are ceil(n/64) words and edge-id sets ceil(m/64) words, fixed once
+/// per hypergraph. Nothing is freed between queries, so a warm scratch
+/// computes without heap allocation.
 struct GhwScratch {
-  std::vector<uint64_t> edge_masks;  // vertex mask per hyperedge
-  std::vector<uint64_t> gyo_masks;   // GYO working copy
+  /// Vertex words of each hyperedge, one row of ceil(n/64) words per
+  /// edge.
+  std::vector<uint64_t> edge_masks;
+  /// The GYO working masks, then the det-k-decomp word stack: each
+  /// recursion level pushes its component, candidate, bag and
+  /// sub-component sets and pops them on return.
+  std::vector<uint64_t> words;
+  /// The det-k-decomp memo, a flat open-addressing table keyed by
+  /// (edge-id words, connector words). A slot is live iff its stamp
+  /// equals `memo_epoch`, so clearing it for the next k is one
+  /// increment; the table only grows.
+  std::vector<uint64_t> memo_keys;
+  std::vector<int> memo_nodes;  // decomposition nodes, -1 = none
+  std::vector<uint32_t> memo_stamps;
+  uint32_t memo_epoch = 0;
 };
 
 /// Computes the generalized hypertree width of `hg`, trying k = 1 (GYO
 /// reduction / alpha-acyclicity) and then a det-k-decomp-style exact
 /// search over <= k-edge separators for k = 2..max_k, in the spirit of
-/// the detkdecomp tool the paper uses [10]. Hypergraphs with <= 64
-/// nodes and <= 64 edges run entirely on vertex/edge bitsets (masked
-/// GYO, mask-pruned separator covers, mask-keyed memo); the scratch
-/// overload reuses the mask buffers across queries.
+/// the detkdecomp tool the paper uses [10]. Components, bags,
+/// connectors, separators and memo keys are multi-word bitsets; the
+/// scratch overload reuses every buffer across queries.
 ///
 /// `budget` (optional) bounds the separator search: one step per
 /// TrySeparators/CheckSeparator call. On exhaustion the search unwinds

@@ -1,16 +1,19 @@
 // Differential tests for the allocation-lean structural-analysis path:
-// the new flat-graph ClassifyShape / Treewidth / girth (and the bitset
-// GHW) must agree with the retained pre-change implementations in
-// testing/reference_analysis on random graphs — including self-loops,
-// disconnected forests, K4 (treewidth 3), and the 64/65-node boundary
-// where Graph switches from bitset masks to sorted-vector adjacency —
-// and on every unique query of the generated paper corpus.
+// the new flat-graph ClassifyShape / Treewidth / girth (and the
+// multi-word GHW) must agree with the retained pre-change
+// implementations in testing/reference_analysis on random graphs —
+// including self-loops, disconnected forests, K4 (treewidth 3), the
+// 64/65-node boundary where Graph switches from bitset masks to
+// sorted-vector adjacency, and hypergraphs around the 64-vertex and
+// 64-edge word boundaries — and on every unique query of the generated
+// paper corpus.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "sparql/parser.h"
 #include "testing/invariants.h"
 #include "testing/reference_analysis.h"
+#include "util/budget.h"
 #include "util/rng.h"
 #include "width/hypertree.h"
 #include "width/treewidth.h"
@@ -267,29 +271,117 @@ TEST(AnalysisEquivalenceTest, EveryUniquePaperCorpusQueryMatchesReference) {
   EXPECT_GT(max_edges, 24);
 }
 
+/// Compares alpha-acyclicity, GHW width, decomposition size and
+/// exactness against the set-based reference. With `budgeted`, the
+/// search is replayed under finite budgets too: exactly the steps it
+/// needs reaches the same answer, half of them abandons.
+void CheckGhw(const std::vector<std::set<int>>& edges,
+              width::GhwScratch& scratch, bool budgeted,
+              const std::string& what) {
+  graph::Hypergraph hg;
+  reference::ReferenceHypergraph ref;
+  for (const std::set<int>& edge : edges) {
+    ref.AddEdge(edge);
+    hg.AddEdge(std::vector<int>(edge.begin(), edge.end()));
+  }
+  EXPECT_EQ(ref.IsAlphaAcyclic(), hg.IsAlphaAcyclic()) << what;
+  width::GhwResult ref_ghw = reference::GeneralizedHypertreeWidth(ref);
+  width::GhwResult new_ghw = width::GeneralizedHypertreeWidth(hg, scratch);
+  EXPECT_EQ(ref_ghw.width, new_ghw.width) << what;
+  EXPECT_EQ(ref_ghw.decomposition_nodes, new_ghw.decomposition_nodes)
+      << what;
+  EXPECT_EQ(ref_ghw.exact, new_ghw.exact) << what;
+  if (!budgeted) return;
+  constexpr uint64_t kGenerous = uint64_t{1} << 32;
+  util::StepBudget generous(kGenerous);
+  width::GeneralizedHypertreeWidth(hg, scratch, 4, &generous);
+  uint64_t steps = kGenerous - generous.remaining();
+  if (steps < 2) return;  // alpha-acyclic: no separator search
+  util::StepBudget exact(steps);
+  width::GhwResult fits =
+      width::GeneralizedHypertreeWidth(hg, scratch, 4, &exact);
+  EXPECT_FALSE(fits.abandoned) << what;
+  EXPECT_EQ(ref_ghw.width, fits.width) << what;
+  EXPECT_EQ(ref_ghw.decomposition_nodes, fits.decomposition_nodes) << what;
+  util::StepBudget half(steps / 2);
+  width::GhwResult cut =
+      width::GeneralizedHypertreeWidth(hg, scratch, 4, &half);
+  EXPECT_TRUE(cut.abandoned) << what;
+  EXPECT_FALSE(cut.exact) << what;
+}
+
+/// A random edge over `arity` distinct vertices below `n`.
+std::set<int> RandomEdge(util::Rng& rng, int n, int arity) {
+  std::set<int> edge;
+  while (static_cast<int>(edge.size()) < arity) {
+    edge.insert(static_cast<int>(rng.Below(static_cast<size_t>(n))));
+  }
+  return edge;
+}
+
 TEST(AnalysisEquivalenceTest, RandomHypergraphsAgreeOnGhw) {
   util::Rng rng(4242);
+  width::GhwScratch scratch;
   for (int iter = 0; iter < 120; ++iter) {
     int n = 2 + static_cast<int>(rng.Below(7));
     int m = 1 + static_cast<int>(rng.Below(8));
-    graph::Hypergraph hg;
-    reference::ReferenceHypergraph ref;
+    std::vector<std::set<int>> edges;
     for (int e = 0; e < m; ++e) {
       std::set<int> edge;
       int arity = 1 + static_cast<int>(rng.Below(3));
       for (int k = 0; k < arity; ++k) {
         edge.insert(static_cast<int>(rng.Below(static_cast<size_t>(n))));
       }
-      ref.AddEdge(edge);
-      hg.AddEdge(std::vector<int>(edge.begin(), edge.end()));
+      edges.push_back(edge);
     }
-    EXPECT_EQ(ref.IsAlphaAcyclic(), hg.IsAlphaAcyclic()) << iter;
-    width::GhwResult ref_ghw = reference::GeneralizedHypertreeWidth(ref);
-    width::GhwResult new_ghw = width::GeneralizedHypertreeWidth(hg);
-    EXPECT_EQ(ref_ghw.width, new_ghw.width) << iter;
-    EXPECT_EQ(ref_ghw.decomposition_nodes, new_ghw.decomposition_nodes)
-        << iter;
-    EXPECT_EQ(ref_ghw.exact, new_ghw.exact) << iter;
+    CheckGhw(edges, scratch, /*budgeted=*/iter % 4 == 0,
+             "small #" + std::to_string(iter));
+  }
+  // Around the word boundaries of the vertex sets: a path of arcs of
+  // 2-6 consecutive vertices covering all n, closed into a ring, and
+  // the ring with a random chord and ternary edge.
+  for (int n : {63, 64, 65, 130}) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<std::set<int>> edges;
+      for (int v = 0; v < n - 1;) {
+        int end = std::min(n - 1, v + 1 + static_cast<int>(rng.Below(5)));
+        std::set<int> arc;
+        for (int u = v; u <= end; ++u) arc.insert(u);
+        edges.push_back(arc);
+        v = end;
+      }
+      if (variant != 0) edges.push_back({n - 1, 0});
+      if (variant == 2) {
+        edges.push_back(RandomEdge(rng, n, 2));
+        edges.push_back(RandomEdge(rng, n, 3));
+      }
+      CheckGhw(edges, scratch, /*budgeted=*/variant != 0,
+               std::to_string(n) + " vertices, variant " +
+                   std::to_string(variant));
+    }
+  }
+  // Around the word boundaries of the edge-id sets: a binary cycle plus
+  // chords and ternary edges spanning at most a quarter of it, m edges
+  // in all. (Long crossing chords lift the width to 3, where the
+  // reference's exhaustive k = 2 search takes seconds at m = 130.)
+  for (int m : {63, 64, 65, 130}) {
+    for (int variant = 0; variant < 4; ++variant) {
+      int extras = 1 + variant;
+      int len = m - extras;
+      std::vector<std::set<int>> edges;
+      for (int i = 0; i < len; ++i) edges.push_back({i, (i + 1) % len});
+      for (int x = 0; x < extras; ++x) {
+        int a = static_cast<int>(rng.Below(static_cast<size_t>(len)));
+        int span =
+            2 + static_cast<int>(rng.Below(static_cast<size_t>(len / 4)));
+        std::set<int> extra{a, (a + span) % len};
+        if (x % 2 == 1) extra.insert((a + 1) % len);
+        edges.push_back(extra);
+      }
+      CheckGhw(edges, scratch, /*budgeted=*/variant % 2 == 0,
+               std::to_string(m) + " edges, variant " +
+                   std::to_string(variant));
+    }
   }
 }
 

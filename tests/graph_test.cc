@@ -45,23 +45,6 @@ TEST(GraphTest, SelfLoops) {
   EXPECT_EQ(g.Degree(0), 1);  // self-loop does not count as a neighbor
 }
 
-TEST(GraphTest, ConnectedComponents) {
-  Graph g(5);
-  g.AddEdge(0, 1);
-  g.AddEdge(2, 3);
-  auto comps = g.ConnectedComponents();
-  ASSERT_EQ(comps.size(), 3u);  // {0,1}, {2,3}, {4}
-}
-
-TEST(GraphTest, InducedSubgraph) {
-  Graph g = Cycle(5);
-  std::vector<int> map;
-  Graph sub = g.InducedSubgraph({0, 1, 2}, &map);
-  EXPECT_EQ(sub.num_nodes(), 3);
-  EXPECT_EQ(sub.num_edges(), 2);  // 0-1, 1-2 survive; 4-0 and 2-3 don't
-  EXPECT_EQ(map[3], -1);
-}
-
 TEST(GraphTest, AcyclicityAndGirth) {
   EXPECT_TRUE(Path(5).IsAcyclic());
   EXPECT_EQ(Path(5).Girth(), 0);
@@ -216,15 +199,6 @@ TEST(HypergraphTest, AllConstantTripleContributesNoEdge) {
   Hypergraph hg = HypergraphOf("ASK WHERE { <s> <p> <o> }");
   EXPECT_EQ(hg.num_edges(), 0);
   EXPECT_TRUE(hg.IsAlphaAcyclic());
-}
-
-TEST(HypergraphTest, ComponentsViaSharedEdges) {
-  Hypergraph hg;
-  hg.AddEdge({0, 1});
-  hg.AddEdge({2, 3});
-  hg.AddEdge({1, 4});
-  auto comps = hg.ConnectedComponents();
-  EXPECT_EQ(comps.size(), 2u);
 }
 
 }  // namespace

@@ -132,10 +132,19 @@ TEST(ShapesTest, PetalThetaGraph) {
   g.AddEdge(3, 1);
   g.AddEdge(0, 4);
   g.AddEdge(4, 1);
-  EXPECT_TRUE(IsPetal(g));
   ShapeClass s = ClassifyShape(g);
   EXPECT_FALSE(s.cycle);
   EXPECT_TRUE(s.flower);
+  EXPECT_TRUE(s.flower_set);
+  // Only the branch nodes 0 and 1 may serve as the petal's center: a
+  // pendant there keeps the flower, one on a path node breaks it.
+  Graph at_branch = g;
+  at_branch.AddEdge(1, at_branch.AddNode());
+  EXPECT_TRUE(ClassifyShape(at_branch).flower);
+  Graph at_path = g;
+  at_path.AddEdge(2, at_path.AddNode());
+  EXPECT_FALSE(ClassifyShape(at_path).flower);
+  EXPECT_FALSE(ClassifyShape(at_path).flower_set);
 }
 
 TEST(ShapesTest, PetalWithDirectEdge) {
@@ -144,7 +153,10 @@ TEST(ShapesTest, PetalWithDirectEdge) {
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   g.AddEdge(2, 1);
-  EXPECT_TRUE(IsPetal(g));
+  ShapeClass s = ClassifyShape(g);
+  EXPECT_TRUE(s.cycle);
+  EXPECT_TRUE(s.flower);
+  EXPECT_TRUE(s.flower_set);
 }
 
 TEST(ShapesTest, FlowerWithPetalsAndStamens) {
@@ -161,10 +173,15 @@ TEST(ShapesTest, FlowerWithPetalsAndStamens) {
   g.AddEdge(5, 7);
   ShapeClass s = ClassifyShape(g);
   EXPECT_TRUE(s.flower);
+  EXPECT_TRUE(s.flower_set);
   EXPECT_FALSE(s.cycle);
   EXPECT_FALSE(s.forest);
-  EXPECT_TRUE(IsFlowerWithCenter(g, 0));
-  EXPECT_FALSE(IsFlowerWithCenter(g, 1));
+  // The center is 0, not the petal node 1: a stamen at 1 as well leaves
+  // no node every acyclic part attaches at.
+  g.AddEdge(1, g.AddNode());
+  s = ClassifyShape(g);
+  EXPECT_FALSE(s.flower);
+  EXPECT_FALSE(s.flower_set);
 }
 
 TEST(ShapesTest, PaperFlowerMultiplePetals) {
@@ -244,8 +261,10 @@ TEST(ShapesTest, PendantOnFarSideOfPetalNotAFlower) {
   // Candidate centers are all cycle nodes; only node 2 admits the
   // pendant, and the petal allows any node as center, so with x = 2 this
   // IS a flower.
-  EXPECT_TRUE(IsFlowerWithCenter(g, 2));
-  EXPECT_TRUE(ClassifyShape(g).flower);
+  ShapeClass s = ClassifyShape(g);
+  EXPECT_TRUE(s.flower);
+  EXPECT_TRUE(s.flower_set);
+  EXPECT_FALSE(s.cycle);
 }
 
 TEST(ShapesTest, TwoPendantsOnDifferentCycleNodesNotAFlower) {

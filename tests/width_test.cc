@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "corpus/ingest.h"
+#include "fragments/fragment.h"
 #include "graph/canonical.h"
+#include "obs/alloc_hooks.h"
+#include "obs/alloc_tracker.h"
 #include "sparql/parser.h"
+#include "testing/invariants.h"
 #include "util/budget.h"
 #include "width/hypertree.h"
 #include "width/treewidth.h"
@@ -292,6 +301,95 @@ TEST(GhwTest, GhwNeverExceedsTreewidthPlusOneOnGraphs) {
     int ghw = GeneralizedHypertreeWidth(hg, /*max_k=*/4).width;
     EXPECT_LE(ghw, tw + 1);
   }
+}
+
+// The det-k-decomp charges one step per TrySeparators and per
+// CheckSeparator call; the counts below pin the enumeration order
+// (ascending candidates and sub-component seeds) at one and at two
+// edge-id words. A budget of exactly that many steps completes; one
+// step less abandons.
+void ExpectGhwSteps(const Hypergraph& hg, int width, int nodes,
+                    uint64_t steps) {
+  constexpr uint64_t kGenerous = 1u << 20;
+  GhwScratch scratch;
+  util::StepBudget generous(kGenerous);
+  GhwResult r = GeneralizedHypertreeWidth(hg, scratch, 4, &generous);
+  EXPECT_EQ(r.width, width);
+  EXPECT_EQ(r.decomposition_nodes, nodes);
+  EXPECT_TRUE(r.exact);
+  EXPECT_FALSE(r.abandoned);
+  EXPECT_EQ(kGenerous - generous.remaining(), steps);
+  util::StepBudget exact(steps);
+  EXPECT_FALSE(GeneralizedHypertreeWidth(hg, scratch, 4, &exact).abandoned);
+  util::StepBudget one_short(steps - 1);
+  GhwResult cut = GeneralizedHypertreeWidth(hg, scratch, 4, &one_short);
+  EXPECT_TRUE(cut.abandoned);
+  EXPECT_FALSE(cut.exact);
+  EXPECT_EQ(cut.width, 5);
+}
+
+Hypergraph CycleHypergraph(int n) {
+  Hypergraph hg;
+  for (int i = 0; i < n; ++i) hg.AddEdge({i, (i + 1) % n});
+  return hg;
+}
+
+TEST(GhwTest, StepsArePinned) {
+  ExpectGhwSteps(CycleHypergraph(5), 2, 4, 22);
+  Hypergraph k4;
+  for (int i = 0; i < 4; ++i) {
+    for (int j = i + 1; j < 4; ++j) k4.AddEdge({i, j});
+  }
+  ExpectGhwSteps(k4, 2, 3, 21);
+  ExpectGhwSteps(CycleHypergraph(70), 2, 69, 477);
+}
+
+// Every GHW input of the paper corpus (unique CQOF queries with a
+// variable predicate, the ones CorpusAnalyzer measures by hypergraph),
+// through one scratch: once warm, the whole pass allocates nothing.
+TEST(GhwTest, WarmScratchAllocatesNothing) {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(2000);
+  sparql::Parser parser;
+  std::string decode_buf;
+  std::unordered_set<uint64_t> seen;
+  std::vector<Hypergraph> inputs;
+  graph::CanonicalScratch canonical;
+  std::vector<const sparql::TriplePattern*> triples;
+  std::vector<const sparql::Expr*> filters;
+  for (const std::string& line : lines) {
+    corpus::ParsedLine parsed =
+        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+    if (!parsed.valid || !seen.insert(parsed.canonical_hash).second) continue;
+    fragments::FragmentClass fc = fragments::ClassifyFragment(*parsed.query);
+    if (!fc.var_predicate || !fc.cqof) continue;
+    triples.clear();
+    filters.clear();
+    graph::CollectTriplesAndFilters(parsed.query->where, triples, filters);
+    inputs.emplace_back();
+    graph::BuildCanonicalHypergraph(triples, filters,
+                                    graph::CanonicalOptions(), canonical,
+                                    inputs.back());
+  }
+  ASSERT_GT(inputs.size(), 500u);
+  GhwScratch scratch;
+  std::vector<GhwResult> cold;
+  cold.reserve(inputs.size());
+  const uint64_t cold_start = obs::ThreadAllocationCount();
+  for (const Hypergraph& hg : inputs) {
+    cold.push_back(GeneralizedHypertreeWidth(hg, scratch));
+  }
+  // The counters are live: warming the scratch up allocates.
+  EXPECT_GT(obs::ThreadAllocationCount() - cold_start, 0u);
+  int width_two_or_more = 0;
+  const uint64_t before = obs::ThreadAllocationCount();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    GhwResult warm = GeneralizedHypertreeWidth(inputs[i], scratch);
+    EXPECT_EQ(warm.width, cold[i].width);
+    EXPECT_EQ(warm.decomposition_nodes, cold[i].decomposition_nodes);
+    if (warm.width >= 2) ++width_two_or_more;
+  }
+  EXPECT_EQ(obs::ThreadAllocationCount() - before, 0u);
+  EXPECT_GT(width_two_or_more, 0);
 }
 
 }  // namespace
