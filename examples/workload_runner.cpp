@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       uint64_t bg_steps = 0, pg_steps = 0;
       int matched = 0, evaluated = 0, pg_capped = 0;
       for (const auto& q : workload) {
-        auto bgp = gmark::CompileForEngine(q, store, schema);
+        auto bgp = gmark::CompileForEngine(q, store);
         if (!bgp.has_value()) continue;
         ++evaluated;
         util::StepBudget bg_budget(kStepCap), pg_budget(kStepCap);

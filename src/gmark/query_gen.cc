@@ -247,15 +247,12 @@ std::vector<GeneratedQuery> GenerateWorkload(const Schema& schema,
 }
 
 std::optional<store::BgpQuery> CompileForEngine(
-    const GeneratedQuery& q, const store::TripleStore& store,
-    const Schema& schema) {
+    const GeneratedQuery& q, const store::TripleStore& store) {
   store::BgpQuery out;
-  int max_var = -1;
   // Recover endpoints from the SPARQL AST (triples are in step order).
   std::vector<const sparql::TriplePattern*> triples;
   q.sparql.where.CollectTriples(triples);
   std::map<std::string, int64_t> var_ids;
-  (void)schema;
   for (const sparql::TriplePattern* tp : triples) {
     store::BgpPattern bp;
     auto position = [&](const Term& t) -> std::optional<int64_t> {
@@ -278,7 +275,6 @@ std::optional<store::BgpQuery> CompileForEngine(
     bp.p = *p;
     bp.o = *o;
     out.triples.push_back(bp);
-    max_var = std::max(max_var, out.num_vars);
   }
   return out;
 }

@@ -48,8 +48,7 @@ std::vector<GeneratedQuery> GenerateWorkload(const Schema& schema,
 /// dictionary. Returns nullopt when a predicate IRI is absent from the
 /// store (then the query trivially has no results).
 std::optional<store::BgpQuery> CompileForEngine(
-    const GeneratedQuery& q, const store::TripleStore& store,
-    const Schema& schema);
+    const GeneratedQuery& q, const store::TripleStore& store);
 
 }  // namespace sparqlog::gmark
 

@@ -694,7 +694,7 @@ std::vector<Figure3Row> RunFigure3() {
       options.seed = static_cast<uint64_t>(1000 + length);
       for (const gmark::GeneratedQuery& q :
            gmark::GenerateWorkload(schema, options)) {
-        auto bgp = gmark::CompileForEngine(q, graph, schema);
+        auto bgp = gmark::CompileForEngine(q, graph);
         if (!bgp.has_value()) continue;
         ++row.queries[shape];
         util::StepBudget bg_budget(kFigure3StepCap), pg_budget(kFigure3StepCap);

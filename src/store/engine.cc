@@ -1,7 +1,6 @@
 #include "store/engine.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace sparqlog::store {
 
@@ -35,24 +34,22 @@ struct StepMeter {
   util::StepBudget* budget;
   EvalStats& stats;
 
-  /// One tuple probed or materialized; false once the budget is spent.
-  bool Charge() {
-    if (budget != nullptr && !budget->Charge()) {
-      stats.capped = true;
-      return false;
+  /// `n` tuples probed or materialized; false once the budget is spent.
+  /// A charge the budget cannot cover credits what it had left, so the
+  /// totals are those of `n` charges of one step.
+  bool Charge(uint64_t n = 1) {
+    if (budget != nullptr && n > 0) {
+      const uint64_t left = budget->remaining();
+      if (!budget->Charge(n)) {
+        stats.steps += left;
+        stats.capped = true;
+        return false;
+      }
     }
-    ++stats.steps;
+    stats.steps += n;
     return true;
   }
 };
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// GraphEngine: pipelined index nested loops with greedy join ordering.
-// ---------------------------------------------------------------------------
-
-namespace {
 
 /// Estimated matches of a pattern given which variables are bound.
 double EstimatePattern(const TripleStore& store, const BgpPattern& t,
@@ -79,6 +76,14 @@ double EstimatePattern(const TripleStore& store, const BgpPattern& t,
   return std::max(card, 0.001);
 }
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// GraphEngine: pipelined index nested loops with greedy join ordering.
+// ---------------------------------------------------------------------------
+
+namespace {
+
 bool SharesBoundVar(const BgpPattern& t, const std::vector<bool>& bound) {
   for (int64_t pos : {t.s, t.p, t.o}) {
     if (pos <= -1 && bound[VarIndex(pos)]) return true;
@@ -100,16 +105,12 @@ bool Backtrack(PipelineContext& ctx, size_t depth, Binding& binding) {
     return ctx.mode == EvalMode::kAsk;  // stop at first witness
   }
   const BgpPattern& t = ctx.order[depth];
-  TermId s = Resolve(t.s, binding);
-  TermId p = Resolve(t.p, binding);
-  TermId o = Resolve(t.o, binding);
-  std::vector<rdf::EncodedTriple> matches;
-  ctx.store.Match(s, p, o, matches);
-  for (const rdf::EncodedTriple& m : matches) {
+  for (const rdf::EncodedTriple& m :
+       ctx.store.Match(Resolve(t.s, binding), Resolve(t.p, binding),
+                       Resolve(t.o, binding))) {
     if (!ctx.meter.Charge()) return true;  // abort
     // Bind unbound variables; verify consistency for repeated vars.
     TermId saved_s = 0, saved_p = 0, saved_o = 0;
-    bool ok = true;
     auto bind = [&](int64_t pos, TermId value, TermId& saved) {
       if (pos >= 1) return true;
       size_t idx = VarIndex(pos);
@@ -120,20 +121,13 @@ bool Backtrack(PipelineContext& ctx, size_t depth, Binding& binding) {
       }
       return binding[idx] == value;
     };
-    ok = bind(t.s, m.s, saved_s) && bind(t.p, m.p, saved_p) &&
-         bind(t.o, m.o, saved_o);
-    if (ok) {
-      if (Backtrack(ctx, depth + 1, binding)) {
-        // Unbind before unwinding.
-        if (saved_s != 0) binding[saved_s - 1] = 0;
-        if (saved_p != 0) binding[saved_p - 1] = 0;
-        if (saved_o != 0) binding[saved_o - 1] = 0;
-        return true;
-      }
-    }
+    const bool stop = bind(t.s, m.s, saved_s) && bind(t.p, m.p, saved_p) &&
+                      bind(t.o, m.o, saved_o) &&
+                      Backtrack(ctx, depth + 1, binding);
     if (saved_s != 0) binding[saved_s - 1] = 0;
     if (saved_p != 0) binding[saved_p - 1] = 0;
     if (saved_o != 0) binding[saved_o - 1] = 0;
+    if (stop) return true;
   }
   return false;
 }
@@ -192,155 +186,104 @@ struct Relation {
   std::vector<TermId> rows;    // row-major
   size_t width() const { return schema.size(); }
   size_t size() const { return schema.empty() ? 0 : rows.size() / width(); }
+  const TermId* Row(size_t i) const { return rows.data() + i * width(); }
 };
 
 /// Materializes the rows matching `t`; false once the budget is spent.
 bool ScanPattern(const TripleStore& store, const BgpPattern& t,
                  StepMeter& meter, Relation& rel) {
-  std::vector<rdf::EncodedTriple> matches;
-  store.Match(t.s >= 1 ? static_cast<TermId>(t.s) : 0,
-              t.p >= 1 ? static_cast<TermId>(t.p) : 0,
-              t.o >= 1 ? static_cast<TermId>(t.o) : 0, matches);
-  // Schema: distinct variables, in s,p,o order.
-  std::vector<int64_t> var_pos;
-  for (int64_t pos : {t.s, t.p, t.o}) {
-    if (pos <= -1 &&
-        std::find(var_pos.begin(), var_pos.end(), pos) == var_pos.end()) {
-      var_pos.push_back(pos);
+  const std::span<const EncodedTriple> matches =
+      store.Match(t.s >= 1 ? static_cast<TermId>(t.s) : 0,
+                  t.p >= 1 ? static_cast<TermId>(t.p) : 0,
+                  t.o >= 1 ? static_cast<TermId>(t.o) : 0);
+  if (!meter.Charge(matches.size())) return false;
+  // One column per distinct variable, at its first position in s,p,o
+  // order; `first[i]` is the first position holding position i's term.
+  const int64_t positions[3] = {t.s, t.p, t.o};
+  int first[3];
+  std::vector<int> columns;
+  for (int i = 0; i < 3; ++i) {
+    first[i] = static_cast<int>(
+        std::find(positions, positions + i, positions[i]) - positions);
+    if (positions[i] <= -1 && first[i] == i) {
+      columns.push_back(i);
+      rel.schema.push_back(VarIndex(positions[i]));
     }
   }
-  for (int64_t pos : var_pos) rel.schema.push_back(VarIndex(pos));
-  for (const rdf::EncodedTriple& m : matches) {
-    if (!meter.Charge()) return false;
-    // Repeated-variable consistency within the triple.
-    TermId values[3] = {m.s, m.p, m.o};
-    int64_t positions[3] = {t.s, t.p, t.o};
-    bool ok = true;
-    std::unordered_map<int64_t, TermId> seen;
-    for (int i = 0; i < 3 && ok; ++i) {
-      if (positions[i] > -1) continue;
-      auto [it, inserted] = seen.emplace(positions[i], values[i]);
-      if (!inserted && it->second != values[i]) ok = false;
+  rel.rows.reserve(matches.size() * columns.size());
+  for (const EncodedTriple& m : matches) {
+    const TermId values[3] = {m.s, m.p, m.o};
+    // A repeated variable must bind one value.
+    if (values[first[1]] != values[1] || values[first[2]] != values[2]) {
+      continue;
     }
-    if (!ok) continue;
-    for (int64_t pos : var_pos) {
-      for (int i = 0; i < 3; ++i) {
-        if (positions[i] == pos) {
-          rel.rows.push_back(values[i]);
-          break;
-        }
-      }
-    }
+    for (int c : columns) rel.rows.push_back(values[c]);
   }
   return true;
 }
 
-std::vector<std::pair<size_t, size_t>> SharedColumns(const Relation& a,
-                                                     const Relation& b) {
-  std::vector<std::pair<size_t, size_t>> shared;
-  for (size_t i = 0; i < a.schema.size(); ++i) {
-    for (size_t j = 0; j < b.schema.size(); ++j) {
+/// (column of a, column of b) per variable the two relations share, in
+/// column order of a.
+using SharedColumns = std::vector<std::pair<size_t, size_t>>;
+
+SharedColumns Shared(const Relation& a, const Relation& b) {
+  SharedColumns shared;
+  for (size_t i = 0; i < a.width(); ++i) {
+    for (size_t j = 0; j < b.width(); ++j) {
       if (a.schema[i] == b.schema[j]) shared.emplace_back(i, j);
     }
   }
   return shared;
 }
 
-void EmitJoined(const Relation& a, const Relation& b, size_t row_a,
-                size_t row_b,
-                const std::vector<std::pair<size_t, size_t>>& shared,
-                Relation& out) {
-  const TermId* ra = a.rows.data() + row_a * a.width();
-  const TermId* rb = b.rows.data() + row_b * b.width();
-  for (size_t i = 0; i < a.width(); ++i) out.rows.push_back(ra[i]);
-  for (size_t j = 0; j < b.width(); ++j) {
-    bool is_shared = false;
-    for (const auto& [ai, bj] : shared) {
-      if (bj == j) is_shared = true;
-    }
-    if (!is_shared) out.rows.push_back(rb[j]);
-  }
-}
-
-Relation JoinSchema(const Relation& a, const Relation& b,
-                    const std::vector<std::pair<size_t, size_t>>& shared) {
-  Relation out;
+/// Joins `a` with `b` on their `shared` columns into `out`, in (row of
+/// a, row of b) order: each row of `a` probes the rows of `b` sorted by
+/// the first shared column, then checks the others. The operator the
+/// planner picked only sets the charge, made in bulk with the totals of
+/// one step per tuple: a nested loop charges |b| per row of `a`, all
+/// before it starts; a hash join charges |b| to build, then the
+/// candidates of each probe. False once the budget is spent.
+bool Join(const Relation& a, const Relation& b, const SharedColumns& shared,
+          bool nested_loop, StepMeter& meter, Relation& out) {
+  std::vector<size_t> kept;  // the columns of b that are not shared
   out.schema = a.schema;
-  for (size_t j = 0; j < b.schema.size(); ++j) {
-    bool is_shared = false;
-    for (const auto& [ai, bj] : shared) {
-      if (bj == j) is_shared = true;
+  for (size_t j = 0; j < b.width(); ++j) {
+    if (std::none_of(shared.begin(), shared.end(),
+                     [j](const auto& c) { return c.second == j; })) {
+      kept.push_back(j);
+      out.schema.push_back(b.schema[j]);
     }
-    if (!is_shared) out.schema.push_back(b.schema[j]);
   }
-  return out;
-}
-
-bool RowsMatch(const Relation& a, const Relation& b, size_t ra, size_t rb,
-               const std::vector<std::pair<size_t, size_t>>& shared) {
-  for (const auto& [i, j] : shared) {
-    if (a.rows[ra * a.width() + i] != b.rows[rb * b.width() + j]) {
+  if (!meter.Charge(nested_loop ? a.size() * b.size() : b.size())) {
+    return false;
+  }
+  // (key, row) per row of b; without a shared column every key is 0.
+  std::vector<std::pair<TermId, size_t>> keyed(b.size());
+  for (size_t j = 0; j < b.size(); ++j) {
+    keyed[j] = {shared.empty() ? 0 : b.Row(j)[shared[0].second], j};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  for (size_t i = 0; i < a.size(); ++i) {
+    const TermId* ra = a.Row(i);
+    const std::pair<TermId, size_t> key{
+        shared.empty() ? 0 : ra[shared[0].first], 0};
+    auto [begin, end] = std::equal_range(
+        keyed.begin(), keyed.end(), key,
+        [](const auto& x, const auto& y) { return x.first < y.first; });
+    if (!nested_loop && !meter.Charge(static_cast<size_t>(end - begin))) {
       return false;
     }
-  }
-  return true;
-}
-
-/// Nested-loop join (quadratic) — what the planner picks when it
-/// *believes* inputs are small.
-bool NestedLoopJoin(const Relation& a, const Relation& b,
-                    const std::vector<std::pair<size_t, size_t>>& shared,
-                    StepMeter& meter, Relation& out) {
-  out = JoinSchema(a, b, shared);
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < b.size(); ++j) {
-      if (!meter.Charge()) return false;
-      if (RowsMatch(a, b, i, j, shared)) EmitJoined(a, b, i, j, shared, out);
-    }
-  }
-  return true;
-}
-
-/// Hash join on the first shared column (residual equality on the rest).
-bool HashJoin(const Relation& a, const Relation& b,
-              const std::vector<std::pair<size_t, size_t>>& shared,
-              StepMeter& meter, Relation& out) {
-  out = JoinSchema(a, b, shared);
-  if (shared.empty()) {
-    return NestedLoopJoin(a, b, shared, meter, out);
-  }
-  auto [key_a, key_b] = shared[0];
-  std::unordered_multimap<TermId, size_t> table;
-  table.reserve(b.size());
-  for (size_t j = 0; j < b.size(); ++j) {
-    if (!meter.Charge()) return false;
-    table.emplace(b.rows[j * b.width() + key_b], j);
-  }
-  for (size_t i = 0; i < a.size(); ++i) {
-    auto range = table.equal_range(a.rows[i * a.width() + key_a]);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (!meter.Charge()) return false;
-      if (RowsMatch(a, b, i, it->second, shared)) {
-        EmitJoined(a, b, i, it->second, shared, out);
+    for (auto it = begin; it != end; ++it) {
+      const TermId* rb = b.Row(it->second);
+      if (std::all_of(shared.begin(), shared.end(), [&](const auto& c) {
+            return ra[c.first] == rb[c.second];
+          })) {
+        out.rows.insert(out.rows.end(), ra, ra + a.width());
+        for (size_t j : kept) out.rows.push_back(rb[j]);
       }
     }
   }
   return true;
-}
-
-double EstimateScan(const TripleStore& store, const BgpPattern& t) {
-  double card = t.p >= 1 ? static_cast<double>(store.CountPredicate(
-                               static_cast<TermId>(t.p)))
-                         : static_cast<double>(store.size());
-  if (t.s >= 1) card /= std::max<double>(
-      1.0, static_cast<double>(
-               t.p >= 1 ? store.DistinctSubjects(static_cast<TermId>(t.p))
-                        : store.size()));
-  if (t.o >= 1) card /= std::max<double>(
-      1.0, static_cast<double>(
-               t.p >= 1 ? store.DistinctObjects(static_cast<TermId>(t.p))
-                        : store.size()));
-  return std::max(card, 1.0);
 }
 
 }  // namespace
@@ -350,6 +293,8 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
   (void)mode;  // relational plans materialize fully even under EXISTS
   EvalStats stats;
   StepMeter meter{budget, stats};
+  const std::vector<bool> nothing_bound(static_cast<size_t>(q.num_vars),
+                                        false);
 
   // Left-deep pipeline in syntactic order; independence-assumption
   // estimates drive the operator choice per step.
@@ -360,9 +305,11 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
   for (const BgpPattern& t : q.triples) {
     Relation next;
     if (!ScanPattern(store_, t, meter, next)) return stats;
+    const double scan_est =
+        std::max(1.0, EstimatePattern(store_, t, nothing_bound));
     if (first) {
       acc = std::move(next);
-      est = EstimateScan(store_, t);
+      est = scan_est;
       distinct_guess =
           t.p >= 1 ? static_cast<double>(std::max<size_t>(
                          1, store_.DistinctObjects(static_cast<TermId>(t.p))))
@@ -370,19 +317,17 @@ EvalStats RelationalEngine::Evaluate(const BgpQuery& q, EvalMode mode,
       first = false;
       continue;
     }
-    auto shared = SharedColumns(acc, next);
+    const SharedColumns shared = Shared(acc, next);
     // Independence-assumption estimate: |L|*|R| / prod(max distinct).
-    double right_est = EstimateScan(store_, t);
-    double join_est = est * right_est;
+    double join_est = est * scan_est;
     for (size_t k = 0; k < shared.size(); ++k) {
       join_est /= std::max(1.0, distinct_guess);
     }
     Relation out;
     stats.intermediate_tuples += acc.size() + next.size();
-    bool finished = join_est <= kNljEstimateThreshold
-                        ? NestedLoopJoin(acc, next, shared, meter, out)
-                        : HashJoin(acc, next, shared, meter, out);
-    if (!finished) return stats;
+    const bool nested_loop =
+        shared.empty() || join_est <= kNljEstimateThreshold;
+    if (!Join(acc, next, shared, nested_loop, meter, out)) return stats;
     acc = std::move(out);
     est = join_est;
     distinct_guess = std::max(

@@ -2,27 +2,54 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <tuple>
 
 namespace sparqlog::store {
 
 namespace {
 
-struct PosLess {
+/// Orders triples by the fields F1, F2, F3 in turn.
+template <TermId EncodedTriple::*F1, TermId EncodedTriple::*F2,
+          TermId EncodedTriple::*F3>
+struct Order {
   bool operator()(const EncodedTriple& a, const EncodedTriple& b) const {
-    if (a.p != b.p) return a.p < b.p;
-    if (a.o != b.o) return a.o < b.o;
-    return a.s < b.s;
+    return std::tie(a.*F1, a.*F2, a.*F3) < std::tie(b.*F1, b.*F2, b.*F3);
   }
 };
 
-struct PsoLess {
-  bool operator()(const EncodedTriple& a, const EncodedTriple& b) const {
-    if (a.p != b.p) return a.p < b.p;
-    if (a.s != b.s) return a.s < b.s;
-    return a.o < b.o;
+using Spo = Order<&EncodedTriple::s, &EncodedTriple::p, &EncodedTriple::o>;
+using Pos = Order<&EncodedTriple::p, &EncodedTriple::o, &EncodedTriple::s>;
+using Pso = Order<&EncodedTriple::p, &EncodedTriple::s, &EncodedTriple::o>;
+using Osp = Order<&EncodedTriple::o, &EncodedTriple::s, &EncodedTriple::p>;
+
+/// The triples of `index` (sorted by `Less`) between `lo` and `hi`.
+template <class Less>
+std::span<const EncodedTriple> Run(const std::vector<EncodedTriple>& index,
+                                   const EncodedTriple& lo,
+                                   const EncodedTriple& hi) {
+  auto begin = std::lower_bound(index.begin(), index.end(), lo, Less());
+  return {begin, std::upper_bound(begin, index.end(), hi, Less())};
+}
+
+/// Per predicate id, the number of distinct values of `field` in `index`,
+/// which is sorted by predicate, then `field`: one per run boundary.
+std::vector<size_t> DistinctPerPredicate(
+    const std::vector<EncodedTriple>& index, TermId EncodedTriple::*field) {
+  std::vector<size_t> counts;
+  for (size_t i = 0; i < index.size(); ++i) {
+    const EncodedTriple& t = index[i];
+    if (i > 0 && index[i - 1].p == t.p && index[i - 1].*field == t.*field) {
+      continue;
+    }
+    if (counts.size() <= t.p) counts.resize(t.p + 1, 0);
+    ++counts[t.p];
   }
-};
+  return counts;
+}
+
+size_t CountAt(const std::vector<size_t>& counts, TermId p) {
+  return p < counts.size() ? counts[p] : 0;
+}
 
 }  // namespace
 
@@ -38,96 +65,41 @@ void TripleStore::Add(EncodedTriple t) {
 
 void TripleStore::Build() {
   if (built_) return;
-  std::sort(spo_.begin(), spo_.end());
+  std::sort(spo_.begin(), spo_.end(), Spo());
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   pos_ = spo_;
-  std::sort(pos_.begin(), pos_.end(), PosLess());
+  std::sort(pos_.begin(), pos_.end(), Pos());
   pso_ = spo_;
-  std::sort(pso_.begin(), pso_.end(), PsoLess());
-  // Per-predicate distinct counts.
-  pred_stats_.clear();
-  size_t i = 0;
-  while (i < pso_.size()) {
-    TermId p = pso_[i].p;
-    size_t j = i;
-    std::set<TermId> subjects, objects;
-    while (j < pso_.size() && pso_[j].p == p) {
-      subjects.insert(pso_[j].s);
-      objects.insert(pso_[j].o);
-      ++j;
-    }
-    pred_stats_[p] = {subjects.size(), objects.size()};
-    i = j;
-  }
+  std::sort(pso_.begin(), pso_.end(), Pso());
+  osp_ = spo_;
+  std::sort(osp_.begin(), osp_.end(), Osp());
+  distinct_subjects_ = DistinctPerPredicate(pso_, &EncodedTriple::s);
+  distinct_objects_ = DistinctPerPredicate(pos_, &EncodedTriple::o);
   built_ = true;
 }
 
-void TripleStore::Match(TermId s, TermId p, TermId o,
-                        std::vector<EncodedTriple>& out) const {
+std::span<const EncodedTriple> TripleStore::Match(TermId s, TermId p,
+                                                  TermId o) const {
   assert(built_ && "call Build() before Match()");
-  auto emit_range = [&out](auto begin, auto end, auto pred) {
-    for (auto it = begin; it != end; ++it) {
-      if (pred(*it)) out.push_back(*it);
-    }
-  };
-  if (s != 0) {
-    // SPO index: lower_bound on (s, p|0, o|0).
-    EncodedTriple lo{s, p, o};
-    auto begin = std::lower_bound(spo_.begin(), spo_.end(), lo);
-    auto end = std::upper_bound(
-        spo_.begin(), spo_.end(),
-        EncodedTriple{s, p == 0 ? ~TermId{0} : p, o == 0 ? ~TermId{0} : o});
-    emit_range(begin, end, [&](const EncodedTriple& t) {
-      return t.s == s && (p == 0 || t.p == p) && (o == 0 || t.o == o);
-    });
-    return;
+  // The unbound positions trail the bound ones in the chosen order, so
+  // the run goes from them all at 0 to them all at the largest id.
+  constexpr TermId kAny = ~TermId{0};
+  const EncodedTriple lo{s, p, o};
+  const EncodedTriple hi{s != 0 ? s : kAny, p != 0 ? p : kAny,
+                         o != 0 ? o : kAny};
+  if (p == 0 && o != 0) return Run<Osp>(osp_, lo, hi);
+  if (s == 0 && p != 0) {
+    return o != 0 ? Run<Pos>(pos_, lo, hi) : Run<Pso>(pso_, lo, hi);
   }
-  if (p != 0 && o != 0) {
-    // POS index: the (p, o) rows are one contiguous run.
-    auto begin = std::lower_bound(pos_.begin(), pos_.end(),
-                                  EncodedTriple{0, p, o}, PosLess());
-    auto end = std::upper_bound(pos_.begin(), pos_.end(),
-                                EncodedTriple{~TermId{0}, p, o}, PosLess());
-    out.insert(out.end(), begin, end);
-    return;
-  }
-  if (p != 0) {
-    auto [begin, end] = PredicateSpan(p);
-    for (auto* it = begin; it != end; ++it) out.push_back(*it);
-    return;
-  }
-  if (o != 0) {
-    emit_range(pos_.begin(), pos_.end(),
-               [&](const EncodedTriple& t) { return t.o == o; });
-    return;
-  }
-  out.insert(out.end(), spo_.begin(), spo_.end());
-}
-
-size_t TripleStore::CountPredicate(TermId p) const {
-  auto [begin, end] = PredicateSpan(p);
-  return static_cast<size_t>(end - begin);
+  return Run<Spo>(spo_, lo, hi);
 }
 
 size_t TripleStore::DistinctSubjects(TermId p) const {
-  auto it = pred_stats_.find(p);
-  return it == pred_stats_.end() ? 0 : it->second.first;
+  return CountAt(distinct_subjects_, p);
 }
 
 size_t TripleStore::DistinctObjects(TermId p) const {
-  auto it = pred_stats_.find(p);
-  return it == pred_stats_.end() ? 0 : it->second.second;
-}
-
-std::pair<const EncodedTriple*, const EncodedTriple*>
-TripleStore::PredicateSpan(TermId p) const {
-  assert(built_);
-  EncodedTriple lo{0, p, 0};
-  auto begin = std::lower_bound(pso_.begin(), pso_.end(), lo, PsoLess());
-  EncodedTriple hi{~TermId{0}, p, ~TermId{0}};
-  auto end = std::upper_bound(pso_.begin(), pso_.end(), hi, PsoLess());
-  return {pso_.data() + (begin - pso_.begin()),
-          pso_.data() + (end - pso_.begin())};
+  return CountAt(distinct_objects_, p);
 }
 
 }  // namespace sparqlog::store

@@ -2,8 +2,8 @@
 #define SPARQLOG_STORE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -14,10 +14,12 @@ namespace sparqlog::store {
 using rdf::EncodedTriple;
 using rdf::TermId;
 
-/// An in-memory, dictionary-encoded RDF triple store with the three
-/// access paths SPO, POS and PSO (sorted vectors). This is the
-/// shared substrate under both query engines of the Section 5.1
-/// experiment (one store, two execution strategies).
+/// An in-memory, dictionary-encoded RDF triple store with the four
+/// access paths SPO, POS, PSO and OSP (sorted vectors): every bound/unbound
+/// combination of a lookup is a prefix of one of them, so each lookup is
+/// one contiguous run. This is the shared substrate under both query
+/// engines of the Section 5.1 experiment (one store, two execution
+/// strategies).
 class TripleStore {
  public:
   TripleStore() = default;
@@ -35,24 +37,20 @@ class TripleStore {
   rdf::Dictionary& dict() { return dict_; }
   const rdf::Dictionary& dict() const { return dict_; }
 
-  /// Matches a triple pattern with 0 meaning "wildcard" in any position;
-  /// appends results to `out`. Uses the best index for the bound set.
-  void Match(TermId s, TermId p, TermId o,
-             std::vector<EncodedTriple>& out) const;
+  /// The triples matching a pattern with 0 meaning "wildcard" in any
+  /// position: the exact run of the index whose order starts with the
+  /// bound positions (o bound without p: OSP; p bound without s: POS or
+  /// PSO; otherwise SPO). Valid until the next Add or Build.
+  std::span<const EncodedTriple> Match(TermId s, TermId p, TermId o) const;
 
   /// Number of triples with predicate `p` (relation cardinality for the
   /// relational engine's statistics).
-  size_t CountPredicate(TermId p) const;
+  size_t CountPredicate(TermId p) const { return Match(0, p, 0).size(); }
 
   /// Number of distinct subjects / objects under predicate `p`
   /// (distinct-value statistics for join selectivity estimation).
   size_t DistinctSubjects(TermId p) const;
   size_t DistinctObjects(TermId p) const;
-
-  /// All triples with predicate `p` as a contiguous span of the POS
-  /// index (sorted by object, then subject).
-  std::pair<const EncodedTriple*, const EncodedTriple*> PredicateSpan(
-      TermId p) const;
 
  private:
   bool built_ = false;
@@ -60,7 +58,10 @@ class TripleStore {
   std::vector<EncodedTriple> spo_;  // sorted (s, p, o)
   std::vector<EncodedTriple> pos_;  // sorted (p, o, s)
   std::vector<EncodedTriple> pso_;  // sorted (p, s, o)
-  std::unordered_map<TermId, std::pair<size_t, size_t>> pred_stats_;
+  std::vector<EncodedTriple> osp_;  // sorted (o, s, p)
+  // Indexed by predicate id; 0 past the last predicate.
+  std::vector<size_t> distinct_subjects_;
+  std::vector<size_t> distinct_objects_;
 };
 
 }  // namespace sparqlog::store

@@ -123,7 +123,7 @@ std::optional<Violation> CheckStreakEquivalence(
 /// input:
 ///  * every Scalar* scan primitive (util/simd_scan.h) against a naive
 ///    byte-at-a-time reference, at every start offset — catches SWAR
-///    bugs even in SPARQLOG_NO_SIMD builds;
+///    bugs in the scalar path that non-SSE2 targets run;
 ///  * every Simd* primitive against its Scalar* twin, at every start
 ///    offset — the vector-vs-scalar lexer differential;
 ///  * util::PercentDecode against a byte-at-a-time reference decoder;

@@ -20,14 +20,12 @@
 ///     Simd symbols are compiled as aliases of the scalar ones.
 ///
 /// The unprefixed names are what the lexer/decoder call; they resolve
-/// at compile time to Simd* unless SPARQLOG_NO_SIMD is defined (the
-/// scalar-identical fallback build, exercised by its own CI leg). Both
-/// variants stay linked into every build so the fuzz driver's
-/// vector-vs-scalar differential phase (testing/invariants) can pin
-/// them bit-identical on every input it generates.
+/// at compile time to Simd*. Both variants stay linked into every build
+/// so the fuzz driver's vector-vs-scalar differential phase
+/// (testing/invariants) and simd_scan_test can pin them bit-identical on
+/// every input they generate.
 
-#if !defined(SPARQLOG_NO_SIMD) && (defined(__SSE2__) || \
-    (defined(_M_X64) && !defined(_M_ARM64EC)))
+#if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
 #define SPARQLOG_SIMD_SSE2 1
 #else
 #define SPARQLOG_SIMD_SSE2 0

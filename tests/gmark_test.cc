@@ -62,9 +62,7 @@ TEST(GraphGenTest, EdgesRespectSchemaTypes) {
   rdf::TermId authors =
       store.dict().Lookup(schema.namespace_iri + "authors");
   ASSERT_NE(authors, 0u);
-  std::vector<rdf::EncodedTriple> out;
-  store.Match(0, authors, 0, out);
-  for (const auto& t : out) {
+  for (const auto& t : store.Match(0, authors, 0)) {
     ASSERT_NE(store.dict().term(t.s), nullptr);
     ASSERT_NE(store.dict().term(t.o), nullptr);
     EXPECT_NE(store.dict().term(t.s)->find("Paper/"), std::string::npos);
@@ -164,7 +162,7 @@ TEST(WorkloadTest, CompileAndRunOnEngines) {
   store::RelationalEngine pg(store);
   int compiled = 0;
   for (const GeneratedQuery& q : GenerateWorkload(Schema::Bib(), options)) {
-    auto bgp = CompileForEngine(q, store, Schema::Bib());
+    auto bgp = CompileForEngine(q, store);
     if (!bgp.has_value()) continue;
     ++compiled;
     store::EvalStats a = bg.Evaluate(*bgp, store::EvalMode::kAsk);

@@ -105,7 +105,7 @@ TEST(IntegrationTest, ChainVsCycleEngineGap) {
                  const std::vector<gmark::GeneratedQuery>& workload) {
     WorkloadCost cost;
     for (const auto& q : workload) {
-      auto bgp = gmark::CompileForEngine(q, store, gmark::Schema::Bib());
+      auto bgp = gmark::CompileForEngine(q, store);
       if (!bgp.has_value()) continue;
       store::EvalStats stats = engine.Evaluate(*bgp, store::EvalMode::kAsk);
       cost.tuples += stats.intermediate_tuples;

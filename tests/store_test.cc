@@ -32,52 +32,62 @@ TEST(StoreTest, BuildDeduplicates) {
 
 TEST(StoreTest, MatchBySubject) {
   TripleStore s = SmallGraph();
-  std::vector<rdf::EncodedTriple> out;
-  s.Match(s.dict().Lookup("alice"), 0, 0, out);
-  EXPECT_EQ(out.size(), 2u);  // knows bob, name Alice
+  EXPECT_EQ(s.Match(s.dict().Lookup("alice"), 0, 0).size(),
+            2u);  // knows bob, name Alice
 }
 
 TEST(StoreTest, MatchByPredicate) {
   TripleStore s = SmallGraph();
-  std::vector<rdf::EncodedTriple> out;
-  s.Match(0, s.dict().Lookup("knows"), 0, out);
-  EXPECT_EQ(out.size(), 4u);
+  EXPECT_EQ(s.Match(0, s.dict().Lookup("knows"), 0).size(), 4u);
   EXPECT_EQ(s.CountPredicate(s.dict().Lookup("knows")), 4u);
 }
 
 TEST(StoreTest, MatchByPredicateObject) {
   TripleStore s = SmallGraph();
-  std::vector<rdf::EncodedTriple> out;
-  s.Match(0, s.dict().Lookup("knows"), s.dict().Lookup("alice"), out);
-  EXPECT_EQ(out.size(), 2u);  // carol, dave
+  EXPECT_EQ(
+      s.Match(0, s.dict().Lookup("knows"), s.dict().Lookup("alice")).size(),
+      2u);  // carol, dave
 }
 
-// Every (p, o) pair of the dictionary, present or not: the POS range
-// returns exactly the rows a filter over the full scan keeps.
+// Every bound/unbound combination of (s, p, o) over every term of the
+// dictionary (0 is the wildcard), present in that position or not: each
+// lookup returns exactly the rows a filter over the full scan keeps. Two
+// predicates link alice to bob and alice knows herself, so the
+// variable-predicate lookups (s, ?, o) and (?, ?, o) have runs of more
+// than one row.
 TEST(StoreTest, MatchByPredicateObjectEqualsBruteForce) {
   TripleStore s = SmallGraph();
-  std::vector<rdf::EncodedTriple> all;
-  s.Match(0, 0, 0, all);
+  s.Add("alice", "likes", "bob");
+  s.Add("alice", "knows", "alice");
+  s.Build();
+  const std::span<const rdf::EncodedTriple> all = s.Match(0, 0, 0);
+  ASSERT_EQ(all.size(), s.size());
   const TermId max_id = static_cast<TermId>(s.dict().size());
-  for (TermId p = 1; p <= max_id; ++p) {
-    for (TermId o = 1; o <= max_id; ++o) {
-      std::vector<rdf::EncodedTriple> expected;
-      for (const rdf::EncodedTriple& t : all) {
-        if (t.p == p && t.o == o) expected.push_back(t);
+  for (TermId sv = 0; sv <= max_id; ++sv) {
+    for (TermId pv = 0; pv <= max_id; ++pv) {
+      for (TermId ov = 0; ov <= max_id; ++ov) {
+        std::vector<rdf::EncodedTriple> expected;
+        for (const rdf::EncodedTriple& t : all) {
+          if ((sv == 0 || t.s == sv) && (pv == 0 || t.p == pv) &&
+              (ov == 0 || t.o == ov)) {
+            expected.push_back(t);
+          }
+        }
+        const std::span<const rdf::EncodedTriple> run = s.Match(sv, pv, ov);
+        std::vector<rdf::EncodedTriple> got(run.begin(), run.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << "s=" << sv << " p=" << pv << " o=" << ov;
       }
-      std::vector<rdf::EncodedTriple> got;
-      s.Match(0, p, o, got);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expected) << "p=" << p << " o=" << o;
     }
   }
+  EXPECT_EQ(
+      s.Match(s.dict().Lookup("alice"), 0, s.dict().Lookup("bob")).size(),
+      2u);  // knows, likes
 }
 
 TEST(StoreTest, MatchFullScan) {
   TripleStore s = SmallGraph();
-  std::vector<rdf::EncodedTriple> out;
-  s.Match(0, 0, 0, out);
-  EXPECT_EQ(out.size(), s.size());
+  EXPECT_EQ(s.Match(0, 0, 0).size(), s.size());
 }
 
 TEST(StoreTest, DistinctCounts) {
