@@ -10,7 +10,8 @@ produced:
     maximum/$ref into #/definitions), so renaming or dropping an
     exporter field fails CI until the schema is updated with it;
   * the metrics are internally coherent (shard_queries sum to the shard
-    stage's items_in, stall fraction within [0,1]);
+    stage's items_in, stall fraction within [0,1], no Levenshtein block
+    steps without a Levenshtein call);
   * the trace document is Chrome-trace shaped: every "X" span carries
     ts/dur/pid/tid/name, spans land within [0, wall * 1.1], and every
     track referenced by a span has a thread_name metadata record.
@@ -87,6 +88,11 @@ def check_metrics(metrics, schema, errors):
         errors.append(
             f"shard_queries sum {shard_sum} != shard items_in "
             f"{shard_stage['items_in']}")
+    prefilter = t["prefilter"]
+    if prefilter["levenshtein_calls"] == 0 and prefilter["dp_block_steps"]:
+        errors.append(
+            f"prefilter: {prefilter['dp_block_steps']} dp_block_steps "
+            "without a levenshtein call")
 
 
 def check_trace(trace, errors):

@@ -224,7 +224,9 @@ int RunStreakStage(const std::vector<std::string>& queries,
             << "), reached DP "
             << util::WithThousands(
                    static_cast<long long>(pf.levenshtein_calls))
-            << "\n";
+            << " (block steps "
+            << util::WithThousands(static_cast<long long>(pf.dp_block_steps))
+            << ")\n";
   std::cout << "Throughput: "
             << util::WithThousands(static_cast<long long>(
                    elapsed > 0 ? static_cast<double>(queries.size()) / elapsed
@@ -239,8 +241,10 @@ int RunStreakStage(const std::vector<std::string>& queries,
     for (const std::string& q : queries) detector.Add(q);
     streaks::StreakReport serial = detector.Finish();
     double serial_elapsed = Seconds(start);
-    bool ok = serial == result.report;
-    std::cout << "\nSerial detector: " << serial_elapsed << " s; reports "
+    bool ok = serial == result.report &&
+              detector.prefilter_stats() == pf;
+    std::cout << "\nSerial detector: " << serial_elapsed
+              << " s; reports and prefilter counters "
               << (ok ? "MATCH" : "DIFFER") << "\n";
     if (result.telemetry.has_value()) {
       std::cout << obs::OneLineSummary(*result.telemetry) << "\n";
@@ -249,7 +253,10 @@ int RunStreakStage(const std::vector<std::string>& queries,
       std::cerr << "serial/sharded streak divergence: streaks "
                 << serial.total_streaks << " vs "
                 << result.report.total_streaks << ", longest "
-                << serial.longest << " vs " << result.report.longest << "\n";
+                << serial.longest << " vs " << result.report.longest
+                << ", DP block steps "
+                << detector.prefilter_stats().dp_block_steps << " vs "
+                << pf.dp_block_steps << "\n";
       return 1;
     }
   }

@@ -348,9 +348,9 @@ int main(int argc, char** argv) {
                  config.pipeline_rounds, config.pipeline_lines);
   }
 
-  // Phase 4: randomized serial-vs-sharded streak-report equivalence on
-  // fuzzed refinement-session logs (duplicates, small edits, topic
-  // switches — the Section 8 workload shape).
+  // Phase 4: randomized reference-vs-serial-vs-sharded streak-report
+  // equivalence on fuzzed refinement-session logs (duplicates, small
+  // edits, topic switches — the Section 8 workload shape).
   {
     sparqlog::util::Rng rng(config.seed ^ 0x5157EA4B00F5ULL);
     sparqlog::testing::QueryFuzzOptions fuzz_options;

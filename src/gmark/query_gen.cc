@@ -60,10 +60,8 @@ bool RandomWalk(const Schema& schema, int length, bool must_close,
   return false;
 }
 
-sparql::Query BuildSparql(const Schema& schema,
-                          const std::vector<TriplePattern>& triples,
+sparql::Query BuildSparql(const std::vector<TriplePattern>& triples,
                           int num_vars, bool ask_form) {
-  (void)schema;
   Query q;
   q.form = ask_form ? QueryForm::kAsk : QueryForm::kSelect;
   if (!ask_form) {
@@ -139,7 +137,7 @@ GeneratedQuery FromSteps(const Schema& schema, QueryShape shape,
     Term obj = Term::Var(VarName(endpoints[i].second));
     triples.push_back(TriplePattern::Make(subj, pred, obj));
   }
-  out.sparql = BuildSparql(schema, triples, num_vars, ask_form);
+  out.sparql = BuildSparql(triples, num_vars, ask_form);
   out.sql = BuildSql(schema, steps, endpoints, ask_form);
   return out;
 }

@@ -80,6 +80,7 @@ void RunTelemetry::Merge(const RunTelemetry& other) {
   prefilter_histogram += other.prefilter_histogram;
   prefilter_dp += other.prefilter_dp;
   prefilter_abandoned += other.prefilter_abandoned;
+  prefilter_dp_block_steps += other.prefilter_dp_block_steps;
   wall_ns = std::max(wall_ns, other.wall_ns);
   workers += other.workers;
   run_alloc_bytes += other.run_alloc_bytes;

@@ -158,6 +158,9 @@ struct RunTelemetry {
   /// Similarity pairs abandoned because the Levenshtein step budget ran
   /// out (streaks::PrefilterStats::abandoned_pairs).
   uint64_t prefilter_abandoned = 0;
+  /// 64-row blocks the Levenshtein DP stepped
+  /// (streaks::PrefilterStats::dp_block_steps).
+  uint64_t prefilter_dp_block_steps = 0;
   /// Run envelope. wall_ns merges by max (parallel partitions share the
   /// wall clock), workers by sum.
   uint64_t wall_ns = 0;

@@ -121,7 +121,8 @@ void PrintSummary(std::ostream& out, const RunTelemetry& t) {
     out << "Prefilter cascade: " << t.prefilter_pairs << " pairs -> exact "
         << t.prefilter_exact_hash << ", length " << t.prefilter_length
         << ", charmap " << t.prefilter_charmap << ", histogram "
-        << t.prefilter_histogram << ", DP " << t.prefilter_dp << "\n";
+        << t.prefilter_histogram << ", DP " << t.prefilter_dp << " ("
+        << t.prefilter_dp_block_steps << " block steps)\n";
   }
   if (t.run_allocs > 0) {
     out << "Allocations: " << t.run_allocs << " (" << t.run_alloc_bytes
@@ -192,6 +193,7 @@ void AppendTelemetryJson(JsonWriter& json, const RunTelemetry& t) {
   json.KV("histogram_rejects", t.prefilter_histogram);
   json.KV("levenshtein_calls", t.prefilter_dp);
   json.KV("abandoned_pairs", t.prefilter_abandoned);
+  json.KV("dp_block_steps", t.prefilter_dp_block_steps);
   json.EndObject();
 
   json.Key("allocations").BeginObject();

@@ -173,6 +173,7 @@ StreakStageResult StreakStage::Run(
     merged.prefilter_histogram = result.prefilter.histogram_rejects;
     merged.prefilter_dp = result.prefilter.levenshtein_calls;
     merged.prefilter_abandoned = result.prefilter.abandoned_pairs;
+    merged.prefilter_dp_block_steps = result.prefilter.dp_block_steps;
     merged.wall_ns = obs::NowNs() - run_start;
     merged.workers = worker_count + 1;
     merged.run_alloc_bytes = obs::AllocatedBytes() - alloc_bytes0;

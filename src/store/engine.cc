@@ -180,12 +180,14 @@ EvalStats GraphEngine::Evaluate(const BgpQuery& q, EvalMode mode,
 namespace {
 
 /// A materialized relation: schema = list of variable indexes, rows =
-/// flat tuples.
+/// flat tuples. The row count is kept explicitly: a relation without
+/// variables (a ground pattern) has rows but no columns.
 struct Relation {
   std::vector<size_t> schema;  // variable index per column
   std::vector<TermId> rows;    // row-major
+  size_t count = 0;            // number of rows
   size_t width() const { return schema.size(); }
-  size_t size() const { return schema.empty() ? 0 : rows.size() / width(); }
+  size_t size() const { return count; }
   const TermId* Row(size_t i) const { return rows.data() + i * width(); }
 };
 
@@ -218,6 +220,7 @@ bool ScanPattern(const TripleStore& store, const BgpPattern& t,
       continue;
     }
     for (int c : columns) rel.rows.push_back(values[c]);
+    ++rel.count;
   }
   return true;
 }
@@ -280,6 +283,7 @@ bool Join(const Relation& a, const Relation& b, const SharedColumns& shared,
           })) {
         out.rows.insert(out.rows.end(), ra, ra + a.width());
         for (size_t j : kept) out.rows.push_back(rb[j]);
+        ++out.count;
       }
     }
   }

@@ -114,6 +114,7 @@ void PrefilterStats::Merge(const PrefilterStats& other) {
   histogram_rejects += other.histogram_rejects;
   levenshtein_calls += other.levenshtein_calls;
   abandoned_pairs += other.abandoned_pairs;
+  dp_block_steps += other.dp_block_steps;
 }
 
 // ---------------------------------------------------------------------------
@@ -125,10 +126,10 @@ SimilarityWindow::SimilarityWindow(StreakOptions options)
 
 bool SimilarityWindow::Similar(const Slot& prev, const Slot& cand) {
   ++stats_.pairs;
-  // The exact predicate (SimilarByLevenshtein): distance at most
-  // floor(threshold * longer). Every tier below either decides exactly
-  // or rejects on an admissible lower bound, so the cascade accepts a
-  // pair iff the exact predicate does.
+  // The exact predicate: distance at most floor(threshold * longer).
+  // Every tier below either decides exactly or rejects on an admissible
+  // lower bound, so the cascade accepts a pair iff the exact predicate
+  // does.
   size_t longer = std::max(prev.fp.length, cand.fp.length);
   if (prev.fp.hash == cand.fp.hash && prev.fp.length == cand.fp.length &&
       prev.text == cand.text) {
@@ -152,13 +153,15 @@ bool SimilarityWindow::Similar(const Slot& prev, const Slot& cand) {
     return false;
   }
   ++stats_.levenshtein_calls;
-  if (options_.levenshtein_step_budget == 0) {
-    return util::MyersBoundedLevenshtein(prev.text, cand.text, budget,
-                                         scratch_) <= budget;
-  }
-  util::StepBudget steps(options_.levenshtein_step_budget);
-  size_t dist = util::MyersBoundedLevenshtein(prev.text, cand.text, budget,
-                                              scratch_, &steps);
+  // An unlimited budget still counts: the steps charged are the limit
+  // minus what remains.
+  const uint64_t limit = options_.levenshtein_step_budget > 0
+                             ? options_.levenshtein_step_budget
+                             : UINT64_MAX;
+  util::StepBudget steps(limit);
+  size_t dist = util::BoundedLevenshtein(prev.text, cand.text, budget,
+                                         scratch_, &steps);
+  stats_.dp_block_steps += limit - steps.remaining();
   if (steps.exhausted()) {
     ++stats_.abandoned_pairs;
     return false;

@@ -22,10 +22,10 @@ struct StreakOptions {
   /// Maximum index gap between consecutive queries of a streak.
   size_t window = 30;
   /// Per-pair step budget for the Levenshtein DP (one step per 64-row
-  /// block column; 0 = unlimited). A pair whose DP exhausts the budget
-  /// is treated as dissimilar — deterministically, since the step count
-  /// depends only on the two texts — and counted in
-  /// PrefilterStats::abandoned_pairs.
+  /// block stepped inside the band, see util::BoundedLevenshtein;
+  /// 0 = unlimited). A pair whose DP exhausts the budget is treated as
+  /// dissimilar — deterministically, since the step count depends only
+  /// on the two texts — and counted in PrefilterStats::abandoned_pairs.
   uint64_t levenshtein_step_budget = 0;
 };
 
@@ -102,8 +102,13 @@ struct PrefilterStats {
   /// pair is then treated as dissimilar). Always 0 with the default
   /// unlimited budget.
   uint64_t abandoned_pairs = 0;
+  /// 64-row blocks the DP stepped over all its calls: the deterministic
+  /// work counter of the Levenshtein kernel. An abandoned call counts
+  /// its whole step budget.
+  uint64_t dp_block_steps = 0;
 
   void Merge(const PrefilterStats& other);
+  bool operator==(const PrefilterStats& other) const = default;
 };
 
 /// The streak hot path: a sliding window of fingerprinted queries that,

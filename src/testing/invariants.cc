@@ -24,6 +24,7 @@
 #include "streaks/streaks.h"
 #include "testing/reference_analysis.h"
 #include "testing/reference_fragments.h"
+#include "testing/reference_streaks.h"
 #include "util/ascii.h"
 #include "util/simd_scan.h"
 #include "util/strings.h"
@@ -359,16 +360,66 @@ StreakEquivalenceConfig RandomStreakConfig(util::Rng& rng) {
   return config;
 }
 
+namespace {
+
+/// Names the first field in which two StreakReports differ.
+std::optional<Violation> CompareStreakReports(
+    const std::string& invariant, const std::string& context,
+    const char* left_name, const streaks::StreakReport& left,
+    const char* right_name, const streaks::StreakReport& right) {
+  if (left == right) return std::nullopt;
+  auto mismatch = [&](const std::string& field, uint64_t a, uint64_t b) {
+    return Violate(invariant,
+                   "StreakReport." + field + " diverges (" + context + "): " +
+                       left_name + " " + std::to_string(a) + " vs " +
+                       right_name + " " + std::to_string(b),
+                   "");
+  };
+  for (size_t i = 0; i < 11; ++i) {
+    if (left.counts[i] != right.counts[i]) {
+      return mismatch("counts[" + std::to_string(i) + "]", left.counts[i],
+                      right.counts[i]);
+    }
+  }
+  if (left.total_streaks != right.total_streaks) {
+    return mismatch("total_streaks", left.total_streaks, right.total_streaks);
+  }
+  if (left.longest != right.longest) {
+    return mismatch("longest", left.longest, right.longest);
+  }
+  if (left.queries_processed != right.queries_processed) {
+    return mismatch("queries_processed", left.queries_processed,
+                    right.queries_processed);
+  }
+  // operator== said unequal but no named field differs: a field was
+  // added to StreakReport without extending this diagnosis.
+  return mismatch("operator==", 0, 1);
+}
+
+}  // namespace
+
 std::optional<Violation> CheckStreakEquivalence(
     const std::vector<std::string>& queries,
     const StreakEquivalenceConfig& config) {
   streaks::StreakOptions streak;
   streak.window = config.window;
   streak.similarity_threshold = config.similarity_threshold;
+  const std::string context =
+      "threads=" + std::to_string(config.threads) +
+      " chunk=" + std::to_string(config.chunk_size) +
+      " window=" + std::to_string(config.window) +
+      " threshold=" + std::to_string(config.similarity_threshold);
 
+  reference::ReferenceDetector oracle(streak);
+  for (const std::string& q : queries) oracle.Add(q);
   streaks::StreakDetector detector(streak);
   for (const std::string& q : queries) detector.Add(q);
   streaks::StreakReport serial = detector.Finish();
+  if (auto v = CompareStreakReports("streak-serial-reference", context,
+                                    "serial", serial, "reference",
+                                    oracle.Finish())) {
+    return v;
+  }
 
   pipeline::StreakStageOptions options;
   options.streak = streak;
@@ -376,42 +427,8 @@ std::optional<Violation> CheckStreakEquivalence(
   options.chunk_size = config.chunk_size;
   streaks::StreakReport sharded =
       pipeline::StreakStage(options).Run(queries).report;
-  if (serial == sharded) return std::nullopt;
-
-  // Diverged: name the first differing field for the report.
-  auto describe = [&config] {
-    return "threads=" + std::to_string(config.threads) +
-           " chunk=" + std::to_string(config.chunk_size) +
-           " window=" + std::to_string(config.window) + " threshold=" +
-           std::to_string(config.similarity_threshold);
-  };
-  auto mismatch = [&](const std::string& field, uint64_t a, uint64_t b) {
-    return Violate("streak-serial-sharded",
-                   "StreakReport." + field + " diverges (" + describe() +
-                       "): serial " + std::to_string(a) + " vs sharded " +
-                       std::to_string(b),
-                   "");
-  };
-  for (size_t i = 0; i < 11; ++i) {
-    if (serial.counts[i] != sharded.counts[i]) {
-      return mismatch("counts[" + std::to_string(i) + "]", serial.counts[i],
-                      sharded.counts[i]);
-    }
-  }
-  if (serial.total_streaks != sharded.total_streaks) {
-    return mismatch("total_streaks", serial.total_streaks,
-                    sharded.total_streaks);
-  }
-  if (serial.longest != sharded.longest) {
-    return mismatch("longest", serial.longest, sharded.longest);
-  }
-  if (serial.queries_processed != sharded.queries_processed) {
-    return mismatch("queries_processed", serial.queries_processed,
-                    sharded.queries_processed);
-  }
-  // operator== said unequal but no named field differs: a field was
-  // added to StreakReport without extending this diagnosis.
-  return mismatch("operator==", 0, 1);
+  return CompareStreakReports("streak-serial-sharded", context, "serial",
+                              serial, "sharded", sharded);
 }
 
 namespace {

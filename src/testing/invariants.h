@@ -112,9 +112,12 @@ struct StreakEquivalenceConfig {
 /// crosses a stitch boundary) and tiny windows (eviction edges move).
 StreakEquivalenceConfig RandomStreakConfig(util::Rng& rng);
 
-/// Runs `queries` through the serial StreakDetector and through the
-/// sharded StreakStage under `config`, then compares every field of the
-/// two StreakReports. Any difference is a violation.
+/// Runs `queries` through reference::ReferenceDetector (the pre-band
+/// Myers kernel, no prefilters), the serial StreakDetector and the
+/// sharded StreakStage under `config`, and compares every field of the
+/// serial StreakReport with the other two. Any difference is a
+/// violation: against the reference it checks the banded Levenshtein
+/// kernel and the prefilter cascade, against the stage the sharding.
 std::optional<Violation> CheckStreakEquivalence(
     const std::vector<std::string>& queries,
     const StreakEquivalenceConfig& config);

@@ -1,8 +1,6 @@
 #include "util/levenshtein.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <vector>
 
 namespace sparqlog::util {
@@ -11,131 +9,27 @@ namespace {
 
 constexpr uint64_t kTopBit = 1ULL << 63;
 
-/// One column of the single-word Myers recurrence (Hyyro's formulation).
-/// `peq` is the pattern bitmask of the current text byte, `last` the bit
-/// of the pattern's final row. Returns the score delta (-1, 0, +1).
-inline int MyersStep(uint64_t peq, uint64_t last, uint64_t& vp,
-                     uint64_t& vn) {
-  uint64_t xv = peq | vn;
-  uint64_t xh = (((peq & vp) + vp) ^ vp) | peq;
-  uint64_t ph = vn | ~(xh | vp);
-  uint64_t mh = vp & xh;
-  int delta = 0;
-  if (ph & last) delta = 1;
-  if (mh & last) delta = -1;
-  ph = (ph << 1) | 1;
-  vn = ph & xv;
-  vp = (mh << 1) | ~(xv | ph);
-  return delta;
-}
+inline size_t Byte(char c) { return static_cast<unsigned char>(c); }
 
-/// Single-word Myers: pattern `p` (|p| <= 64) against text `t`. When
-/// `max_dist` < SIZE_MAX, applies the lower-bound cutoff: the final
-/// score is at least score - (columns remaining), so once that exceeds
-/// the budget the distance cannot come back under it.
-size_t MyersSingleWord(std::string_view p, std::string_view t,
-                       size_t max_dist, StepBudget* budget = nullptr) {
-  uint64_t peq[256] = {0};
-  for (size_t i = 0; i < p.size(); ++i) {
-    peq[static_cast<unsigned char>(p[i])] |= 1ULL << i;
-  }
-  uint64_t vp = ~0ULL, vn = 0;
-  uint64_t last = 1ULL << (p.size() - 1);
-  size_t score = p.size();
-  for (size_t j = 0; j < t.size(); ++j) {
-    if (budget != nullptr && !budget->Charge()) return max_dist + 1;
-    score = static_cast<size_t>(
-        static_cast<long long>(score) +
-        MyersStep(peq[static_cast<unsigned char>(t[j])], last, vp, vn));
-    size_t remaining = t.size() - j - 1;
-    if (score > max_dist && score - std::min(score, remaining) > max_dist) {
-      return max_dist + 1;
-    }
-  }
-  return score;
-}
-
-/// One column step of one 64-row block. `hin` in {-1, 0, +1} is the
-/// horizontal delta entering the block from below; returns the delta
-/// leaving its top row.
-inline int MyersBlockStep(uint64_t peq, uint64_t& vp, uint64_t& vn,
-                          int hin) {
-  uint64_t xv = peq | vn;
-  uint64_t eq = hin < 0 ? peq | 1 : peq;
+/// One column step of one 64-row block (Hyyro's blocked form of Myers'
+/// recurrence), without branches. `hin` in {-1, 0, +1} is the
+/// horizontal delta entering the block through the row above it;
+/// returns the delta leaving the row marked by `out`.
+inline int BlockStep(uint64_t eq, uint64_t& vp, uint64_t& vn, int hin,
+                     uint64_t out) {
+  const uint64_t hp = hin > 0, hm = hin < 0;
+  uint64_t xv = eq | vn;
+  eq |= hm;
   uint64_t xh = (((eq & vp) + vp) ^ vp) | eq;
   uint64_t ph = vn | ~(xh | vp);
   uint64_t mh = vp & xh;
-  int hout = 0;
-  if (ph & kTopBit) hout = 1;
-  if (mh & kTopBit) hout = -1;
-  ph <<= 1;
-  mh <<= 1;
-  if (hin > 0) ph |= 1;
-  if (hin < 0) mh |= 1;
+  int hout = static_cast<int>((ph & out) != 0) -
+             static_cast<int>((mh & out) != 0);
+  ph = (ph << 1) | hp;
+  mh = (mh << 1) | hm;
   vn = ph & xv;
   vp = mh | ~(xv | ph);
   return hout;
-}
-
-/// Block-based Myers for patterns longer than 64 bytes. Exact distance
-/// with the same lower-bound cutoff as the single-word version.
-size_t MyersBlocked(std::string_view p, std::string_view t, size_t max_dist,
-                    LevenshteinScratch& scratch,
-                    StepBudget* budget = nullptr) {
-  const size_t blocks = (p.size() + 63) / 64;
-  scratch.peq.assign(blocks * 256, 0);
-  for (size_t i = 0; i < p.size(); ++i) {
-    scratch.peq[static_cast<unsigned char>(p[i]) * blocks + i / 64] |=
-        1ULL << (i % 64);
-  }
-  scratch.vp.assign(blocks, ~0ULL);
-  scratch.vn.assign(blocks, 0);
-  uint64_t last = 1ULL << ((p.size() - 1) % 64);
-  size_t score = p.size();
-  for (size_t j = 0; j < t.size(); ++j) {
-    if (budget != nullptr && !budget->Charge(blocks)) return max_dist + 1;
-    const uint64_t* peq =
-        scratch.peq.data() + static_cast<unsigned char>(t[j]) * blocks;
-    int carry = 1;  // row 0 of the imaginary boundary grows by one per column
-    for (size_t b = 0; b + 1 < blocks; ++b) {
-      carry = MyersBlockStep(peq[b], scratch.vp[b], scratch.vn[b], carry);
-    }
-    // The final block carries the score bit on the pattern's last row.
-    {
-      size_t b = blocks - 1;
-      uint64_t xv = peq[b] | scratch.vn[b];
-      uint64_t eq = carry < 0 ? peq[b] | 1 : peq[b];
-      uint64_t xh =
-          (((eq & scratch.vp[b]) + scratch.vp[b]) ^ scratch.vp[b]) | eq;
-      uint64_t ph = scratch.vn[b] | ~(xh | scratch.vp[b]);
-      uint64_t mh = scratch.vp[b] & xh;
-      if (ph & last) ++score;
-      if (mh & last) --score;
-      ph <<= 1;
-      mh <<= 1;
-      if (carry > 0) ph |= 1;
-      if (carry < 0) mh |= 1;
-      scratch.vn[b] = ph & xv;
-      scratch.vp[b] = mh | ~(xv | ph);
-    }
-    size_t remaining = t.size() - j - 1;
-    if (score > max_dist && score - std::min(score, remaining) > max_dist) {
-      return max_dist + 1;
-    }
-  }
-  return score;
-}
-
-size_t MyersDispatch(std::string_view a, std::string_view b, size_t max_dist,
-                     LevenshteinScratch& scratch,
-                     StepBudget* budget = nullptr) {
-  if (a.size() < b.size()) std::swap(a, b);
-  // b is the (possibly empty) pattern; a is the text.
-  if (a.size() - b.size() > max_dist) return max_dist + 1;
-  if (b.empty()) return a.size();
-  size_t d = b.size() <= 64 ? MyersSingleWord(b, a, max_dist, budget)
-                            : MyersBlocked(b, a, max_dist, scratch, budget);
-  return d <= max_dist ? d : max_dist + 1;
 }
 
 }  // namespace
@@ -158,94 +52,72 @@ size_t Levenshtein(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-size_t MyersLevenshtein(std::string_view a, std::string_view b,
-                        LevenshteinScratch& scratch) {
-  constexpr size_t kUnbounded = static_cast<size_t>(-2);
-  return MyersDispatch(a, b, kUnbounded, scratch);
-}
-
-size_t MyersLevenshtein(std::string_view a, std::string_view b) {
-  LevenshteinScratch scratch;
-  return MyersLevenshtein(a, b, scratch);
-}
-
-size_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                          size_t max_dist, LevenshteinScratch& scratch) {
+size_t BoundedLevenshtein(std::string_view a, std::string_view b, size_t k,
+                          LevenshteinScratch& scratch, StepBudget* budget) {
   if (a.size() < b.size()) std::swap(a, b);
-  size_t n = a.size(), m = b.size();
-  if (n - m > max_dist) return max_dist + 1;
-  if (max_dist == 0) return a == b ? 0 : 1;
-
-  const size_t kInf = max_dist + 1;
-  // Band of width 2*max_dist+1 around the diagonal.
-  std::vector<size_t>& row = scratch.row;
-  std::vector<size_t>& next = scratch.next;
-  row.assign(m + 1, kInf);
-  next.assign(m + 1, kInf);
-  size_t lo0 = 0, hi0 = std::min(m, max_dist);
-  for (size_t j = lo0; j <= hi0; ++j) row[j] = j;
-
-  for (size_t i = 1; i <= n; ++i) {
-    size_t lo = (i > max_dist) ? i - max_dist : 0;
-    size_t hi = std::min(m, i + max_dist);
-    if (lo > hi) return kInf;
-    std::fill(next.begin() + static_cast<long>(lo),
-              next.begin() + static_cast<long>(hi) + 1, kInf);
-    // The cell just left of the band belongs to a previous row's band;
-    // it must read as "infinite" for this row.
-    if (lo >= 1) next[lo - 1] = kInf;
-    size_t best = kInf;
-    for (size_t j = lo; j <= hi; ++j) {
-      size_t v = kInf;
-      if (j == 0) {
-        v = i;
-      } else {
-        size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-        size_t diag = row[j - 1];
-        v = std::min(v, diag == kInf ? kInf : diag + cost);
-        if (row[j] != kInf) v = std::min(v, row[j] + 1);
-        if (next[j - 1] != kInf) v = std::min(v, next[j - 1] + 1);
-      }
-      if (v > kInf) v = kInf;
-      next[j] = v;
-      best = std::min(best, v);
-    }
-    if (best > max_dist) return kInf;
-    std::swap(row, next);
+  // a is the text, b the pattern (never longer).
+  if (a.size() - b.size() > k) return k + 1;
+  // The distance never exceeds the text length, so a larger budget only
+  // widens the band for nothing.
+  const size_t band_k = std::min(k, a.size());
+  // Edit distance is unchanged by a common prefix or suffix.
+  while (!b.empty() && a.front() == b.front()) {
+    a.remove_prefix(1);
+    b.remove_prefix(1);
   }
-  return std::min(row[m], kInf);
-}
+  while (!b.empty() && a.back() == b.back()) {
+    a.remove_suffix(1);
+    b.remove_suffix(1);
+  }
+  const size_t m = b.size(), n = a.size(), g = n - m;
+  if (m == 0) return g;
 
-size_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                          size_t max_dist) {
-  thread_local LevenshteinScratch scratch;
-  return BoundedLevenshtein(a, b, max_dist, scratch);
-}
+  const size_t blocks = (m + 63) / 64;
+  if (scratch.peq.size() < 256 * blocks) scratch.peq.resize(256 * blocks);
+  uint64_t* peq = scratch.peq.data();
+  for (size_t i = 0; i < m; ++i) {
+    peq[Byte(b[i]) * blocks + i / 64] |= 1ULL << (i % 64);
+  }
+  scratch.vp.assign(blocks, ~0ULL);
+  scratch.vn.assign(blocks, 0);
+  uint64_t* vp = scratch.vp.data();
+  uint64_t* vn = scratch.vn.data();
 
-size_t MyersBoundedLevenshtein(std::string_view a, std::string_view b,
-                               size_t max_dist,
-                               LevenshteinScratch& scratch) {
-  return MyersDispatch(a, b, max_dist, scratch);
-}
-
-size_t MyersBoundedLevenshtein(std::string_view a, std::string_view b,
-                               size_t max_dist, LevenshteinScratch& scratch,
-                               StepBudget* budget) {
-  return MyersDispatch(a, b, max_dist, scratch, budget);
-}
-
-bool SimilarByLevenshtein(std::string_view a, std::string_view b,
-                          double threshold, LevenshteinScratch& scratch) {
-  size_t longer = std::max(a.size(), b.size());
-  if (longer == 0) return true;
-  size_t budget = static_cast<size_t>(std::floor(threshold * longer));
-  return MyersBoundedLevenshtein(a, b, budget, scratch) <= budget;
-}
-
-bool SimilarByLevenshtein(std::string_view a, std::string_view b,
-                          double threshold) {
-  thread_local LevenshteinScratch scratch;
-  return SimilarByLevenshtein(a, b, threshold, scratch);
+  // Ukkonen's band: a path through (i, j) costs at least |j - i| +
+  // |g - (j - i)|, so column j needs (1-based) rows [j - above,
+  // j + below]. A block below the band still holds its initial +1
+  // vertical deltas when it enters; the first block under a retired one
+  // takes h_in = +1. Both are costs of real paths, so every cell is an
+  // upper bound and cells on an in-band path are exact.
+  const size_t above = (band_k + g) / 2, below = (band_k - g) / 2;
+  const uint64_t last = 1ULL << ((m - 1) % 64);
+  // Row m's value, counting the rows not yet entered at +1 each.
+  size_t score = m;
+  for (size_t j = 1; j <= n; ++j) {
+    const size_t first = j > above ? (j - above - 1) / 64 : 0;
+    const size_t end = (std::min(m, j + below) - 1) / 64;
+    if (budget != nullptr && !budget->Charge(end - first + 1)) {
+      score = k + 1;
+      break;
+    }
+    const uint64_t* eq = peq + Byte(a[j - 1]) * blocks;
+    // The first active block always takes h_in = +1: a constant, so it
+    // does not wait on a carry.
+    int carry = BlockStep(eq[first], vp[first], vn[first], 1,
+                          first + 1 == blocks ? last : kTopBit);
+    for (size_t blk = first + 1; blk <= end; ++blk) {
+      carry = BlockStep(eq[blk], vp[blk], vn[blk], carry,
+                        blk + 1 == blocks ? last : kTopBit);
+    }
+    score += static_cast<size_t>(carry);  // wraps for -1
+    // Row m moves by at most one per remaining column.
+    if (score > band_k + (n - j)) {
+      score = k + 1;
+      break;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) peq[Byte(b[i]) * blocks + i / 64] = 0;
+  return score <= k ? score : k + 1;
 }
 
 }  // namespace sparqlog::util

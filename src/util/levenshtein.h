@@ -10,77 +10,42 @@
 
 namespace sparqlog::util {
 
-/// Reusable scratch space for the allocation-free distance variants.
-/// A default-constructed scratch works for any input; the vectors grow
-/// on first use and are reused (never shrunk) afterwards, so a caller
-/// that keeps one scratch per thread pays zero allocations on the hot
-/// path after warmup.
+/// Reusable state for BoundedLevenshtein. A default-constructed scratch
+/// works for any input; the vectors grow on first use and are never
+/// shrunk, so a caller that keeps one scratch per thread pays zero
+/// allocations on the hot path after warmup.
 struct LevenshteinScratch {
-  /// Banded-DP rows (BoundedLevenshtein).
-  std::vector<size_t> row, next;
-  /// Blocked Myers state: per-byte pattern bitmasks (256 x words) and
-  /// the vertical positive/negative delta words.
+  /// Per-byte pattern bitmasks, 256 x blocks words. All zero between
+  /// calls: a call sets the bits of its pattern and clears exactly
+  /// those again by walking the pattern.
   std::vector<uint64_t> peq;
+  /// Vertical positive/negative delta words, one per 64-row block.
   std::vector<uint64_t> vp, vn;
 };
 
 /// Classic Levenshtein edit distance, O(|a|*|b|) time, O(min) space.
-/// Kept as the plain DP reference implementation; the bit-parallel
-/// variants below are property-tested against it.
+/// The plain DP the bounded kernel is property-tested against.
 size_t Levenshtein(std::string_view a, std::string_view b);
 
-/// Myers (1999) bit-parallel Levenshtein distance: exact, O(ceil(m/64)*n)
-/// where m is the shorter length. For m <= 64 the whole DP lives in two
-/// machine words and never touches the heap; longer patterns use the
-/// block-based formulation with `scratch`-backed state.
-size_t MyersLevenshtein(std::string_view a, std::string_view b,
-                        LevenshteinScratch& scratch);
-
-/// Convenience overload that owns its scratch (allocates only when the
-/// shorter input exceeds 64 bytes).
-size_t MyersLevenshtein(std::string_view a, std::string_view b);
-
-/// Banded Levenshtein with early exit.
+/// Bounded edit distance: the exact distance if it is <= `k`,
+/// otherwise `k + 1`.
 ///
-/// Returns the edit distance if it is <= `max_dist`, otherwise returns
-/// `max_dist + 1`. Runs in O(max(|a|,|b|) * max_dist) time, which is what
-/// makes streak detection over large logs feasible (Section 8 of the
-/// paper calls the naive approach "extremely resource-consuming").
-size_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                          size_t max_dist);
-
-/// Allocation-free banded variant: identical results, caller-provided
-/// scratch rows instead of per-call heap allocation.
-size_t BoundedLevenshtein(std::string_view a, std::string_view b,
-                          size_t max_dist, LevenshteinScratch& scratch);
-
-/// Bit-parallel bounded distance: same contract as BoundedLevenshtein
-/// (exact distance if <= `max_dist`, else `max_dist + 1`) computed with
-/// the Myers recurrence plus a per-column lower-bound cutoff — the
-/// running score minus the columns still to process can only shrink by
-/// one per column, so once it exceeds `max_dist` the tail is skipped.
-size_t MyersBoundedLevenshtein(std::string_view a, std::string_view b,
-                               size_t max_dist, LevenshteinScratch& scratch);
-
-/// Budgeted variant: charges `budget` one step per 64-row block column
-/// (so total charge is ceil(m/64) * n for inputs that run to the end).
-/// On exhaustion the DP stops and `max_dist + 1` is returned; the caller
-/// distinguishes "too far" from "abandoned" via `budget->exhausted()`.
-/// The step count depends only on the two strings and `max_dist`, so
-/// the abandon decision is deterministic per pair.
-size_t MyersBoundedLevenshtein(std::string_view a, std::string_view b,
-                               size_t max_dist, LevenshteinScratch& scratch,
-                               StepBudget* budget);
-
-/// Normalized similarity test used by the paper's streak analysis:
-/// true iff Levenshtein(a, b) / max(|a|, |b|) <= `threshold`
-/// (the paper uses threshold = 0.25).
-bool SimilarByLevenshtein(std::string_view a, std::string_view b,
-                          double threshold);
-
-/// Hot-path overload: same predicate, scratch-backed bit-parallel DP.
-bool SimilarByLevenshtein(std::string_view a, std::string_view b,
-                          double threshold, LevenshteinScratch& scratch);
+/// Trims the common prefix and suffix, then runs Myers' (1999) blocked
+/// bit-parallel DP with the shorter remainder as the pattern, stepping
+/// only the 64-row blocks that meet Ukkonen's band: with pattern length
+/// m <= text length n and g = n - m, column j needs rows
+/// [j - floor((k+g)/2), j + floor((k-g)/2)]. Cells outside the band hold
+/// upper bounds, so the result is exact whenever it is <= k. A running
+/// lower bound on the final score ends hopeless pairs early.
+///
+/// `budget`, if given, is charged one step per block stepped. On
+/// exhaustion the DP stops and `k + 1` is returned; the caller tells
+/// "too far" from "abandoned" by `budget->exhausted()`. The step count
+/// depends only on the two strings and `k`, so the abandon decision is
+/// deterministic per pair.
+size_t BoundedLevenshtein(std::string_view a, std::string_view b, size_t k,
+                          LevenshteinScratch& scratch,
+                          StepBudget* budget = nullptr);
 
 }  // namespace sparqlog::util
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "store/engine.h"
 #include "store/store.h"
@@ -195,6 +197,50 @@ TEST(EngineTest, ConstantsInPatterns) {
   q.triples.push_back(p);
   EXPECT_EQ(bg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
   EXPECT_EQ(pg.Evaluate(q, EvalMode::kSelect).num_results, 1u);
+}
+
+TEST(EngineTest, GroundPatternBothEnginesAgree) {
+  // A pattern without variables matches iff its triple is stored. Alone
+  // it has one (empty) solution or none; joined with a variable pattern
+  // it keeps or empties the other side's solutions.
+  TripleStore s = SmallGraph();
+  GraphEngine bg(s);
+  RelationalEngine pg(s);
+  auto id = [&s](const char* term) {
+    return static_cast<int64_t>(s.dict().Lookup(term));
+  };
+  for (bool present : {true, false}) {
+    const std::string context = present ? "present" : "absent";
+    BgpQuery ground;
+    BgpPattern fact;
+    fact.s = id("alice");
+    fact.p = id("knows");
+    fact.o = id(present ? "bob" : "carol");  // alice knows only bob
+    ground.triples.push_back(fact);
+    for (EvalMode mode : {EvalMode::kAsk, EvalMode::kSelect}) {
+      EvalStats a = bg.Evaluate(ground, mode);
+      EvalStats b = pg.Evaluate(ground, mode);
+      EXPECT_EQ(a.matched, present) << context;
+      EXPECT_EQ(b.matched, present) << context;
+      EXPECT_EQ(b.num_results, a.num_results) << context;
+    }
+
+    BgpQuery joined;
+    BgpPattern named;
+    named.s = joined.AddVar();
+    named.p = id("name");
+    named.o = joined.AddVar();
+    for (bool ground_first : {true, false}) {
+      joined.triples = ground_first ? std::vector<BgpPattern>{fact, named}
+                                    : std::vector<BgpPattern>{named, fact};
+      EvalStats a = bg.Evaluate(joined, EvalMode::kSelect);
+      EvalStats b = pg.Evaluate(joined, EvalMode::kSelect);
+      EXPECT_EQ(a.num_results, present ? 2u : 0u) << context;
+      EXPECT_EQ(b.num_results, a.num_results)
+          << context << " ground_first=" << ground_first;
+      EXPECT_EQ(b.matched, present) << context;
+    }
+  }
 }
 
 TEST(EngineTest, EmptyResultHandled) {

@@ -176,6 +176,38 @@ TEST(StreakStageTest, LevenshteinStepBudgetIsScheduleIndependent) {
   }
 }
 
+TEST(StreakStageTest, DpBlockStepsAreScheduleIndependent) {
+  // The DP's block-step counter depends only on the pairs that reach
+  // the DP, so it — and every other cascade counter — must equal the
+  // serial detector's at any thread count and chunk layout.
+  auto profiles = corpus::PaperProfiles();
+  const std::vector<std::string> log = corpus::GenerateStreakLog(
+      corpus::ProfileByName(profiles, "DBpedia16"), 1200, 0.3, 2017);
+  StreakDetector detector;
+  for (const std::string& q : log) detector.Add(q);
+  const streaks::PrefilterStats serial = detector.prefilter_stats();
+  ASSERT_GT(serial.levenshtein_calls, 0u);
+  ASSERT_GE(serial.dp_block_steps, serial.levenshtein_calls);
+  for (int threads : {1, 2, 4}) {
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{2048}}) {
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " chunk=" + std::to_string(chunk);
+      StreakStageOptions options;
+      options.threads = threads;
+      options.chunk_size = chunk;
+      options.telemetry.metrics = true;
+      StreakStageResult result = StreakStage(options).Run(log);
+      EXPECT_EQ(result.prefilter, serial) << context;
+      EXPECT_EQ(result.prefilter.dp_block_steps, serial.dp_block_steps)
+          << context;
+      ASSERT_TRUE(result.telemetry.has_value()) << context;
+      EXPECT_EQ(result.telemetry->prefilter_dp_block_steps,
+                serial.dp_block_steps)
+          << context;
+    }
+  }
+}
+
 TEST(StreakStageTest, PlantedRefinementSessions) {
   // The realistic Table 6 shape: GenerateStreakLog plants refinement
   // sessions; serial and sharded must agree on the full report.

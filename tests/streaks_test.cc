@@ -380,8 +380,8 @@ TEST(StreakTest, PrefilterStatsAccountForEveryPair) {
 }
 
 TEST(StreakTest, PrefilterStatsMerge) {
-  PrefilterStats a{10, 1, 2, 3, 1, 3};
-  PrefilterStats b{5, 0, 1, 1, 1, 2};
+  PrefilterStats a{10, 1, 2, 3, 1, 3, 1, 300};
+  PrefilterStats b{5, 0, 1, 1, 1, 2, 0, 40};
   a.Merge(b);
   EXPECT_EQ(a.pairs, 15u);
   EXPECT_EQ(a.exact_hash_hits, 1u);
@@ -389,6 +389,8 @@ TEST(StreakTest, PrefilterStatsMerge) {
   EXPECT_EQ(a.charmap_rejects, 4u);
   EXPECT_EQ(a.histogram_rejects, 2u);
   EXPECT_EQ(a.levenshtein_calls, 5u);
+  EXPECT_EQ(a.abandoned_pairs, 1u);
+  EXPECT_EQ(a.dp_block_steps, 340u);
 }
 
 // -----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/histogram.h"
@@ -128,6 +130,7 @@ TEST(LevenshteinTest, KnownDistances) {
 
 TEST(LevenshteinTest, BoundedAgreesWithExactWithinBudget) {
   Rng rng(99);
+  LevenshteinScratch scratch;
   const std::string alphabet = "abcd";
   for (int trial = 0; trial < 200; ++trial) {
     std::string a, b;
@@ -136,7 +139,7 @@ TEST(LevenshteinTest, BoundedAgreesWithExactWithinBudget) {
     for (size_t i = 0; i < lb; ++i) b += alphabet[rng.Below(4)];
     size_t exact = Levenshtein(a, b);
     for (size_t budget : {0u, 1u, 3u, 10u, 40u}) {
-      size_t bounded = BoundedLevenshtein(a, b, budget);
+      size_t bounded = BoundedLevenshtein(a, b, budget, scratch);
       if (exact <= budget) {
         EXPECT_EQ(bounded, exact) << a << " vs " << b;
       } else {
@@ -178,16 +181,24 @@ TEST(LevenshteinTest, TriangleInequality) {
 
 TEST(LevenshteinTest, SimilarityThreshold) {
   // 25% of the longer string, as in the paper's streak analysis.
-  EXPECT_TRUE(SimilarByLevenshtein("aaaa", "aaaa", 0.25));
-  EXPECT_TRUE(SimilarByLevenshtein("aaaaaaab", "aaaaaaaa", 0.25));  // 1/8
-  EXPECT_FALSE(SimilarByLevenshtein("abcd", "wxyz", 0.25));
-  EXPECT_TRUE(SimilarByLevenshtein("", "", 0.25));
+  LevenshteinScratch scratch;
+  auto similar = [&scratch](std::string_view a, std::string_view b) {
+    size_t k = std::max(a.size(), b.size()) / 4;
+    return BoundedLevenshtein(a, b, k, scratch) <= k;
+  };
+  EXPECT_TRUE(similar("aaaa", "aaaa"));
+  EXPECT_TRUE(similar("aaaaaaab", "aaaaaaaa"));  // 1/8
+  EXPECT_FALSE(similar("abcd", "wxyz"));
+  EXPECT_TRUE(similar("", ""));
 }
 
 TEST(LevenshteinTest, LengthGapShortCircuit) {
   std::string small(5, 'a');
   std::string large(500, 'a');
-  EXPECT_GT(BoundedLevenshtein(small, large, 10), 10u);
+  LevenshteinScratch scratch;
+  StepBudget steps(1);
+  EXPECT_GT(BoundedLevenshtein(small, large, 10, scratch, &steps), 10u);
+  EXPECT_EQ(steps.remaining(), 1u);  // rejected before any DP step
 }
 
 // ---------------------------------------------------------------------------
