@@ -8,10 +8,12 @@ produced:
     (a mini JSON-Schema interpreter below — stdlib only, supporting the
     subset the schema uses: type/required/properties/items/minimum/
     maximum/$ref into #/definitions), so renaming or dropping an
-    exporter field fails CI until the schema is updated with it;
+    exporter field fails CI until the schema is updated with it; the
+    schema's minimum/maximum also keep the stall fraction within [0,1];
   * the metrics are internally coherent (shard_queries sum to the shard
-    stage's items_in, stall fraction within [0,1], no Levenshtein block
-    steps without a Levenshtein call);
+    stage's items_in, no Levenshtein block steps without a Levenshtein
+    call, no more parse-memo hits than query lines the parse stage
+    routed);
   * the trace document is Chrome-trace shaped: every "X" span carries
     ts/dur/pid/tid/name, spans land within [0, wall * 1.1], and every
     track referenced by a span has a thread_name metadata record.
@@ -88,6 +90,14 @@ def check_metrics(metrics, schema, errors):
         errors.append(
             f"shard_queries sum {shard_sum} != shard items_in "
             f"{shard_stage['items_in']}")
+    parse_stage = next(
+        (s for s in t["stages"] if s["name"] == "parse"), None)
+    if parse_stage is None:
+        errors.append("telemetry.stages: no 'parse' stage")
+    elif t["parse_memo_hits"] > parse_stage["items_out"]:
+        errors.append(
+            f"parse_memo_hits {t['parse_memo_hits']} > parse items_out "
+            f"{parse_stage['items_out']}")
     prefilter = t["prefilter"]
     if prefilter["levenshtein_calls"] == 0 and prefilter["dp_block_steps"]:
         errors.append(

@@ -520,6 +520,10 @@ int main(int argc, char** argv) {
                                 result.stats.total)});
   }
   table.Print(std::cout);
+  if (result.telemetry.has_value()) {
+    const std::string memo = obs::ParseMemoSummary(*result.telemetry);
+    if (!memo.empty()) std::cout << memo << "\n";
+  }
 
   if (journaled.has_value()) {
     std::cout << "\nJournal " << journal.path << ": "

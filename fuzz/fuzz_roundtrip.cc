@@ -5,7 +5,8 @@
 // (2) mutates log lines and checks the ingest invariants, (3) replays
 // randomized serial-vs-parallel digest equivalence rounds, and
 // (4) replays randomized serial-vs-sharded streak-report equivalence
-// rounds on fuzzed refinement-session logs, and (5) replays fuzzed
+// rounds on fuzzed refinement-session logs, with pairs planted on the
+// edges of the Levenshtein kernel's band, and (5) replays fuzzed
 // queries through the pre-change vs allocation-lean structural-analysis
 // paths (shape/girth/treewidth/GHW, the bench oracle) plus
 // serial-vs-parallel StatsReport digests over analysis-heavy logs, and
@@ -36,6 +37,7 @@
 // quietly shrink the budget.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +56,7 @@
 #include "obs/alloc_hooks.h"
 #include "sparql/parser.h"
 #include "sparql/serializer.h"
+#include "streaks/streaks.h"
 #include "testing/fault_injection.h"
 #include "testing/snapshot_faults.h"
 #include "testing/invariants.h"
@@ -138,6 +141,47 @@ Config ParseArgs(int argc, char** argv) {
     }
   }
   return config;
+}
+
+/// A variant of `core` (a query whose prologue is already stripped) at
+/// distance k + delta from it, delta in {-1, 0, +1}, where k is the
+/// pair's similarity budget floor(threshold * longer). Every insertion
+/// sits at one end, right after the form keyword, and every deletion at
+/// the other (`insert_first` picks which), so the only optimal alignment
+/// runs along an edge of the bounded kernel's Ukkonen band: a band that
+/// is one row short there answers "not similar" for a similar pair.
+/// Random single edits rarely build such pairs. nullopt when `core` is
+/// too short for the distance.
+std::optional<std::string> BandEdgeVariant(std::string_view core,
+                                           double threshold, int delta,
+                                           bool insert_first,
+                                           sparqlog::util::Rng& rng) {
+  const size_t space = core.find(' ');
+  if (space == std::string_view::npos) return std::nullopt;
+  const size_t head = space + 1;  // kept intact, so the prologue strip
+                                  // still starts at the keyword
+  // g is the length gap; the distance needs the parity of g.
+  for (size_t g = rng.Below(3); g < 8; ++g) {
+    const size_t k = static_cast<size_t>(
+        std::floor(threshold * static_cast<double>(core.size() + g)));
+    if (static_cast<long>(k) + delta < static_cast<long>(g)) continue;
+    const size_t d = static_cast<size_t>(static_cast<long>(k) + delta);
+    if ((d - g) % 2 != 0) continue;
+    const size_t ins = (d + g) / 2, del = (d - g) / 2;
+    if (head + del >= core.size()) return std::nullopt;
+    // '~' is rare in a fuzzed query, so inserted bytes seldom match.
+    const std::string run(ins, '~');
+    std::string out(core.substr(0, head));
+    if (insert_first) {
+      out += run;
+      out += core.substr(head, core.size() - head - del);
+    } else {
+      out += core.substr(head + del);
+      out += run;
+    }
+    return out;
+  }
+  return std::nullopt;
 }
 
 /// Shrinks and reports one violation; returns the reproducer text.
@@ -361,10 +405,27 @@ int main(int argc, char** argv) {
       bases.push_back(sparqlog::sparql::Serialize(fuzzer.Next()));
     }
     for (long round = 0; round < config.streak_rounds; ++round) {
+      // Drawn first: the band-edge pairs need the round's threshold.
+      sparqlog::testing::StreakEquivalenceConfig streak_config =
+          sparqlog::testing::RandomStreakConfig(rng);
       std::vector<std::string> log;
       log.reserve(static_cast<size_t>(config.streak_queries));
       std::string current = bases[rng.Below(bases.size())];
       for (long i = 0; i < config.streak_queries; ++i) {
+        if (i + 1 < config.streak_queries && rng.Chance(0.15)) {
+          // A band-edge pair at distance k - 1, k or k + 1.
+          const std::string core(sparqlog::streaks::StripPrologueView(current));
+          std::optional<std::string> variant = BandEdgeVariant(
+              core, streak_config.similarity_threshold,
+              static_cast<int>(rng.Below(3)) - 1, rng.Chance(0.5), rng);
+          if (variant.has_value()) {
+            log.push_back(core);
+            log.push_back(*variant);
+            current = *variant;
+            ++i;
+            continue;
+          }
+        }
         double roll = rng.NextDouble();
         if (roll < 0.25) {
           current = bases[rng.Below(bases.size())];
@@ -386,8 +447,6 @@ int main(int argc, char** argv) {
         }
         log.push_back(current);
       }
-      sparqlog::testing::StreakEquivalenceConfig streak_config =
-          sparqlog::testing::RandomStreakConfig(rng);
       if (auto v = sparqlog::testing::CheckStreakEquivalence(log,
                                                              streak_config)) {
         ++violations;

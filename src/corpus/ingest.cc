@@ -1,6 +1,8 @@
 #include "corpus/ingest.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -145,6 +147,28 @@ bool LogIngestor::ProcessLine(const std::string& line) {
   return parsed.is_query;
 }
 
+namespace {
+
+/// The AST a gate analyzes. A valid line without one is a repeat the
+/// pipeline's parse memo routed bare; it is only sound when its shard
+/// has already seen the first occurrence, which then decided the
+/// bucket before any gate. Reaching a gate without an AST means that
+/// ordering broke, and counting on would silently drop a query from
+/// the analysis, so it aborts.
+const sparql::Query& GateQuery(const ParsedLine& parsed) {
+  if (!parsed.query.has_value()) {
+    std::fprintf(stderr,
+                 "LogIngestor: valid entry %016llx reached an analysis gate "
+                 "without its AST (a parse-memo hit ahead of its first "
+                 "occurrence)\n",
+                 static_cast<unsigned long long>(parsed.canonical_hash));
+    std::abort();
+  }
+  return *parsed.query;
+}
+
+}  // namespace
+
 void LogIngestor::Ingest(const ParsedLine& parsed) {
   if (!parsed.is_query) return;
   ++stats_.total;
@@ -166,12 +190,11 @@ void LogIngestor::Ingest(const ParsedLine& parsed) {
     if (shard_metrics) ++shard_metrics->malformed;
     return;
   }
-  const sparql::Query& q = *parsed.query;
   // Valid-corpus gate runs per occurrence: the budget verdict depends
   // only on the canonical query, so duplicates repeat the same verdict.
   if (valid_gate_) {
     if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
-    util::Status st = valid_gate_(q);
+    util::Status st = valid_gate_(GateQuery(parsed));
     if (!st.ok()) {
       ++stats_.abandoned;
       seen_abandoned_.insert(parsed.canonical_hash);
@@ -195,7 +218,7 @@ void LogIngestor::Ingest(const ParsedLine& parsed) {
   // First occurrence: the unique gate may still abandon it.
   if (unique_gate_) {
     if (telemetry_) ++telemetry_->stage(obs::kStageAnalysis).items_in;
-    util::Status st = unique_gate_(q);
+    util::Status st = unique_gate_(GateQuery(parsed));
     if (!st.ok()) {
       ++stats_.abandoned;
       seen_abandoned_.insert(parsed.canonical_hash);

@@ -79,7 +79,10 @@ struct ParsedLine {
   /// isolated by the containment layer. Counts toward Total and the
   /// quarantined bucket; `valid` is false and `query` disengaged.
   bool quarantined = false;
-  /// The AST; engaged iff `valid`.
+  /// The AST; engaged iff `valid`, except on a valid line the pipeline's
+  /// parse memo recognised as a byte-equal repeat (unique corpus only):
+  /// such a line carries its hash and no AST, and its shard has already
+  /// bucketed the first occurrence (see `LogIngestor::Ingest`).
   std::optional<sparql::Query> query;
 };
 
@@ -160,7 +163,8 @@ class LogIngestor {
   /// Runs the counting + duplicate-elimination stages on an
   /// already-parsed line. This is the shard-local half of `ProcessLine`:
   /// the parallel pipeline parses on worker threads and feeds each
-  /// shard's ingestor through here.
+  /// shard's ingestor through here. `parsed.query` is read only where a
+  /// gate runs; a valid line without an AST that reaches one aborts.
   void Ingest(const ParsedLine& parsed);
 
   /// Feeds a whole log.

@@ -81,6 +81,7 @@ void RunTelemetry::Merge(const RunTelemetry& other) {
   prefilter_dp += other.prefilter_dp;
   prefilter_abandoned += other.prefilter_abandoned;
   prefilter_dp_block_steps += other.prefilter_dp_block_steps;
+  parse_memo_hits += other.parse_memo_hits;
   wall_ns = std::max(wall_ns, other.wall_ns);
   workers += other.workers;
   run_alloc_bytes += other.run_alloc_bytes;
@@ -111,8 +112,9 @@ double RunTelemetry::ShardSkewRatio() const {
 uint64_t TelemetryDigest(const RunTelemetry& t) {
   // Only scheduling-independent counters participate: item flow and
   // shard routing. Chunk counts (depend on chunk_size), timing fields,
-  // queue occupancy, allocation attribution, and prefilter tiers (a
-  // streak-cascade diagnostic, not item flow) are all excluded by design.
+  // queue occupancy, allocation attribution, prefilter tiers (a
+  // streak-cascade diagnostic, not item flow) and parse-memo hits (which
+  // worker read which chunk) are all excluded by design.
   util::Fnv1a h;
   auto mix = [&h](uint64_t v) {
     char bytes[8];

@@ -161,6 +161,10 @@ struct RunTelemetry {
   /// 64-row blocks the Levenshtein DP stepped
   /// (streaks::PrefilterStats::dp_block_steps).
   uint64_t prefilter_dp_block_steps = 0;
+  /// Query lines a parse worker routed from its exact-line memo without
+  /// parsing them (ParallelLogPipeline, unique corpus). Depends on which
+  /// worker read which chunk, so TelemetryDigest leaves it out.
+  uint64_t parse_memo_hits = 0;
   /// Run envelope. wall_ns merges by max (parallel partitions share the
   /// wall clock), workers by sum.
   uint64_t wall_ns = 0;

@@ -124,6 +124,8 @@ void PrintSummary(std::ostream& out, const RunTelemetry& t) {
         << t.prefilter_histogram << ", DP " << t.prefilter_dp << " ("
         << t.prefilter_dp_block_steps << " block steps)\n";
   }
+  const std::string memo = ParseMemoSummary(t);
+  if (!memo.empty()) out << memo << "\n";
   if (t.run_allocs > 0) {
     out << "Allocations: " << t.run_allocs << " (" << t.run_alloc_bytes
         << " bytes)\n";
@@ -137,6 +139,7 @@ void AppendTelemetryJson(JsonWriter& json, const RunTelemetry& t) {
   json.KV("queue_stall_fraction", t.QueueStallFraction());
   json.KV("shard_skew_ratio", t.ShardSkewRatio());
   json.KV("digest", TelemetryDigest(t));
+  json.KV("parse_memo_hits", t.parse_memo_hits);
 
   json.Key("stages").BeginArray();
   for (int s = 0; s < kStageCount; ++s) {
@@ -281,9 +284,20 @@ std::string PrometheusText(const RunTelemetry& t) {
   std::snprintf(wall, sizeof(wall), "%.9g",
                 static_cast<double>(t.wall_ns) / 1e9);
   out += std::string("sparqlog_run_wall_seconds ") + wall + "\n";
+  Counter(out, "sparqlog_parse_memo_hits_total", "", t.parse_memo_hits);
   Counter(out, "sparqlog_run_allocations_total", "", t.run_allocs);
   Counter(out, "sparqlog_run_allocated_bytes_total", "", t.run_alloc_bytes);
   return out;
+}
+
+std::string ParseMemoSummary(const RunTelemetry& t) {
+  const uint64_t query_lines = t.stage(kStageParse).items_out;
+  if (query_lines == 0) return "";
+  return "Parse memo: " + std::to_string(t.parse_memo_hits) + " of " +
+         std::to_string(query_lines) + " query lines routed without a parse (" +
+         Pct(static_cast<double>(t.parse_memo_hits) /
+             static_cast<double>(query_lines)) +
+         ")";
 }
 
 std::string OneLineSummary(const RunTelemetry& t) {

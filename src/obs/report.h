@@ -26,6 +26,11 @@ void WriteTelemetryJson(std::ostream& out, const RunTelemetry& t);
 /// future HTTP /metrics endpoint to return verbatim.
 std::string PrometheusText(const RunTelemetry& t);
 
+/// "Parse memo: H of Q query lines routed without a parse (P%)" for a
+/// corpus run, where Q is the parse stage's routed query lines; empty
+/// when the run routed none (a streak-stage run).
+std::string ParseMemoSummary(const RunTelemetry& t);
+
 /// One line for CI logs: queue stall %, shard skew ratio, allocs/line,
 /// malformed count. Keep it grep-stable ("telemetry:" prefix).
 std::string OneLineSummary(const RunTelemetry& t);

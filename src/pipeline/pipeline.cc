@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,6 +12,8 @@
 #include "obs/alloc_tracker.h"
 #include "pipeline/merge.h"
 #include "sparql/parser.h"
+#include "util/arena.h"
+#include "util/crc32c.h"
 
 namespace sparqlog::pipeline {
 
@@ -122,6 +125,33 @@ class QuarantineCollector {
 /// Bounded retries for TransientChunkError before the reader gives up
 /// and treats the failure as persistent.
 constexpr int kMaxTransientRetries = 3;
+
+/// A parse worker's exact-line memo: raw query line -> what parsing it
+/// gave (valid or not, and the hash it routes by), packed into the
+/// interner's value bytes. Flushed whole when its storage passes 1 MB.
+/// See the worker loop in Run for when a hit may skip the parse.
+constexpr size_t kParseMemoBytes = size_t{1} << 20;
+constexpr size_t kMemoValueBytes = 1 + sizeof(uint64_t);
+
+std::string_view PackMemoValue(const corpus::ParsedLine& parsed,
+                               char (&buf)[kMemoValueBytes]) {
+  const uint64_t hash = parsed.valid ? parsed.canonical_hash : parsed.line_hash;
+  buf[0] = parsed.valid ? 1 : 0;
+  std::memcpy(buf + 1, &hash, sizeof(hash));
+  return std::string_view(buf, kMemoValueBytes);
+}
+
+/// The routed entry for a memo hit: the first occurrence's verdict and
+/// hash, and no AST.
+corpus::ParsedLine UnpackMemoValue(std::string_view value) {
+  corpus::ParsedLine out;
+  out.is_query = true;
+  out.valid = value[0] != 0;
+  uint64_t hash;
+  std::memcpy(&hash, value.data() + 1, sizeof(hash));
+  (out.valid ? out.canonical_hash : out.line_hash) = hash;
+  return out;
+}
 
 }  // namespace
 
@@ -242,6 +272,17 @@ PipelineResult ParallelLogPipeline::Run(
       sparql::Parser parser;
       uint64_t local_lines = 0;
       std::vector<Batch> buckets(num_shards);
+      // Unique corpus only: a repeat of a line this worker already
+      // parsed skips decode, parse and hash. Exact because ParseLogLine
+      // is a pure function of the line's bytes and the memo compares
+      // them all. Sound without an AST because equal bytes route to the
+      // same shard, where this worker's earlier push of the first
+      // occurrence (FIFO queue, one consumer) has already put the hash
+      // in the shard's seen or abandoned set. The valid corpus analyzes
+      // every occurrence, so it never consults the memo.
+      const bool use_memo = !options_.use_valid_corpus;
+      util::StringInterner memo(kParseMemoBytes);
+      char memo_value[kMemoValueBytes];
       while (std::optional<NumberedChunk> chunk = chunk_queue.Pop()) {
         uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
         local_lines += chunk->data.lines.size();
@@ -252,6 +293,7 @@ PipelineResult ParallelLogPipeline::Run(
         std::shared_ptr<corpus::ParseScratch> scratch =
             scratch_pool.Acquire();
         bool chunk_ok = true;
+        uint64_t memo_hits = 0;
         // Containment scope: a throw anywhere in the chunk's parse loop
         // (bad_alloc included — injected alloc failures are only
         // eligible inside the AllocFaultScope) falls through to the
@@ -260,9 +302,26 @@ PipelineResult ParallelLogPipeline::Run(
           obs::AllocFaultScope fault_scope;
           for (std::string_view line : chunk->data.lines) {
             if (options_.parse_fault_hook) options_.parse_fault_hook(line);
+            uint64_t line_key = 0;
+            if (use_memo) {
+              line_key = util::Crc32c(line);
+              if (const std::string_view* v = memo.Find(line, line_key)) {
+                corpus::ParsedLine hit = UnpackMemoValue(*v);
+                buckets[ShardIndexFor(hit, num_shards)].push_back(
+                    std::move(hit));
+                ++memo_hits;
+                continue;
+              }
+            }
             corpus::ParsedLine parsed =
                 corpus::ParseLogLine(parser, line, *scratch);
             if (!parsed.is_query) continue;  // noise: dropped, not routed
+            // Inserted at once, not at chunk end, so repeats inside one
+            // chunk hit too: the first occurrence sits earlier in the
+            // same bucket.
+            if (use_memo) {
+              memo.Insert(line, line_key, PackMemoValue(parsed, memo_value));
+            }
             buckets[ShardIndexFor(parsed, num_shards)].push_back(
                 std::move(parsed));
           }
@@ -277,8 +336,16 @@ PipelineResult ParallelLogPipeline::Run(
           // count toward Total in the quarantined bucket and are sampled
           // for offline reproduction. One-shot faults (an injected or
           // transient bad_alloc) parse cleanly here and lose nothing.
+          //
+          // The memo is emptied first: the discarded pass may have
+          // memoized a line whose recovery parse is then quarantined, so
+          // a later hit would reach its shard with no first occurrence
+          // delivered (the same holds for an Insert that threw halfway).
+          // The recovery pass neither reads nor writes the memo.
           for (Batch& b : buckets) b.clear();
           scratch.reset();
+          memo.Clear();
+          memo_hits = 0;
           for (size_t j = 0; j < chunk->data.lines.size(); ++j) {
             std::string_view line = chunk->data.lines[j];
             corpus::ParsedLine parsed;
@@ -321,6 +388,7 @@ PipelineResult ParallelLogPipeline::Run(
           m.items_out += routed;
           m.malformed += malformed;
           m.chunk_ns.Record(t1 - t0);
+          rt->parse_memo_hits += memo_hits;
           if (ring) ring->Record(obs::kStageParse, chunk->id, t0, t1);
         }
         for (size_t i = 0; i < num_shards; ++i) {

@@ -80,7 +80,10 @@ class ArenaResource final : public std::pmr::memory_resource {
     size_t grow = chunks_.empty() ? first_chunk_bytes_
                                   : chunks_.back().size * 2;
     if (grow < bytes + alignment) grow = bytes + alignment;
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(grow), grow});
+    // Not zeroed: every byte is written before it is read, and zeroing
+    // would make the whole chunk resident at once.
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<std::byte[]>(grow), grow});
     chunk_ = chunks_.size() - 1;
     size_t aligned = AlignUp(0, alignment);
     offset_ = aligned + bytes;
@@ -139,9 +142,16 @@ class StringInterner {
   /// Looks up `key`; returns nullptr on miss. The pointed-at view is
   /// valid until the next Insert (which may flush) or Clear.
   const std::string_view* Find(std::string_view key) const {
+    return Find(key, Fnv1aHash(key));
+  }
+
+  /// Same, with the caller's hash of `key`, so a caller that probes and
+  /// then inserts hashes the key once. Any hash works (keys are compared
+  /// byte for byte), but one interner must always be given the same
+  /// function of the key.
+  const std::string_view* Find(std::string_view key, uint64_t h) const {
     if (slots_.empty()) return nullptr;
     size_t mask = slots_.size() - 1;
-    uint64_t h = Fnv1aHash(key);
     for (size_t i = h & mask;; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
       if (s.epoch != epoch_ || s.empty()) return nullptr;
@@ -149,22 +159,28 @@ class StringInterner {
     }
   }
 
-  /// Inserts (or overwrites) `key -> value`, copying both into interner
-  /// storage. Triggers a full flush first if the storage budget is
-  /// exhausted.
+  /// Inserts `key -> value` unless `key` is present (the first insertion
+  /// wins), copying both into interner storage. Triggers a full flush
+  /// first if the storage budget is exhausted. A throwing allocation
+  /// leaves no half-written slot.
   void Insert(std::string_view key, std::string_view value) {
+    Insert(key, Fnv1aHash(key), value);
+  }
+
+  /// Same, with the caller's hash of `key` (see Find(key, h)).
+  void Insert(std::string_view key, uint64_t h, std::string_view value) {
     if (arena_.used_bytes() + key.size() + value.size() > max_bytes_) Clear();
     if (slots_.empty()) Rehash(64);
     if ((live_ + 1) * 10 > slots_.size() * 7) Rehash(slots_.size() * 2);
     size_t mask = slots_.size() - 1;
-    uint64_t h = Fnv1aHash(key);
     for (size_t i = h & mask;; i = (i + 1) & mask) {
       Slot& s = slots_[i];
       if (s.epoch != epoch_ || s.empty()) {
-        s.hash = h;
-        s.epoch = epoch_;
-        s.key = Copy(key);
-        s.value = Copy(value);
+        // Copy before touching the slot, so a throw cannot leave it
+        // tagged with this epoch over a stale key.
+        std::string_view k = Copy(key);
+        std::string_view v = Copy(value);
+        s = Slot{h, epoch_, k, v};
         ++live_;
         return;
       }
@@ -200,20 +216,19 @@ class StringInterner {
   }
 
   void Rehash(size_t new_size) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_size, Slot{});
+    std::vector<Slot> fresh(new_size);
     size_t mask = new_size - 1;
-    for (const Slot& s : old) {
+    for (const Slot& s : slots_) {
       if (s.epoch != epoch_ || s.empty()) continue;
       for (size_t i = s.hash & mask;; i = (i + 1) & mask) {
-        Slot& d = slots_[i];
+        Slot& d = fresh[i];
         if (d.epoch != epoch_ || d.empty()) {
           d = s;
-          d.epoch = epoch_;
           break;
         }
       }
     }
+    slots_.swap(fresh);
   }
 
   size_t max_bytes_;

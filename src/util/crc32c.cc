@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstring>
 
 namespace sparqlog::util {
 namespace {
@@ -39,9 +40,47 @@ inline uint32_t LoadLE32(const unsigned char* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
+#if defined(__x86_64__) && defined(__GNUC__)
+/// SSE4.2's crc32 instruction computes this same CRC (Castagnoli,
+/// reflected), eight bytes per step: ~10x the table path's throughput,
+/// which the parse memo pays on every log line. Takes and returns the
+/// un-inverted register, like the table loop.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(
+    uint32_t crc, const unsigned char* p, size_t n) {
+  uint64_t c = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));  // little-endian: byte order
+    c = __builtin_ia32_crc32di(c, word);
+  }
+  crc = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) crc = __builtin_ia32_crc32qi(crc, *p);
+  return crc;
+}
+
+bool HaveSse42() {
+  static const bool have = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return have;
+}
+#endif
+
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (HaveSse42()) {
+    return ~ExtendSse42(~crc,
+                        reinterpret_cast<const unsigned char*>(data.data()),
+                        data.size());
+  }
+#endif
+  return Crc32cExtendTable(crc, data);
+}
+
+uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data) {
   const auto* p = reinterpret_cast<const unsigned char*>(data.data());
   size_t n = data.size();
   crc = ~crc;

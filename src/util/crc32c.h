@@ -14,12 +14,17 @@ namespace sparqlog::util {
 /// metadata), so known-answer vectors are easy to cross-check:
 /// Crc32c("123456789") == 0xE3069283.
 ///
-/// Portable slice-by-8 table implementation; single-byte detection is
-/// the contract the corruption-matrix tests pin, not throughput.
+/// Besides the snapshot sections it keys the pipeline's parse memo,
+/// which hashes every log line, so on x86-64 CPUs with SSE4.2 it runs
+/// on the crc32 instruction; elsewhere on a portable slice-by-8 table.
 
 /// Extends a running CRC with `data`. Start from 0 for a fresh stream;
 /// Crc32cExtend(Crc32cExtend(0, a), b) == Crc32c(a + b).
 uint32_t Crc32cExtend(uint32_t crc, std::string_view data);
+
+/// The portable table implementation Crc32cExtend falls back to, and the
+/// reference its hardware path is tested against.
+uint32_t Crc32cExtendTable(uint32_t crc, std::string_view data);
 
 inline uint32_t Crc32c(std::string_view data) { return Crc32cExtend(0, data); }
 

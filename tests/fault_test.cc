@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -283,6 +284,42 @@ TEST(QuarantineTest, OneShotFaultRecoversLosslessly) {
   EXPECT_EQ(r.stats.quarantined, 0u);
   EXPECT_EQ(r.stats.valid, 30u);
   EXPECT_EQ(r.quarantine.count, 0u);
+}
+
+TEST(QuarantineTest, LineQuarantinedInRecoveryIsNotAMemoHitLater) {
+  // One worker, four-line chunks. Chunk 0 memoizes L, then B throws
+  // once, so the chunk is reparsed on the heap; there L's parse throws
+  // once and L is quarantined. Chunk 1 repeats L. Had the memo kept
+  // chunk 0's entry, that repeat would reach its shard without an AST
+  // and with no first occurrence delivered.
+  const std::string l = "query=ASK { <s:L> ?p ?o }";
+  const std::string b = "query=ASK { <s:B> ?p ?o }";
+  const std::vector<std::string> log = {
+      l, "query=ASK { <s:A> ?p ?o }", b, "query=ASK { <s:C> ?p ?o }",
+      l, "query=ASK { <s:D> ?p ?o }"};
+  auto calls = std::make_shared<std::map<std::string, int, std::less<>>>();
+  pipeline::PipelineOptions options;
+  options.threads = 1;
+  options.chunk_size = 4;
+  options.telemetry.metrics = true;
+  options.parse_fault_hook = [calls, l, b](std::string_view line) {
+    const int n = ++(*calls)[std::string(line)];
+    if ((line == b && n == 1) || (line == l && n == 2)) {
+      throw std::runtime_error("one-shot");
+    }
+  };
+  pipeline::PipelineResult r = pipeline::ParallelLogPipeline(options).Run(log);
+  EXPECT_TRUE(r.stats.Conserved());
+  EXPECT_EQ(r.stats.total, 6u);
+  EXPECT_EQ(r.stats.quarantined, 1u);
+  EXPECT_EQ(r.stats.valid, 5u);
+  EXPECT_EQ(r.stats.unique, 5u);  // L, A, B, C, D
+  ASSERT_EQ(r.quarantine.samples.size(), 1u);
+  EXPECT_EQ(r.quarantine.samples[0].line, l);
+  EXPECT_EQ(r.quarantine.samples[0].chunk, 0u);
+  ASSERT_TRUE(r.telemetry.has_value());
+  EXPECT_EQ(r.telemetry->parse_memo_hits, 0u);
+  EXPECT_EQ(r.analysis.keywords().total, 5u);
 }
 
 TEST(QuarantineTest, FaultFreePaperCorpusMatchesSerialOracle) {

@@ -3,11 +3,13 @@
 #include <atomic>
 #include <sstream>
 #include <thread>
+#include <unordered_set>
 
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
 #include "corpus/report.h"
+#include "obs/metrics.h"
 #include "pipeline/merge.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/shard.h"
@@ -824,6 +826,127 @@ TEST(PipelineTest, ShardCountDecoupledFromThreadCount) {
               StatisticsDigest(expected.analysis))
         << shards;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The parse workers' exact-line memo (unique corpus only)
+// ---------------------------------------------------------------------------
+
+/// TelemetryDigest of a memo-free serial pass: every line is parsed,
+/// counted in the reader and parse stages and routed to one of `shards`
+/// shards as the pipeline's parse workers do, then ingested by one
+/// LogIngestor, which counts the shard and analysis stages (the sink
+/// only has to exist; the analysis itself is not counted).
+uint64_t SerialTelemetryDigest(const std::vector<std::string>& lines,
+                               size_t shards) {
+  obs::RunTelemetry t;
+  t.shard_queries.assign(shards, 0);
+  corpus::LogIngestor ingestor;
+  ingestor.set_unique_sink([](const sparql::Query&) {});
+  ingestor.set_telemetry(&t);
+  sparql::Parser parser;
+  obs::StageMetrics& reader = t.stage(obs::kStageReader);
+  obs::StageMetrics& parse = t.stage(obs::kStageParse);
+  for (const std::string& line : lines) {
+    ++reader.items_in;
+    ++reader.items_out;
+    reader.bytes_in += line.size();
+    ++parse.items_in;
+    parse.bytes_in += line.size();
+    corpus::ParsedLine parsed = corpus::ParseLogLine(parser, line);
+    if (parsed.is_query) {
+      ++parse.items_out;
+      if (!parsed.valid) ++parse.malformed;
+      ++t.shard_queries[ShardIndexFor(parsed, shards)];
+    }
+    ingestor.Ingest(parsed);
+  }
+  return obs::TelemetryDigest(t);
+}
+
+TEST(ParseMemoTest, PaperCorpusMatchesSerialOracleAtOneTwoAndEightThreads) {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(2000);
+  const testing::SerialResult serial = testing::RunSerial(lines);
+  const std::vector<uint64_t> serial_digest =
+      StatisticsDigest(serial.analysis);
+  constexpr size_t kShards = 3;  // TelemetryDigest covers per-shard counts
+  const uint64_t serial_telemetry = SerialTelemetryDigest(lines, kShards);
+  // Query lines that repeat an earlier line byte for byte: what a memo
+  // that never flushed would hit.
+  std::unordered_set<std::string_view> distinct;
+  uint64_t repeats = 0;
+  for (const std::string& line : lines) {
+    if (line.starts_with("query=") && !distinct.insert(line).second) ++repeats;
+  }
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    PipelineOptions options;
+    options.threads = threads;
+    options.shards = kShards;
+    options.telemetry.metrics = true;
+    PipelineResult result = ParallelLogPipeline(options).Run(lines);
+    EXPECT_EQ(result.lines, lines.size());
+    EXPECT_EQ(result.stats, serial.stats);
+    EXPECT_EQ(StatisticsDigest(result.analysis), serial_digest);
+    ASSERT_TRUE(result.telemetry.has_value());
+    const obs::RunTelemetry& t = *result.telemetry;
+    EXPECT_EQ(obs::TelemetryDigest(t), serial_telemetry);
+    EXPECT_GT(t.parse_memo_hits, 0u);
+    EXPECT_LE(t.parse_memo_hits, t.stage(obs::kStageParse).items_out);
+    EXPECT_LE(t.parse_memo_hits, repeats);
+    if (threads == 1) {
+      // One worker reads every chunk in order, so its hits are a pure
+      // function of the log and the 1 MB budget.
+      EXPECT_EQ(t.parse_memo_hits, 17748u);
+    }
+  }
+}
+
+TEST(ParseMemoTest, ValidCorpusNeverConsultsTheMemo) {
+  const std::vector<std::string> lines = testing::PaperCorpusLog(150);
+  const testing::SerialResult serial =
+      testing::RunSerial(lines, /*use_valid_corpus=*/true);
+  PipelineOptions options;
+  options.threads = 2;
+  options.use_valid_corpus = true;
+  options.telemetry.metrics = true;
+  PipelineResult result = ParallelLogPipeline(options).Run(lines);
+  EXPECT_EQ(result.stats, serial.stats);
+  EXPECT_EQ(StatisticsDigest(result.analysis),
+            StatisticsDigest(serial.analysis));
+  ASSERT_TRUE(result.telemetry.has_value());
+  EXPECT_EQ(result.telemetry->parse_memo_hits, 0u);
+}
+
+TEST(ParseMemoDeathTest, ValidEntryWithoutAstAtAGateAborts) {
+  // A bare repeat (valid, hashed, no AST) is only sound once its shard
+  // has seen the first occurrence; anything else is a broken invariant.
+  corpus::ParsedLine bare;
+  bare.is_query = true;
+  bare.valid = true;
+  bare.canonical_hash = 42;
+  corpus::LogIngestor ingestor;
+  ingestor.set_unique_sink([](const sparql::Query&) {});
+  EXPECT_DEATH(ingestor.Ingest(bare), "without its AST");
+}
+
+TEST(ParseMemoTest, BareRepeatOfASeenQueryCountsWithoutItsAst) {
+  sparql::Parser parser;
+  corpus::ParsedLine first =
+      corpus::ParseLogLine(parser, std::string("query=ASK { ?s ?p ?o }"));
+  ASSERT_TRUE(first.valid);
+  corpus::ParsedLine bare;
+  bare.is_query = true;
+  bare.valid = true;
+  bare.canonical_hash = first.canonical_hash;
+  corpus::LogIngestor ingestor;
+  int delivered = 0;
+  ingestor.set_unique_sink([&delivered](const sparql::Query&) { ++delivered; });
+  ingestor.Ingest(first);
+  ingestor.Ingest(bare);
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(ingestor.stats().valid, 2u);
+  EXPECT_EQ(ingestor.stats().unique, 1u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/arena.h"
+#include "util/fnv.h"
 #include "util/histogram.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
@@ -17,6 +19,46 @@
 
 namespace sparqlog::util {
 namespace {
+
+// ---------------------------------------------------------------------------
+// StringInterner
+// ---------------------------------------------------------------------------
+
+TEST(StringInternerTest, CallerHashedOverloadsMatchTheirKeysExactly) {
+  StringInterner memo;
+  const std::string_view a = "query=ASK { ?s ?p ?o }";
+  const std::string_view b = "query=ASK { ?s ?p ?x }";
+  // Both keys under one hash: the probe must still compare the bytes.
+  memo.Insert(a, 7, "first");
+  memo.Insert(b, 7, "second");
+  memo.Insert(a, 7, "ignored");  // the first insertion wins
+  ASSERT_NE(memo.Find(a, 7), nullptr);
+  EXPECT_EQ(*memo.Find(a, 7), "first");
+  ASSERT_NE(memo.Find(b, 7), nullptr);
+  EXPECT_EQ(*memo.Find(b, 7), "second");
+  EXPECT_EQ(memo.Find("query=ASK { ?s ?p ?y }", 7), nullptr);
+  EXPECT_EQ(memo.size(), 2u);
+  // The plain overloads hash with FNV-1a and agree with passing it.
+  memo.Insert("dbo:", "http://dbpedia.org/ontology/");
+  ASSERT_NE(memo.Find("dbo:", Fnv1aHash("dbo:")), nullptr);
+  EXPECT_EQ(*memo.Find("dbo:"), "http://dbpedia.org/ontology/");
+}
+
+TEST(StringInternerTest, FlushesWholeAtItsByteBudget) {
+  StringInterner memo(/*max_bytes=*/64);
+  memo.Insert(std::string(30, 'a'), 1, "x");
+  memo.Insert(std::string(30, 'b'), 2, "y");
+  EXPECT_EQ(memo.size(), 2u);
+  const uint64_t epoch = memo.epoch();
+  memo.Insert(std::string(30, 'c'), 3, "z");  // 93 bytes > 64: flush first
+  EXPECT_EQ(memo.epoch(), epoch + 1);
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_EQ(memo.Find(std::string(30, 'a'), 1), nullptr);
+  ASSERT_NE(memo.Find(std::string(30, 'c'), 3), nullptr);
+  EXPECT_EQ(*memo.Find(std::string(30, 'c'), 3), "z");
+  memo.Clear();
+  EXPECT_EQ(memo.Find(std::string(30, 'c'), 3), nullptr);
+}
 
 // ---------------------------------------------------------------------------
 // Status / Result
