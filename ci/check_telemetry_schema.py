@@ -13,7 +13,9 @@ produced:
   * the metrics are internally coherent (shard_queries sum to the shard
     stage's items_in, no Levenshtein block steps without a Levenshtein
     call, no more parse-memo hits than query lines the parse stage
-    routed);
+    routed, one checkpoint part per shard per generation written);
+  * telemetry.workers equals the number of named trace tracks: one
+    run's reader, parse workers and shard consumers, each counted once;
   * the trace document is Chrome-trace shaped: every "X" span carries
     ts/dur/pid/tid/name, spans land within [0, wall * 1.1], and every
     track referenced by a span has a thread_name metadata record.
@@ -98,6 +100,22 @@ def check_metrics(metrics, schema, errors):
         errors.append(
             f"parse_memo_hits {t['parse_memo_hits']} > parse items_out "
             f"{parse_stage['items_out']}")
+    checkpoint = next(
+        (s for s in t["stages"] if s["name"] == "checkpoint"), None)
+    if checkpoint is None:
+        errors.append("telemetry.stages: no 'checkpoint' stage")
+    else:
+        parts = checkpoint["chunks"] * len(t["shard_queries"])
+        if checkpoint["items_in"] != parts:
+            errors.append(
+                f"checkpoint parts {checkpoint['items_in']} != "
+                f"{checkpoint['chunks']} generations x "
+                f"{len(t['shard_queries'])} shards")
+        if checkpoint["items_in"] != t["checkpoint_part_latency"]["count"]:
+            errors.append(
+                f"checkpoint items_in {checkpoint['items_in']} != "
+                "checkpoint_part_latency count "
+                f"{t['checkpoint_part_latency']['count']}")
     prefilter = t["prefilter"]
     if prefilter["levenshtein_calls"] == 0 and prefilter["dp_block_steps"]:
         errors.append(
@@ -156,6 +174,19 @@ def check_trace(trace, errors):
                 f"{wall_us}us (+10%)")
 
 
+def check_workers(metrics, trace, errors):
+    workers = metrics.get("telemetry", {}).get("workers")
+    events = trace.get("traceEvents")
+    if not isinstance(workers, (int, float)) or not isinstance(events, list):
+        return  # already reported by check_metrics / check_trace
+    tracks = {(e.get("pid"), e.get("tid")) for e in events
+              if e.get("ph") == "M" and e.get("name") == "thread_name"}
+    if workers != len(tracks):
+        errors.append(
+            f"telemetry.workers {workers} != {len(tracks)} named trace "
+            "tracks")
+
+
 def main(argv):
     if len(argv) not in (3, 4):
         print(__doc__)
@@ -167,9 +198,12 @@ def main(argv):
         schema = json.load(f)
     errors = []
     with open(metrics_path) as f:
-        check_metrics(json.load(f), schema, errors)
+        metrics = json.load(f)
     with open(trace_path) as f:
-        check_trace(json.load(f), errors)
+        trace = json.load(f)
+    check_metrics(metrics, schema, errors)
+    check_trace(trace, errors)
+    check_workers(metrics, trace, errors)
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     if not errors:

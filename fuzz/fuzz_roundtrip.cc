@@ -637,10 +637,15 @@ int main(int argc, char** argv) {
   // fault-free control) and one pipeline shape, and checks the
   // containment contract: no escape, conservation, quarantine agreement,
   // honest source_status, and bit-identical replay for deterministic
-  // plans. A violation report carries the plan description — the plan is
-  // a pure function of the phase seed and round, so it replays exactly.
+  // plans. One plan in four also runs through RunWithJournal, with
+  // checkpoint barriers every 1-4 chunks drawn from a second stream (so
+  // the plans themselves stay those of the seed). A violation report
+  // carries the plan description — the plan is a pure function of the
+  // phase seed and round, so it replays exactly.
   {
     sparqlog::util::Rng rng(config.seed ^ 0xFA177C0A17ED5ULL);
+    sparqlog::util::Rng journal_rng(config.seed ^ 0x70A2A1EDB4CCE7ULL);
+    long journaled_plans = 0;
     sparqlog::testing::QueryFuzzOptions fuzz_options;
     fuzz_options.seed = config.seed + 7;
     sparqlog::testing::QueryFuzzer fuzzer(fuzz_options);
@@ -663,8 +668,13 @@ int main(int argc, char** argv) {
       if (plan.any()) ++fault_plans;
       sparqlog::pipeline::PipelineOptions equiv =
           sparqlog::testing::RandomEquivalenceConfig(rng);
-      if (auto v = sparqlog::testing::CheckFaultContainment(log, plan,
-                                                            equiv)) {
+      size_t chunks_per_segment = 0;
+      if (round % 4 == 3) {
+        chunks_per_segment = 1 + journal_rng.Below(4);
+        ++journaled_plans;
+      }
+      if (auto v = sparqlog::testing::CheckFaultContainment(
+              log, plan, equiv, chunks_per_segment)) {
         ++violations;
         std::fprintf(stderr, "VIOLATION [%s] %s (fault round %ld, %s)\n",
                      v->invariant.c_str(), v->detail.c_str(), round,
@@ -676,8 +686,10 @@ int main(int argc, char** argv) {
       }
     }
     std::fprintf(stderr,
-                 "  fault rounds: %ld x %ld lines checked (%ld with faults)\n",
-                 config.fault_rounds, config.fault_lines, fault_plans);
+                 "  fault rounds: %ld x %ld lines checked (%ld with faults, "
+                 "%ld also journaled)\n",
+                 config.fault_rounds, config.fault_lines, fault_plans,
+                 journaled_plans);
   }
 
   // Phase 8: storage-fault durability replay. Each round builds a small

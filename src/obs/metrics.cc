@@ -20,6 +20,8 @@ const char* StageName(int stage) {
       return "streak";
     case kStageStitch:
       return "stitch";
+    case kStageCheckpoint:
+      return "checkpoint";
     default:
       return "unknown";
   }
@@ -82,6 +84,7 @@ void RunTelemetry::Merge(const RunTelemetry& other) {
   prefilter_abandoned += other.prefilter_abandoned;
   prefilter_dp_block_steps += other.prefilter_dp_block_steps;
   parse_memo_hits += other.parse_memo_hits;
+  checkpoint_part_ns.Merge(other.checkpoint_part_ns);
   wall_ns = std::max(wall_ns, other.wall_ns);
   workers += other.workers;
   run_alloc_bytes += other.run_alloc_bytes;
@@ -113,8 +116,9 @@ uint64_t TelemetryDigest(const RunTelemetry& t) {
   // Only scheduling-independent counters participate: item flow and
   // shard routing. Chunk counts (depend on chunk_size), timing fields,
   // queue occupancy, allocation attribution, prefilter tiers (a
-  // streak-cascade diagnostic, not item flow) and parse-memo hits (which
-  // worker read which chunk) are all excluded by design.
+  // streak-cascade diagnostic, not item flow), parse-memo hits (which
+  // worker read which chunk) and the checkpoint stage (a journaled run's
+  // cost, not its item flow) are all excluded by design.
   util::Fnv1a h;
   auto mix = [&h](uint64_t v) {
     char bytes[8];
@@ -125,7 +129,9 @@ uint64_t TelemetryDigest(const RunTelemetry& t) {
   // the verdict is scheduling-independent. quarantined does NOT — alloc
   // faults land wherever the allocation counter happens to be, so two
   // runs of the same fault plan may quarantine different lines.
-  for (const StageMetrics& s : t.stages) {
+  for (int stage = 0; stage < kStageCount; ++stage) {
+    if (stage == kStageCheckpoint) continue;
+    const StageMetrics& s = t.stage(stage);
     mix(s.items_in);
     mix(s.items_out);
     mix(s.malformed);

@@ -20,6 +20,7 @@ enum StageId : int {
   kStageAnalysis,     // structural analysis of the surviving corpus
   kStageStreak,       // similarity-window workers (Section 8)
   kStageStitch,       // serial streak stitch pass
+  kStageCheckpoint,   // journal checkpoints: parts taken, generations written
   kStageCount
 };
 
@@ -165,6 +166,10 @@ struct RunTelemetry {
   /// parsing them (ParallelLogPipeline, unique corpus). Depends on which
   /// worker read which chunk, so TelemetryDigest leaves it out.
   uint64_t parse_memo_hits = 0;
+  /// Time each shard consumer spent taking its part of a checkpoint
+  /// (the run journal; see StageMetrics of kStageCheckpoint for the
+  /// writer's side).
+  LatencyHistogram checkpoint_part_ns;
   /// Run envelope. wall_ns merges by max (parallel partitions share the
   /// wall clock), workers by sum.
   uint64_t wall_ns = 0;

@@ -59,6 +59,18 @@ void AppendQueueJson(JsonWriter& json, const QueueCounters& q) {
   json.EndObject();
 }
 
+void AppendLatencyJson(JsonWriter& json, const LatencyHistogram& h) {
+  json.BeginObject();
+  json.KV("count", h.count());
+  json.KV("total_ns", h.total_ns());
+  json.KV("min_ns", h.min_ns());
+  json.KV("max_ns", h.max_ns());
+  json.KV("mean_ns", h.MeanNs());
+  json.KV("p50_ns", h.PercentileNs(0.5));
+  json.KV("p99_ns", h.PercentileNs(0.99));
+  json.EndObject();
+}
+
 /// Prometheus metric lines for one counter.
 void Counter(std::string& out, const std::string& name,
              const std::string& labels, uint64_t value) {
@@ -126,6 +138,14 @@ void PrintSummary(std::ostream& out, const RunTelemetry& t) {
   }
   const std::string memo = ParseMemoSummary(t);
   if (!memo.empty()) out << memo << "\n";
+  const StageMetrics& checkpoints = t.stage(kStageCheckpoint);
+  if (checkpoints.chunks > 0) {
+    out << "Checkpoints: " << checkpoints.chunks << " generations, "
+        << checkpoints.bytes_in << " bytes; writer mean "
+        << Ms(checkpoints.chunk_ns.MeanNs()) << " ms, shard part mean "
+        << Ms(t.checkpoint_part_ns.MeanNs()) << " ms ("
+        << t.checkpoint_part_ns.count() << " parts)\n";
+  }
   if (t.run_allocs > 0) {
     out << "Allocations: " << t.run_allocs << " (" << t.run_alloc_bytes
         << " bytes)\n";
@@ -164,18 +184,13 @@ void AppendTelemetryJson(JsonWriter& json, const RunTelemetry& t) {
                 : 0.0);
     json.KV("alloc_bytes", m.alloc_bytes);
     json.KV("allocs", m.allocs);
-    json.Key("latency").BeginObject();
-    json.KV("count", m.chunk_ns.count());
-    json.KV("total_ns", m.chunk_ns.total_ns());
-    json.KV("min_ns", m.chunk_ns.min_ns());
-    json.KV("max_ns", m.chunk_ns.max_ns());
-    json.KV("mean_ns", m.chunk_ns.MeanNs());
-    json.KV("p50_ns", m.chunk_ns.PercentileNs(0.5));
-    json.KV("p99_ns", m.chunk_ns.PercentileNs(0.99));
-    json.EndObject();
+    json.Key("latency");
+    AppendLatencyJson(json, m.chunk_ns);
     json.EndObject();
   }
   json.EndArray();
+  json.Key("checkpoint_part_latency");
+  AppendLatencyJson(json, t.checkpoint_part_ns);
 
   json.Key("queues").BeginObject();
   json.Key("chunks");
@@ -285,6 +300,15 @@ std::string PrometheusText(const RunTelemetry& t) {
                 static_cast<double>(t.wall_ns) / 1e9);
   out += std::string("sparqlog_run_wall_seconds ") + wall + "\n";
   Counter(out, "sparqlog_parse_memo_hits_total", "", t.parse_memo_hits);
+  // Shard-side checkpoint cost; the writer's side is the checkpoint
+  // stage above (generations = chunks, bytes written = bytes_in).
+  Counter(out, "sparqlog_checkpoint_parts_total", "",
+          t.checkpoint_part_ns.count());
+  out += "# TYPE sparqlog_checkpoint_part_seconds_total counter\n";
+  char part[64];
+  std::snprintf(part, sizeof(part), "%.9g",
+                static_cast<double>(t.checkpoint_part_ns.total_ns()) / 1e9);
+  out += std::string("sparqlog_checkpoint_part_seconds_total ") + part + "\n";
   Counter(out, "sparqlog_run_allocations_total", "", t.run_allocs);
   Counter(out, "sparqlog_run_allocated_bytes_total", "", t.run_alloc_bytes);
   return out;

@@ -1,6 +1,10 @@
 #include "pipeline/journal.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -42,51 +46,26 @@ uint64_t OptionsFingerprint(const PipelineOptions& o, size_t num_shards) {
   return h.digest();
 }
 
-/// Caps the inner source at `max_chunks` reads so the journal can
-/// checkpoint between segments. Exceptions pass through untouched (the
-/// pipeline reader's containment sees them as usual).
-class BoundedChunkSource : public ChunkSource {
- public:
-  BoundedChunkSource(ChunkSource& inner, size_t max_chunks)
-      : inner_(inner), max_chunks_(max_chunks) {}
-
-  bool NextChunk(size_t max_lines, LineChunk& out) override {
-    if (served_ >= max_chunks_) return false;
-    if (!inner_.NextChunk(max_lines, out)) {
-      exhausted_ = true;
-      return false;
-    }
-    ++served_;
-    return true;
-  }
-
-  /// The inner source itself ran out (as opposed to the segment cap).
-  bool exhausted() const { return exhausted_; }
-
-  /// Chunks actually handed out by this segment.
-  size_t served() const { return served_; }
-
- private:
-  ChunkSource& inner_;
-  size_t max_chunks_;
-  size_t served_ = 0;
-  bool exhausted_ = false;
-};
-
-util::Status WriteCheckpoint(snap::SnapshotStore& store, uint64_t fingerprint,
-                             uint64_t offset, uint64_t lines_total,
-                             const std::vector<std::unique_ptr<Shard>>& shards,
-                             uint64_t& generation_out) {
+/// Encodes one checkpoint — meta, dictionary and one section per shard
+/// part, in shard order — and publishes it as the store's next
+/// generation. Returns the bytes written.
+util::Result<uint64_t> WriteCheckpoint(snap::SnapshotStore& store,
+                                       uint64_t fingerprint, uint64_t offset,
+                                       uint64_t lines_total,
+                                       const std::vector<ShardCheckpoint>& parts,
+                                       uint64_t& generation_out) {
   snap::SnapshotWriter writer;
   rdf::Dictionary dict;
 
-  // Shards first: SaveState populates the dictionary, which must be
-  // complete before its own section is encoded. (Sections load by id,
-  // so file order does not matter.)
-  for (size_t i = 0; i < shards.size(); ++i) {
+  // Shards first: encoding the analyzers populates the dictionary, which
+  // must be complete before its own section is encoded. (Sections load
+  // by id, so file order does not matter.)
+  corpus::CorpusAnalyzer merged;
+  for (size_t i = 0; i < parts.size(); ++i) {
     std::string blob;
-    shards[i]->SaveState(blob, dict);
+    EncodeShardCheckpoint(parts[i], blob, dict);
     writer.AddSection(kShardSectionBase + i, std::move(blob));
+    merged.MergeFrom(parts[i].analyzer);
   }
 
   std::string dict_blob;
@@ -96,13 +75,12 @@ util::Status WriteCheckpoint(snap::SnapshotStore& store, uint64_t fingerprint,
   std::string meta;
   util::vbyte::PutVarint(meta, kJournalVersion);
   util::vbyte::PutVarint(meta, fingerprint);
-  util::vbyte::PutVarint(meta, shards.size());
+  util::vbyte::PutVarint(meta, parts.size());
   util::vbyte::PutVarint(meta, offset);
   util::vbyte::PutVarint(meta, lines_total);
   // Semantic integrity check on top of the container CRCs: the digest
   // of the merged analyzer state must reproduce on load.
-  PipelineResult merged = MergeShards(shards);
-  std::vector<uint64_t> digest = StatisticsDigest(merged.analysis);
+  std::vector<uint64_t> digest = StatisticsDigest(merged);
   util::vbyte::PutVarint(meta, digest.size());
   for (uint64_t w : digest) util::vbyte::PutVarint(meta, w);
   writer.AddSection(kMetaSection, std::move(meta));
@@ -110,7 +88,10 @@ util::Status WriteCheckpoint(snap::SnapshotStore& store, uint64_t fingerprint,
   auto gen = store.Save(writer);
   if (!gen.ok()) return gen.status();
   generation_out = gen.value();
-  return util::Status::OK();
+  std::error_code ec;
+  const uintmax_t bytes =
+      std::filesystem::file_size(store.GenerationPath(gen.value()), ec);
+  return ec ? uint64_t{0} : static_cast<uint64_t>(bytes);
 }
 
 /// Restores one loaded (container-verified) snapshot into freshly
@@ -193,14 +174,6 @@ util::Status RestoreCheckpoint(const snap::Snapshot& snapshot,
         "checkpoint statistics digest does not reproduce from shard state");
   }
   return util::Status::OK();
-}
-
-void MergeQuarantine(QuarantineReport& into, QuarantineReport&& from) {
-  into.count += from.count;
-  for (QuarantineSample& s : from.samples) {
-    into.samples.push_back(std::move(s));
-  }
-  into.SortAndCap();
 }
 
 }  // namespace
@@ -297,47 +270,64 @@ util::Result<JournalRunResult> RunWithJournal(const PipelineOptions& options,
     }
   }
 
-  QuarantineReport all_quarantine;
-  std::optional<obs::RunTelemetry> all_telemetry;
-  PipelineResult last;
-  uint64_t chunk_base = 0;  // chunk ordinals restart per segment; re-base so
-                            // merged quarantine samples order globally
-  for (;;) {
-    if (jopts.max_segments > 0 && out.segments >= jopts.max_segments) break;
-    BoundedChunkSource segment(source, chunks_per_segment);
-    PipelineResult r = pipeline.Run(segment, shards);
-    ++out.segments;
-    lines_total += r.lines;
-    for (QuarantineSample& s : r.quarantine.samples) s.chunk += chunk_base;
-    chunk_base += segment.served();
-    MergeQuarantine(all_quarantine, std::move(r.quarantine));
-    if (r.telemetry.has_value()) {
-      if (!all_telemetry.has_value()) all_telemetry.emplace();
-      all_telemetry->Merge(*r.telemetry);
-    }
-    const bool source_failed = !r.source_status.ok();
-    const bool exhausted = segment.exhausted();
-    last = std::move(r);
-    util::Status st = WriteCheckpoint(store, fingerprint, source.offset(),
-                                      lines_total, shards, out.generation);
-    if (!st.ok()) {
-      return util::Status::Internal("journal: cannot write checkpoint to '" +
-                                    jopts.path + "': " + st.message());
-    }
-    if (source_failed) break;
-    if (exhausted) {
-      out.complete = true;
-      break;
-    }
+  // One pipeline run; its barriers publish every checkpoint but the
+  // last while the run goes on (see CheckpointBarriers). Barrier e
+  // falls where segment e of the same journal options ends, so the
+  // generations and their bytes do not depend on when they are written.
+  auto write_error = [&jopts](const util::Status& st) {
+    return util::Status::Internal("journal: cannot write checkpoint to '" +
+                                  jopts.path + "': " + st.message());
+  };
+  const uint64_t lines_before = lines_total;
+  const uint64_t start_ns = options.telemetry.enabled() ? obs::NowNs() : 0;
+  CheckpointBarriers barriers;
+  barriers.every = chunks_per_segment;
+  barriers.max_chunks =
+      jopts.max_segments <= UINT64_MAX / chunks_per_segment
+          ? jopts.max_segments * chunks_per_segment
+          : 0;
+  barriers.publish = [&](const BarrierCheckpoint& barrier) {
+    uint64_t generation = 0;
+    return WriteCheckpoint(store, fingerprint, barrier.offset,
+                           lines_before + barrier.lines, barrier.parts,
+                           generation);
+  };
+  PipelineResult result = pipeline.Run(source, shards, &barriers);
+  if (!barriers.error.ok()) return write_error(barriers.error);
+
+  // The last checkpoint covers the joined shards: the input's end, the
+  // chunk cap or a source failure. It is written before returning, so
+  // each invocation publishes barriers + 1 generations.
+  obs::RunTelemetry* telemetry =
+      result.telemetry.has_value() ? &*result.telemetry : nullptr;
+  std::vector<ShardCheckpoint> parts;
+  parts.reserve(shards.size());
+  for (const std::unique_ptr<Shard>& shard : shards) {
+    const uint64_t p0 = telemetry ? obs::NowNs() : 0;
+    parts.push_back(shard->TakeCheckpoint());
+    if (telemetry) telemetry->checkpoint_part_ns.Record(obs::NowNs() - p0);
+  }
+  const uint64_t t1 = telemetry ? obs::NowNs() : 0;
+  lines_total += result.lines;
+  auto written = WriteCheckpoint(store, fingerprint, source.offset(),
+                                 lines_total, parts, out.generation);
+  if (!written.ok()) return write_error(written.status());
+  if (telemetry) {
+    const uint64_t t2 = obs::NowNs();
+    obs::StageMetrics& m = telemetry->stage(obs::kStageCheckpoint);
+    m.items_in += parts.size();
+    ++m.chunks;
+    m.bytes_in += written.value();
+    m.chunk_ns.Record(t2 - t1);
+    // The run's wall clock takes in the last checkpoint too.
+    telemetry->wall_ns = std::max(telemetry->wall_ns, t2 - start_ns);
+    if (result.trace.has_value()) result.trace->wall_ns = telemetry->wall_ns;
   }
 
-  // `last` already merges the shards' cumulative state (stats and
-  // analysis span every segment, this run's and any resumed prefix);
-  // only the per-segment fields need the accumulated values.
-  out.result = std::move(last);
+  out.segments = barriers.published + 1;
+  out.complete = barriers.exhausted;
+  out.result = std::move(result);
   out.result.lines = lines_total;
-  out.result.quarantine = std::move(all_quarantine);
-  out.result.telemetry = std::move(all_telemetry);
   return out;
 }
 

@@ -20,17 +20,22 @@ namespace sparqlog::pipeline {
 /// refused.
 inline constexpr uint64_t kJournalVersion = 4;
 
-/// Crash-safe run journal: the source is consumed in segments of
-/// `chunks_per_segment` reader chunks, and after each segment a
-/// checkpoint — the source's resume cursor plus every shard's complete
-/// dedup/analysis state — is published as a snapshot generation
+/// Crash-safe run journal: the source runs through ONE pipeline run
+/// whose checkpoints are aligned barriers (CheckpointBarriers in
+/// pipeline/pipeline.h). Barrier e falls after W_e = e *
+/// `chunks_per_segment` reader chunks: each shard takes its part — its
+/// complete dedup/analysis state after exactly the chunks below W_e —
+/// while the run goes on, and a writer thread publishes the parts,
+/// with the source's resume cursor at W_e, as a snapshot generation
 /// (util/snapshot_io.h): a versioned, per-section-CRC32C file written
 /// via write-fsync-rename, with `path` as the manifest tracking the two
-/// most recent generations. A rerun against the same journal restores
-/// the newest intact generation, seeks the source to its watermark, and
+/// most recent generations. After the run joins, one last checkpoint
+/// covers the whole run. A rerun against the same journal restores the
+/// newest intact generation, seeks the source to its watermark, and
 /// continues; the final StatisticsDigest is bit-identical to an
 /// uninterrupted run because the shard state at the watermark IS the
-/// uninterrupted run's state at that point.
+/// uninterrupted run's state at that point. Generation e holds the same
+/// bytes a run stopped after e segments would write.
 ///
 /// Damage handling: a corrupt newest generation (torn write, bit flip,
 /// truncation — all CRC-detected) falls back to the previous
@@ -39,24 +44,26 @@ inline constexpr uint64_t kJournalVersion = 4;
 /// checkpoint was written by an incompatible configuration or format
 /// version — is the run refused, with a reason string (never a silent
 /// restart: that would double-count the journal's prefix if the caller
-/// later merges runs).
+/// later merges runs). A checkpoint that cannot be written (fsync,
+/// rename or write error) stops the reader; the run drains and fails
+/// with kInternal, leaving the previous generation resumable.
 struct JournalOptions {
   /// Snapshot manifest path. Generations live at "<path>.g<N>"; each
   /// file is staged at "<name>.tmp" and renamed into place.
   std::string path;
-  /// Reader chunks per segment (checkpoint cadence). Smaller segments
-  /// lose less work on a crash and cost more checkpoint I/O.
+  /// Reader chunks per segment: the checkpoint cadence. Smaller
+  /// segments lose less work on a crash and write more generations.
   size_t chunks_per_segment = 64;
-  /// Stop after this many segments even if input remains (0 = run to
-  /// completion). The kill-then-resume tests use this to end a run at a
-  /// checkpoint boundary deterministically.
+  /// Stop reading after this many segments' chunks even if input
+  /// remains (0 = run to completion). The kill-then-resume tests use
+  /// this to end a run at a checkpoint boundary deterministically.
   uint64_t max_segments = 0;
 };
 
 struct JournalRunResult {
   PipelineResult result;
-  /// Segments processed by THIS invocation (not counting checkpointed
-  /// work restored from the journal).
+  /// Generations THIS invocation published: one per barrier plus the
+  /// last checkpoint (not counting work restored from the journal).
   uint64_t segments = 0;
   /// State was restored from an existing checkpoint.
   bool resumed = false;

@@ -122,6 +122,92 @@ class QuarantineCollector {
   QuarantineReport report_;
 };
 
+/// Where the reader, the shard consumers and the checkpoint writer meet
+/// for a journaled run's barriers. The reader records barrier e when it
+/// has read W_e chunks; each shard delivers its part once it has
+/// consumed every chunk below W_e; the delivery that completes a
+/// barrier returns it for the writer. Barriers complete in order: every
+/// shard delivers e before e + 1, so the last delivery of e precedes the
+/// last delivery of e + 1.
+class BarrierBoard {
+ public:
+  BarrierBoard(uint64_t every, size_t shards, uint64_t headroom)
+      : every_(every), shards_(shards), headroom_(headroom) {}
+
+  /// Reader: records the barrier after `chunks` chunks. Called before
+  /// the chunk that reaches it is queued, so it precedes every delivery.
+  void Record(uint64_t chunks, uint64_t offset, uint64_t lines) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Open& open = open_.emplace_back();
+    open.checkpoint.chunks = chunks;
+    open.checkpoint.offset = offset;
+    open.checkpoint.lines = lines;
+    open.checkpoint.parts.resize(shards_);
+  }
+
+  /// Reader: blocks until chunk `next` (0-based) lies within `headroom`
+  /// chunks of the oldest barrier some shard has not taken. False once
+  /// a publish failed: the reader stops.
+  bool AwaitRoom(uint64_t next) {
+    std::unique_lock<std::mutex> lock(mu_);
+    taken_.wait(lock, [&] {
+      return failed_ || open_.empty() ||
+             next < open_.front().checkpoint.chunks + headroom_;
+    });
+    return !failed_;
+  }
+
+  /// Shard `shard`: delivers its part of the barrier at `chunks`.
+  /// Returns the barrier when this delivery completed it.
+  std::optional<BarrierCheckpoint> Deliver(uint64_t chunks, size_t shard,
+                                           ShardCheckpoint part) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Open& open = open_[(chunks - open_.front().checkpoint.chunks) / every_];
+    open.checkpoint.parts[shard] = std::move(part);
+    if (++open.delivered < shards_) return std::nullopt;
+    // Only the oldest open barrier can complete (see the class comment).
+    BarrierCheckpoint done = std::move(open_.front().checkpoint);
+    open_.pop_front();
+    taken_.notify_all();
+    return done;
+  }
+
+  /// A part or a publish failed: keeps the first error and stops the
+  /// reader at its next chunk. Later barriers are not published.
+  void Fail(util::Status error) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (failed_) return;
+    failed_ = true;
+    error_ = std::move(error);
+    taken_.notify_all();
+  }
+
+  bool failed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return failed_;
+  }
+
+  util::Status error() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return error_;
+  }
+
+ private:
+  struct Open {
+    BarrierCheckpoint checkpoint;
+    size_t delivered = 0;
+  };
+
+  const uint64_t every_;
+  const size_t shards_;
+  const uint64_t headroom_;
+  std::mutex mu_;
+  std::condition_variable taken_;
+  std::deque<Open> open_;  // recorded, not yet complete; oldest first
+  bool failed_ = false;
+  util::Status error_;
+};
+
 /// Bounded retries for TransientChunkError before the reader gives up
 /// and treats the failure as persistent.
 constexpr int kMaxTransientRetries = 3;
@@ -175,7 +261,8 @@ std::vector<std::unique_ptr<Shard>> ParallelLogPipeline::MakeShards() const {
 }
 
 PipelineResult ParallelLogPipeline::Run(
-    ChunkSource& source, std::vector<std::unique_ptr<Shard>>& shards) {
+    ChunkSource& source, std::vector<std::unique_ptr<Shard>>& shards,
+    CheckpointBarriers* barriers) {
   // Caller-owned shards (journal resume) pin the shard count: routing is
   // hash % num_shards, so continuing with a different count would split
   // duplicate classes across shards.
@@ -220,6 +307,43 @@ PipelineResult ParallelLogPipeline::Run(
   std::atomic<uint64_t> lines_consumed{0};
   QuarantineCollector quarantine;
 
+  // Checkpoint barriers (journaled runs only). The writer publishes
+  // completed barriers in order; its queue holds one barrier while it
+  // writes the previous, so a writer slower than the barrier cadence
+  // stalls the shard that completes the next one instead of buffering
+  // shard state without bound.
+  const uint64_t every = barriers ? std::max<size_t>(barriers->every, 1) : 0;
+  const uint64_t max_chunks = barriers ? barriers->max_chunks : 0;
+  std::optional<BarrierBoard> board;
+  BoundedQueue<BarrierCheckpoint> writer_queue(1);
+  obs::StageMetrics writer_stage;
+  std::thread writer;
+  if (barriers) {
+    board.emplace(every, num_shards, capacity);
+    writer = std::thread([&] {
+      while (std::optional<BarrierCheckpoint> checkpoint = writer_queue.Pop()) {
+        if (board->failed()) continue;  // drain after a failure
+        const uint64_t t0 = collect ? obs::NowNs() : 0;
+        util::Result<uint64_t> written = uint64_t{0};
+        try {
+          written = barriers->publish(*checkpoint);
+        } catch (const std::exception& e) {
+          written = util::Status::Internal(e.what());
+        }
+        if (!written.ok()) {
+          board->Fail(written.status());
+          continue;
+        }
+        ++barriers->published;
+        if (collect) {
+          ++writer_stage.chunks;
+          writer_stage.bytes_in += written.value();
+          writer_stage.chunk_ns.Record(obs::NowNs() - t0);
+        }
+      }
+    });
+  }
+
   // Shard consumers: single reader per shard, so Shard needs no locks.
   std::vector<std::thread> shard_threads;
   shard_threads.reserve(num_shards);
@@ -234,9 +358,9 @@ PipelineResult ParallelLogPipeline::Run(
       if (rt) shards[i]->set_telemetry(rt);
       const uint64_t tb0 = rt ? obs::ThreadAllocatedBytes() : 0;
       const uint64_t tc0 = rt ? obs::ThreadAllocationCount() : 0;
-      while (std::optional<ShardBatch> batch = shard_queues[i]->Pop()) {
+      auto consume = [&](const ShardBatch& batch) {
         uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
-        for (const corpus::ParsedLine& entry : batch->entries) {
+        for (const corpus::ParsedLine& entry : batch.entries) {
           shards[i]->Consume(entry);
         }
         if (rt) {
@@ -245,8 +369,68 @@ PipelineResult ParallelLogPipeline::Run(
           ++m.chunks;
           m.chunk_ns.Record(t1 - t0);
           if (ring) {
-            ring->Record(obs::kStageShard, batch->chunk, t0, t1);
+            ring->Record(obs::kStageShard, batch.chunk, t0, t1);
           }
+        }
+      };
+      if (!board) {
+        while (std::optional<ShardBatch> batch = shard_queues[i]->Pop()) {
+          consume(*batch);
+        }
+      } else {
+        // Every chunk sends this shard exactly one batch, so once
+        // `consumed` batches of chunks below `next_w` have arrived the
+        // shard holds the uninterrupted run's state after exactly
+        // next_w chunks: its part of that barrier. Batches of later
+        // chunks wait in `held` in arrival order; a worker's chunk ids
+        // only grow, so each worker's batches still reach the shard in
+        // the order it pushed them (the parse memo relies on that).
+        uint64_t next_w = every, consumed = 0;
+        std::vector<ShardBatch> held;
+        auto take_due_barriers = [&] {
+          while (consumed == next_w &&
+                 (max_chunks == 0 || next_w < max_chunks)) {
+            const uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
+            ShardCheckpoint part;
+            try {
+              part = shards[i]->TakeCheckpoint();
+            } catch (const std::exception& e) {
+              // Delivered empty, so the barrier still completes; the
+              // writer skips it and every later one.
+              board->Fail(util::Status::Internal(
+                  std::string("taking shard checkpoint: ") + e.what()));
+            }
+            if (rt) {
+              const uint64_t t1 = obs::NowNs();
+              ++rt->stage(obs::kStageCheckpoint).items_in;
+              rt->checkpoint_part_ns.Record(t1 - t0);
+              if (ring) ring->Record(obs::kStageCheckpoint, next_w, t0, t1);
+            }
+            if (std::optional<BarrierCheckpoint> done =
+                    board->Deliver(next_w, i, std::move(part))) {
+              writer_queue.Push(std::move(*done));
+            }
+            next_w += every;
+            std::vector<ShardBatch> later;
+            for (ShardBatch& batch : held) {
+              if (batch.chunk < next_w) {
+                consume(batch);
+                ++consumed;
+              } else {
+                later.push_back(std::move(batch));
+              }
+            }
+            held.swap(later);
+          }
+        };
+        while (std::optional<ShardBatch> batch = shard_queues[i]->Pop()) {
+          if (batch->chunk >= next_w) {
+            held.push_back(std::move(*batch));
+            continue;
+          }
+          consume(*batch);
+          ++consumed;
+          take_due_barriers();
         }
       }
       if (rt) {
@@ -392,7 +576,12 @@ PipelineResult ParallelLogPipeline::Run(
           if (ring) ring->Record(obs::kStageParse, chunk->id, t0, t1);
         }
         for (size_t i = 0; i < num_shards; ++i) {
-          if (buckets[i].empty()) continue;
+          if (buckets[i].empty()) {
+            // Journaled runs count chunks per shard, so an empty batch
+            // still goes out, but it pins no scratch.
+            if (board) shard_queues[i]->Push(ShardBatch{chunk->id, {}, {}});
+            continue;
+          }
           shard_queues[i]->Push(
               ShardBatch{chunk->id, scratch, std::move(buckets[i])});
           buckets[i] = Batch();
@@ -417,8 +606,11 @@ PipelineResult ParallelLogPipeline::Run(
     const uint64_t tc0 = rt ? obs::ThreadAllocationCount() : 0;
     NumberedChunk chunk;
     uint64_t next_id = 0;
+    uint64_t lines_read = 0;
     int transient_retries = 0;
     for (;;) {
+      if (max_chunks > 0 && next_id >= max_chunks) break;
+      if (board && !board->AwaitRoom(next_id)) break;
       uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
       bool more;
       // Transient source errors (short read, EINTR, injected faults)
@@ -449,8 +641,16 @@ PipelineResult ParallelLogPipeline::Run(
         m.chunk_ns.Record(t1 - t0);
         if (ring) ring->Record(obs::kStageReader, next_id, t0, t1);
       }
-      if (!more) break;
+      if (!more) {
+        if (barriers) barriers->exhausted = true;
+        break;
+      }
       chunk.id = next_id++;
+      lines_read += chunk.data.lines.size();
+      if (board && next_id % every == 0 &&
+          (max_chunks == 0 || next_id < max_chunks)) {
+        board->Record(next_id, source.offset(), lines_read);
+      }
       chunk_queue.Push(std::move(chunk));
       chunk = NumberedChunk();
     }
@@ -464,6 +664,11 @@ PipelineResult ParallelLogPipeline::Run(
   for (std::thread& t : workers) t.join();
   for (auto& q : shard_queues) q->Close();
   for (std::thread& t : shard_threads) t.join();
+  writer_queue.Close();
+  if (writer.joinable()) {
+    writer.join();
+    barriers->error = board->error();
+  }
 
   PipelineResult result = MergeShards(shards);
   result.lines = lines_consumed.load(std::memory_order_relaxed);
@@ -476,6 +681,7 @@ PipelineResult ParallelLogPipeline::Run(
     for (const obs::RunTelemetry& t : telem) merged.Merge(t);
     merged.chunk_queue = chunk_queue.Stats();
     for (const auto& q : shard_queues) merged.shard_queues.Merge(q->Stats());
+    merged.stage(obs::kStageCheckpoint).Merge(writer_stage);
     merged.wall_ns = obs::NowNs() - run_start;
     merged.workers = telem_count;
     merged.run_alloc_bytes = obs::AllocatedBytes() - alloc_bytes0;

@@ -20,6 +20,7 @@
 #include "obs/trace.h"
 #include "pipeline/chunk_source.h"
 #include "pipeline/shard.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace sparqlog::pipeline {
@@ -117,16 +118,14 @@ struct QuarantineSample {
 /// lines in deterministic (chunk, line_index) order so a failing run
 /// always reports the same reproducers. The cap bounds only the
 /// retained reproducers, and it is applied after that sort, so the
-/// samples are the same across thread/shard counts and across journal
-/// segment merges.
+/// samples are the same across thread/shard counts.
 struct QuarantineReport {
   static constexpr size_t kMaxSamples = 16;
   uint64_t count = 0;
   std::vector<QuarantineSample> samples;
 
   /// Sorts `samples` into (chunk, line_index) order and keeps the first
-  /// kMaxSamples. Both the per-run collector and the journal's segment
-  /// merge call this after adding samples.
+  /// kMaxSamples. The run's collector calls this after adding a sample.
   void SortAndCap();
 };
 
@@ -176,6 +175,44 @@ struct PipelineResult {
   std::optional<obs::TraceData> trace;
 };
 
+/// One checkpoint barrier of a journaled run: where the reader stood
+/// after exactly `chunks` chunks, and every shard's state after
+/// consuming exactly the entries of those chunks.
+struct BarrierCheckpoint {
+  /// W: chunks this Run read before the barrier.
+  uint64_t chunks = 0;
+  /// source.offset() just after chunk W - 1 was read.
+  uint64_t offset = 0;
+  /// Raw lines in those W chunks.
+  uint64_t lines = 0;
+  /// One part per shard, in shard order.
+  std::vector<ShardCheckpoint> parts;
+};
+
+/// In-band checkpointing for one Run: the run journal's hook
+/// (pipeline/journal.h). The caller fills the first three fields; Run
+/// fills the rest.
+struct CheckpointBarriers {
+  /// A barrier after every `every` chunks read: W_e = e * every.
+  size_t every = 1;
+  /// The reader stops after this many chunks (0 = at the end of the
+  /// input). No barrier is taken at the cap itself; the caller
+  /// checkpoints the joined shards.
+  uint64_t max_chunks = 0;
+  /// Encodes and publishes one barrier and returns the bytes written.
+  /// Runs on the pipeline's writer thread, one barrier at a time, in
+  /// barrier order. An error (returned or thrown) stops the reader and
+  /// is kept in `error`; no later barrier is published.
+  std::function<util::Result<uint64_t>(const BarrierCheckpoint&)> publish;
+
+  /// Barriers `publish` completed.
+  uint64_t published = 0;
+  /// The source ran out (not the cap, not a source or publish error).
+  bool exhausted = false;
+  /// The first error taking or publishing a barrier; OK otherwise.
+  util::Status error;
+};
+
 /// Multi-threaded sharded corpus pipeline:
 ///
 ///   reader -> [chunk queue] -> N parse workers -> [shard queues] -> N shards
@@ -202,14 +239,23 @@ class ParallelLogPipeline {
   /// IstreamChunkSource serves pipes and other unmappable input).
   PipelineResult Run(ChunkSource& source);
 
-  /// Same, over caller-owned shards. Empty `shards` is populated with
-  /// shards() fresh instances; non-empty (a previous call's, or shards
-  /// restored from a run journal) continue accumulating — dedup sets
-  /// and counters persist across calls, so feeding a source in segments
-  /// yields exactly the single-call result. The returned result merges
-  /// the shards' cumulative state.
+  /// Same, over caller-owned shards, with checkpoint barriers when
+  /// `barriers` is set. Empty `shards` is populated with shards() fresh
+  /// instances; non-empty ones (restored from a run journal) continue
+  /// accumulating, and the returned result merges their cumulative
+  /// state.
+  ///
+  /// With barriers, every parse worker sends every shard one batch per
+  /// chunk (empty if it has no entries), so a shard can tell when it
+  /// has consumed every chunk below W_e. It then takes its part of
+  /// barrier e, holding batches of later chunks that arrived first in
+  /// arrival order and replaying them afterwards. The shard that
+  /// completes a barrier hands it to one writer thread. The reader
+  /// never runs more than queue_capacity chunks past the oldest barrier
+  /// some shard has not taken.
   PipelineResult Run(ChunkSource& source,
-                     std::vector<std::unique_ptr<Shard>>& shards);
+                     std::vector<std::unique_ptr<Shard>>& shards,
+                     CheckpointBarriers* barriers = nullptr);
 
   /// Convenience overload for in-memory logs; zero-copy views of
   /// `lines`, which must outlive the call.

@@ -19,9 +19,17 @@ Shard::Shard(const ShardOptions& options) {
   }
 }
 
-void Shard::SaveState(std::string& out, rdf::Dictionary& dict) const {
-  ingestor_.SaveState(out);
-  analyzer_.SaveState(out, dict);
+ShardCheckpoint Shard::TakeCheckpoint() const {
+  ShardCheckpoint part;
+  ingestor_.SaveState(part.ingestor);
+  part.analyzer.MergeFrom(analyzer_);
+  return part;
+}
+
+void EncodeShardCheckpoint(const ShardCheckpoint& part, std::string& out,
+                           rdf::Dictionary& dict) {
+  out += part.ingestor;
+  part.analyzer.SaveState(out, dict);
 }
 
 bool Shard::LoadState(std::string_view& in, const rdf::Dictionary& dict) {

@@ -23,6 +23,22 @@ struct ShardOptions {
   corpus::AnalysisLimits analysis_limits;
 };
 
+/// One shard's state at a checkpoint, taken on the thread that drives
+/// the shard. The ingestor's counters and seen-hash sets are encoded at
+/// once; the analyzer is kept as a copy of its aggregates, because its
+/// encoding interns dataset names into a dictionary shared by every
+/// shard of the snapshot, which only the checkpoint writer assembles.
+struct ShardCheckpoint {
+  std::string ingestor;
+  corpus::CorpusAnalyzer analyzer;
+};
+
+/// Appends `part` as one snapshot-section payload (ingestor blob, then
+/// analyzer blob), interning strings into the snapshot-wide `dict`.
+/// Shard::LoadState reads it back.
+void EncodeShardCheckpoint(const ShardCheckpoint& part, std::string& out,
+                           rdf::Dictionary& dict);
+
 /// One worker shard: a LogIngestor (Table 1 accounting + duplicate
 /// elimination) wired to its own CorpusAnalyzer. A shard owns the slice
 /// of canonical-hash space `hash % num_shards == index`, so every
@@ -50,13 +66,11 @@ class Shard {
   const corpus::CorpusStats& stats() const { return ingestor_.stats(); }
   const corpus::CorpusAnalyzer& analyzer() const { return analyzer_; }
 
-  /// Appends the shard's complete accounting + analysis state (ingestor
-  /// blob, then analyzer blob) as one snapshot-section payload; strings
-  /// are interned into the snapshot-wide `dict`.
-  void SaveState(std::string& out, rdf::Dictionary& dict) const;
-  /// Restores state written by SaveState into a freshly-constructed
-  /// shard (same ShardOptions), consuming the bytes read. Returns false
-  /// on a corrupt blob.
+  /// The shard's complete accounting + analysis state as it stands.
+  ShardCheckpoint TakeCheckpoint() const;
+  /// Restores state written by EncodeShardCheckpoint into a
+  /// freshly-constructed shard (same ShardOptions), consuming the bytes
+  /// read. Returns false on a corrupt blob.
   bool LoadState(std::string_view& in, const rdf::Dictionary& dict);
 
  private:

@@ -1,15 +1,22 @@
 #include "testing/fault_injection.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "corpus/ingest.h"
 #include "obs/alloc_tracker.h"
+#include "pipeline/journal.h"
 #include "pipeline/merge.h"
+#include "util/snapshot_io.h"
 
 namespace sparqlog::testing {
 
 namespace {
+
+namespace snap = util::snapshot;
 
 std::optional<Violation> Violate(std::string invariant, std::string detail) {
   Violation v;
@@ -115,7 +122,8 @@ pipeline::PipelineOptions FaultPipelineOptions(
 
 std::optional<Violation> CheckFaultContainment(
     const std::vector<std::string>& log, const FaultPlan& plan,
-    const pipeline::PipelineOptions& config) {
+    const pipeline::PipelineOptions& config,
+    size_t journal_chunks_per_segment) {
   auto describe = [&] {
     return plan.Describe() + " threads=" + std::to_string(config.threads) +
            " shards=" + std::to_string(config.shards) +
@@ -210,6 +218,59 @@ std::optional<Violation> CheckFaultContainment(
                    "lossless plan consumed " + std::to_string(result.lines) +
                        " of " + std::to_string(log.size()) + " lines (" +
                        describe() + ")");
+  }
+
+  // ---- The same plan through a journal: one run with checkpoint
+  // barriers, whose result must not depend on the barriers.
+  if (journal_chunks_per_segment > 0) {
+    const std::string jdescribe =
+        describe() +
+        " chunks_per_segment=" + std::to_string(journal_chunks_per_segment);
+    snap::SnapshotStore store(
+        (std::filesystem::temp_directory_path() /
+         ("sparqlog_faultjournal_" + std::to_string(::getpid()) + ".ckpt"))
+            .string());
+    store.Remove();
+    pipeline::JournalOptions jopts;
+    jopts.path = store.manifest_path();
+    jopts.chunks_per_segment = journal_chunks_per_segment;
+    pipeline::VectorChunkSource journal_inner(log);
+    FaultInjectingChunkSource journal_source(journal_inner, plan);
+    util::Result<pipeline::JournalRunResult> journaled =
+        util::Status::Internal("not run");
+    if (plan.alloc_fail_after >= 0) obs::ArmAllocFailure(plan.alloc_fail_after);
+    try {
+      journaled = pipeline::RunWithJournal(FaultPipelineOptions(config, plan),
+                                           journal_source, jopts);
+      obs::DisarmAllocFailure();
+    } catch (const std::exception& e) {
+      obs::DisarmAllocFailure();
+      store.Remove();
+      return Violate("fault-escape",
+                     std::string("exception escaped RunWithJournal: ") +
+                         e.what() + " (" + jdescribe + ")");
+    }
+    store.Remove();
+    if (!journaled.ok()) {
+      return Violate("fault-journal", "journaled run failed: " +
+                                          journaled.status().ToString() +
+                                          " (" + jdescribe + ")");
+    }
+    const pipeline::PipelineResult& j = journaled.value().result;
+    if (!j.stats.Conserved()) {
+      return Violate("fault-conservation",
+                     "journaled run loses or invents entries (" + jdescribe +
+                         ")");
+    }
+    if (plan.deterministic() &&
+        (j.stats != stats || j.lines != result.lines ||
+         j.quarantine.count != result.quarantine.count ||
+         pipeline::StatisticsDigest(j.analysis) !=
+             pipeline::StatisticsDigest(result.analysis))) {
+      return Violate("fault-journal",
+                     "journaled run diverges from the plain run (" +
+                         jdescribe + ")");
+    }
   }
 
   // ---- Deterministic plans replay bit-identically, shard count and

@@ -69,10 +69,10 @@ struct FaultPlan {
 /// control) or several (compound failures).
 FaultPlan RandomFaultPlan(util::Rng& rng);
 
-/// Wraps a source and injects the plan's source-level faults. Exhaustion
-/// bookkeeping mirrors BoundedChunkSource: exceptions surface through
-/// NextChunk exactly as a faulty real source's would. Resume calls
-/// forward to the inner source (the journal-under-fault tests use this).
+/// Wraps a source and injects the plan's source-level faults: exceptions
+/// surface through NextChunk exactly as a faulty real source's would.
+/// Resume calls forward to the inner source (the journaled fault runs
+/// use this).
 class FaultInjectingChunkSource : public pipeline::ChunkSource {
  public:
   FaultInjectingChunkSource(pipeline::ChunkSource& inner,
@@ -123,12 +123,17 @@ pipeline::PipelineOptions FaultPipelineOptions(
 ///  * deterministic plans replay bit-identically: a second run under a
 ///    different shard count yields the same counters, quarantine count,
 ///    and StatisticsDigest.
+///  * with `journal_chunks_per_segment` > 0, the same plan through
+///    RunWithJournal (checkpoint barriers every that many chunks)
+///    conserves too, and for deterministic plans matches the plain run's
+///    counters, quarantine count, line count and StatisticsDigest.
 /// Requires the binary to have installed obs/alloc_hooks.h for plans
 /// with alloc_fail_after >= 0 (without the hooks the alloc fault simply
 /// never fires, which the contract tolerates).
 std::optional<Violation> CheckFaultContainment(
     const std::vector<std::string>& log, const FaultPlan& plan,
-    const pipeline::PipelineOptions& config);
+    const pipeline::PipelineOptions& config,
+    size_t journal_chunks_per_segment = 0);
 
 }  // namespace sparqlog::testing
 

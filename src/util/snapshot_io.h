@@ -58,8 +58,10 @@ struct IoFaultHooks {
 
 /// Installs (or, with nullptr, clears) the process-wide fault hooks.
 /// The pointer must outlive its installation. Not thread-safe against
-/// concurrent AtomicWriteFile calls — tests arm it around single-
-/// threaded save points.
+/// concurrent AtomicWriteFile calls: a journaled run saves on its
+/// pipeline's writer thread, so arm the hooks before the run starts and
+/// clear them after it returns. The hooks themselves then run on that
+/// writer thread (and, for the run's last checkpoint, on the caller's).
 void SetIoFaultHooksForTest(const IoFaultHooks* hooks);
 
 /// Durable atomic publish: writes `contents` to `path + ".tmp"`, fsyncs

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,9 @@
 #include <vector>
 
 #include "corpus/ingest.h"
+#include "obs/clock.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "corpus/report.h"
 #include "pipeline/journal.h"
 #include "pipeline/merge.h"
@@ -990,8 +995,8 @@ TEST(QuarantineCapTest, CapIsHonoredAndDeterministic) {
 }
 
 TEST(QuarantineCapTest, CapSurvivesJournalSegmentMerge) {
-  // The per-segment reports merge across checkpoints; the merged report
-  // must honor the same cap with the same deterministic prefix.
+  // A journaled run with several checkpoints must honor the same cap
+  // with the same deterministic prefix.
   constexpr size_t kCap = pipeline::QuarantineReport::kMaxSamples;
   static_assert(kCap < 20, "the log must overflow the sample cap");
   std::vector<std::string> log;
@@ -1094,6 +1099,331 @@ TEST(JournalTest, BudgetedAbandonmentSurvivesResume) {
               pipeline::StatisticsDigest(expect.analysis));
   }
   RemoveJournal(path);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint barriers: a journaled run is one pipeline run whose
+// checkpoints are taken in-band and written by a background thread.
+// ---------------------------------------------------------------------------
+
+/// Runs `log` through a fresh journal at `jopts.path` and returns every
+/// generation it published, as file bytes, oldest first. Each image is
+/// copied when the store is about to point the manifest at it, which is
+/// after the generation file is complete.
+std::vector<std::string> JournalGenerations(
+    const pipeline::PipelineOptions& options,
+    const std::vector<std::string>& log, const pipeline::JournalOptions& jopts,
+    pipeline::JournalRunResult* out = nullptr) {
+  RemoveJournal(jopts.path);
+  util::snapshot::SnapshotStore store(jopts.path);
+  std::vector<std::string> images;
+  util::snapshot::IoFaultHooks hooks;
+  hooks.torn_write = [&](const std::string& path, size_t) -> int64_t {
+    if (path == jopts.path) {
+      std::ifstream in(store.GenerationPath(images.size() + 1),
+                       std::ios::binary);
+      images.emplace_back(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+    }
+    return -1;
+  };
+  util::snapshot::SetIoFaultHooksForTest(&hooks);
+  pipeline::VectorChunkSource source(log);
+  auto r = pipeline::RunWithJournal(options, source, jopts);
+  util::snapshot::SetIoFaultHooksForTest(nullptr);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) {
+    EXPECT_EQ(images.size(), r.value().segments);
+    if (out != nullptr) *out = std::move(r).value();
+  }
+  RemoveJournal(jopts.path);
+  return images;
+}
+
+/// Restores `image` as the sole generation of a scratch journal and
+/// resumes it over `prefix`, the lines the generation claims to cover:
+/// the resume reads nothing, so its result is exactly the restored
+/// state, which must equal a plain run over `prefix`.
+void ExpectRestoresPlainRun(const std::string& image,
+                            const pipeline::PipelineOptions& options,
+                            const std::vector<std::string>& prefix,
+                            const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::filesystem::path path = JournalPath("restore");
+  RemoveJournal(path);
+  {
+    const std::string file = path.string() + ".image";
+    {
+      std::ofstream f(file, std::ios::binary | std::ios::trunc);
+      f << image;
+    }
+    auto loaded = util::snapshot::Snapshot::Load(
+        file, util::snapshot::LoadMode::kStream);
+    std::remove(file.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    util::snapshot::SnapshotWriter writer;
+    for (const auto& [id, payload] : loaded.value().sections()) {
+      writer.AddSection(id, std::string(payload));
+    }
+    util::snapshot::SnapshotStore store(path.string());
+    ASSERT_TRUE(store.Save(writer).ok());
+  }
+  pipeline::PipelineResult expect =
+      pipeline::ParallelLogPipeline(options).Run(prefix);
+  pipeline::VectorChunkSource source(prefix);
+  pipeline::JournalOptions jopts;
+  jopts.path = path.string();
+  auto r = pipeline::RunWithJournal(options, source, jopts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().resumed);
+  EXPECT_TRUE(r.value().complete);
+  const pipeline::PipelineResult& got = r.value().result;
+  EXPECT_EQ(got.lines, prefix.size());
+  EXPECT_TRUE(got.stats == expect.stats)
+      << "total " << got.stats.total << "/" << expect.stats.total
+      << " valid " << got.stats.valid << "/" << expect.stats.valid
+      << " unique " << got.stats.unique << "/" << expect.stats.unique;
+  EXPECT_EQ(pipeline::StatisticsDigest(got.analysis),
+            pipeline::StatisticsDigest(expect.analysis));
+  RemoveJournal(path);
+}
+
+/// Checks every generation of an uninterrupted journaled run: barrier e
+/// holds the state after exactly e * chunks_per_segment chunks, and the
+/// last generation the state after the whole log.
+void ExpectEveryGenerationIsAPrefixRun(const pipeline::PipelineOptions& options,
+                                       const std::vector<std::string>& log,
+                                       size_t chunks_per_segment,
+                                       const std::string& what) {
+  SCOPED_TRACE(what);
+  pipeline::JournalOptions jopts;
+  jopts.path = JournalPath("barriers").string();
+  jopts.chunks_per_segment = chunks_per_segment;
+  pipeline::JournalRunResult run;
+  const std::vector<std::string> images =
+      JournalGenerations(options, log, jopts, &run);
+  ASSERT_FALSE(images.empty());
+  EXPECT_TRUE(run.complete);
+  const size_t chunks = (log.size() + options.chunk_size - 1) /
+                        options.chunk_size;
+  EXPECT_EQ(images.size(), chunks / chunks_per_segment + 1);
+  for (size_t g = 0; g < images.size(); ++g) {
+    const size_t lines =
+        g + 1 == images.size()
+            ? log.size()
+            : std::min(log.size(),
+                       (g + 1) * chunks_per_segment * options.chunk_size);
+    const std::vector<std::string> prefix(log.begin(), log.begin() + lines);
+    ExpectRestoresPlainRun(images[g], options, prefix,
+                           "generation " + std::to_string(g + 1));
+  }
+}
+
+/// JournalTestLog with every third chunk of 8 lines made of noise only,
+/// so some chunks route nothing to any shard.
+std::vector<std::string> NoiseChunkLog() {
+  std::vector<std::string> log;
+  const std::vector<std::string> queries = JournalTestLog();
+  for (size_t i = 0; i < 240; ++i) {
+    if ((i / 8) % 3 == 1) {
+      log.push_back("GET /noise/" + std::to_string(i) + " HTTP/1.1");
+    } else {
+      log.push_back(queries[i]);
+    }
+  }
+  return log;
+}
+
+TEST(BarrierTest, EveryGenerationRestoresThePlainPrefixRun) {
+  const std::vector<std::string> log = NoiseChunkLog();
+  for (int threads : {1, 2, 8}) {
+    for (size_t shards : {1, 3, 5}) {
+      pipeline::PipelineOptions options;
+      options.threads = threads;
+      options.shards = shards;
+      options.chunk_size = 8;
+      ExpectEveryGenerationIsAPrefixRun(
+          options, log, 4,
+          "threads=" + std::to_string(threads) +
+              " shards=" + std::to_string(shards));
+    }
+  }
+}
+
+TEST(BarrierTest, QuarantinedLinesLandInTheirGeneration) {
+  std::vector<std::string> log = JournalTestLog();
+  for (size_t i = 7; i < log.size(); i += 23) {
+    log[i] = "query=POISON " + std::to_string(i);
+  }
+  pipeline::PipelineOptions options;
+  options.threads = 3;
+  options.shards = 2;
+  options.chunk_size = 16;
+  options.parse_fault_hook = [](std::string_view line) {
+    if (line.find("POISON") != std::string_view::npos) {
+      throw std::runtime_error("poisoned");
+    }
+  };
+  ExpectEveryGenerationIsAPrefixRun(options, log, 3, "poison");
+}
+
+TEST(BarrierTest, OneChunkQueueAndOneChunkSegmentsFinish) {
+  // The tightest throttle: the reader may run one chunk past the oldest
+  // barrier some shard has not taken, and every chunk is a barrier.
+  const std::vector<std::string> log = NoiseChunkLog();
+  pipeline::PipelineOptions options;
+  options.threads = 4;
+  options.shards = 3;
+  options.chunk_size = 12;
+  options.queue_capacity = 1;
+  ExpectEveryGenerationIsAPrefixRun(options, log, 1, "capacity 1");
+}
+
+TEST(BarrierTest, FsyncFailureOnSecondGenerationStopsTheRun) {
+  const std::vector<std::string> log = JournalTestLog();
+  pipeline::PipelineOptions options;
+  options.threads = 2;
+  options.shards = 3;
+  options.chunk_size = 8;
+  pipeline::JournalOptions jopts;
+  jopts.path = JournalPath("fsync2").string();
+  jopts.chunks_per_segment = 2;
+  RemoveJournal(jopts.path);
+  {
+    util::snapshot::IoFaultHooks hooks;
+    hooks.fail_fsync = [](const std::string& path) {
+      return path.ends_with(".g2.tmp");
+    };
+    util::snapshot::SetIoFaultHooksForTest(&hooks);
+    pipeline::VectorChunkSource source(log);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
+    util::snapshot::SetIoFaultHooksForTest(nullptr);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), util::StatusCode::kInternal);
+    EXPECT_NE(r.status().message().find("cannot write checkpoint"),
+              std::string::npos)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("fsync"), std::string::npos)
+        << r.status().ToString();
+  }
+  util::snapshot::SnapshotStore store(jopts.path);
+  auto gens = store.ReadManifest();
+  ASSERT_TRUE(gens.ok()) << gens.status().ToString();
+  EXPECT_EQ(gens.value().current, 1u);
+  std::string first;
+  {
+    std::ifstream in(store.GenerationPath(1), std::ios::binary);
+    first.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The rerun resumes generation 1: 2 chunks of 8 lines.
+  {
+    pipeline::VectorChunkSource source(log);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value().resumed);
+    EXPECT_TRUE(r.value().complete);
+    EXPECT_FALSE(r.value().recovered_previous_generation);
+    pipeline::PipelineResult expect =
+        pipeline::ParallelLogPipeline(options).Run(log);
+    EXPECT_EQ(r.value().result.lines, expect.lines);
+    EXPECT_TRUE(r.value().result.stats == expect.stats);
+    EXPECT_EQ(pipeline::StatisticsDigest(r.value().result.analysis),
+              pipeline::StatisticsDigest(expect.analysis));
+  }
+  RemoveJournal(jopts.path);
+  ExpectRestoresPlainRun(first, options,
+                         std::vector<std::string>(log.begin(), log.begin() + 16),
+                         "generation 1 after the failed run");
+}
+
+TEST(JournalTest, TelemetryDescribesTheWholeRun) {
+  const std::vector<std::string> log = JournalTestLog();
+  pipeline::PipelineOptions options;
+  options.threads = 3;
+  options.shards = 2;
+  options.chunk_size = 16;
+  options.telemetry.trace = true;
+  const std::filesystem::path path = JournalPath("telemetry");
+  RemoveJournal(path);
+  pipeline::JournalOptions jopts;
+  jopts.path = path.string();
+  jopts.chunks_per_segment = 4;
+  pipeline::VectorChunkSource source(log);
+  const uint64_t before = obs::NowNs();
+  auto r = pipeline::RunWithJournal(options, source, jopts);
+  const uint64_t elapsed = obs::NowNs() - before;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r.value().result.telemetry.has_value());
+  ASSERT_TRUE(r.value().result.trace.has_value());
+  const obs::RunTelemetry& t = *r.value().result.telemetry;
+  const obs::TraceData& trace = *r.value().result.trace;
+  const size_t chunks = (log.size() + 15) / 16;
+
+  // One run's threads, each counted once, each with one track.
+  EXPECT_EQ(t.workers, 1u + 3u + 2u);
+  EXPECT_EQ(trace.tracks.size(), t.workers);
+  // The reader's spans are every chunk it read, not one segment's.
+  ASSERT_EQ(trace.tracks[0].name, "reader");
+  EXPECT_EQ(trace.tracks[0].events.size(), chunks);
+  EXPECT_EQ(t.stage(obs::kStageReader).chunks, chunks);
+  // The wall clock spans every recorded span and no more than the call.
+  EXPECT_LE(t.wall_ns, elapsed);
+  EXPECT_EQ(trace.wall_ns, t.wall_ns);
+  uint64_t first = UINT64_MAX, last = 0;
+  for (const obs::TraceTrack& track : trace.tracks) {
+    EXPECT_EQ(track.dropped, 0u) << track.name;
+    for (const obs::TraceEvent& e : track.events) {
+      first = std::min(first, e.begin_ns);
+      last = std::max(last, e.end_ns);
+    }
+  }
+  ASSERT_LT(first, last);
+  EXPECT_GE(first, trace.origin_ns);
+  EXPECT_LE(last - trace.origin_ns, t.wall_ns);
+  EXPECT_GE(t.wall_ns, last - first);
+  // The checkpoint stage: every generation, one part per shard each.
+  const obs::StageMetrics& cp = t.stage(obs::kStageCheckpoint);
+  EXPECT_EQ(cp.chunks, r.value().segments);
+  EXPECT_EQ(cp.items_in, r.value().segments * 2);
+  EXPECT_EQ(t.checkpoint_part_ns.count(), cp.items_in);
+  EXPECT_EQ(cp.chunk_ns.count(), cp.chunks);
+  EXPECT_GT(cp.bytes_in, 0u);
+  RemoveJournal(path);
+}
+
+TEST(JournalTest, CheckpointStageIsThreadIndependent) {
+  const std::vector<std::string> log = NoiseChunkLog();
+  pipeline::PipelineOptions options;
+  options.shards = 3;
+  options.chunk_size = 8;
+  options.telemetry.metrics = true;
+  const uint64_t plain_digest = obs::TelemetryDigest(
+      *pipeline::ParallelLogPipeline(options).Run(log).telemetry);
+  std::vector<obs::StageMetrics> stages;
+  for (int threads : {1, 2, 4}) {
+    options.threads = threads;
+    const std::filesystem::path path = JournalPath("cpstage");
+    RemoveJournal(path);
+    pipeline::JournalOptions jopts;
+    jopts.path = path.string();
+    jopts.chunks_per_segment = 3;
+    pipeline::VectorChunkSource source(log);
+    auto r = pipeline::RunWithJournal(options, source, jopts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const obs::RunTelemetry& t = *r.value().result.telemetry;
+    stages.push_back(t.stage(obs::kStageCheckpoint));
+    EXPECT_EQ(stages.back().chunks, r.value().segments);
+    // Checkpoints are a cost, not item flow: the digest is the plain
+    // run's.
+    EXPECT_EQ(obs::TelemetryDigest(t), plain_digest) << threads;
+    RemoveJournal(path);
+  }
+  for (const obs::StageMetrics& s : stages) {
+    EXPECT_EQ(s.chunks, stages[0].chunks);
+    EXPECT_EQ(s.items_in, stages[0].items_in);
+    EXPECT_EQ(s.bytes_in, stages[0].bytes_in);
+  }
 }
 
 }  // namespace

@@ -208,6 +208,21 @@ TEST(TelemetryDigestTest, SensitiveToItemFlow) {
   EXPECT_NE(TelemetryDigest(a), TelemetryDigest(shards));
 }
 
+TEST(TelemetryDigestTest, IgnoresTheCheckpointStage) {
+  // Checkpoints are a journaled run's cost, not its item flow: a plain
+  // and a journaled run over the same input digest equally.
+  RunTelemetry a = SampleRun(6);
+  RunTelemetry b = a;
+  StageMetrics& cp = b.stage(kStageCheckpoint);
+  cp.items_in += 9;
+  cp.items_out += 2;
+  cp.bytes_in += 4096;
+  cp.malformed += 1;
+  cp.abandoned += 1;
+  b.checkpoint_part_ns.Record(500);
+  EXPECT_EQ(TelemetryDigest(a), TelemetryDigest(b));
+}
+
 // ---------------------------------------------------------------------------
 // TraceRing
 // ---------------------------------------------------------------------------
@@ -279,6 +294,39 @@ TEST(ExportersTest, SummaryJsonPrometheusAndOneLine) {
   std::string line = OneLineSummary(t);
   EXPECT_EQ(line.rfind("telemetry:", 0), 0u);
   EXPECT_NE(line.find("shard skew 2.00x"), std::string::npos);
+}
+
+TEST(ExportersTest, CheckpointStageIsExported) {
+  RunTelemetry t;
+  t.wall_ns = 1000000;
+  StageMetrics& cp = t.stage(kStageCheckpoint);
+  cp.chunks = 2;
+  cp.items_in = 6;
+  cp.bytes_in = 4096;
+  cp.chunk_ns.Record(3000);
+  cp.chunk_ns.Record(5000);
+  for (int i = 0; i < 6; ++i) t.checkpoint_part_ns.Record(100);
+
+  std::ostringstream summary;
+  PrintSummary(summary, t);
+  EXPECT_NE(summary.str().find("Checkpoints: 2 generations, 4096 bytes"),
+            std::string::npos)
+      << summary.str();
+
+  std::ostringstream json;
+  WriteTelemetryJson(json, t);
+  EXPECT_NE(json.str().find("\"checkpoint\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"checkpoint_part_latency\""), std::string::npos);
+
+  std::string prom = PrometheusText(t);
+  EXPECT_NE(prom.find("sparqlog_stage_chunks_total{stage=\"checkpoint\"} 2"),
+            std::string::npos);
+  EXPECT_NE(prom.find("sparqlog_stage_bytes_in_total{stage=\"checkpoint\"} 4096"),
+            std::string::npos);
+  EXPECT_NE(prom.find("sparqlog_checkpoint_parts_total 6"), std::string::npos);
+  EXPECT_NE(prom.find("sparqlog_checkpoint_part_seconds_total 6e-07"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(ExportersTest, ChromeTraceShape) {
