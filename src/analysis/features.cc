@@ -30,21 +30,21 @@ bool IsTrivialPath(const PathExpr& p) {
 void WalkExpr(const Expr& e, QueryFeatures& f, bool in_body);
 
 void WalkPattern(const Pattern& p, QueryFeatures& f, bool in_body) {
-  switch (p.kind) {
+  switch (p.kind()) {
     case PatternKind::kTriple:
       ++f.num_triples;
-      if (p.triple.has_path) {
+      if (p.triple().has_path()) {
         f.property_path = true;
-        if (!IsTrivialPath(p.triple.path)) f.navigational_path = true;
+        if (!IsTrivialPath(p.triple().path())) f.navigational_path = true;
         if (in_body) f.opset_other = true;
-      } else if (p.triple.predicate.is_variable()) {
+      } else if (p.triple().predicate.is_variable()) {
         f.var_predicate = true;
       }
       return;
     case PatternKind::kFilter:
       f.filter = true;
       if (in_body) f.opset |= QueryFeatures::kOpF;
-      WalkExpr(p.expr, f, in_body);
+      WalkExpr(p.expr(), f, in_body);
       return;
     case PatternKind::kUnion:
       f.union_ = true;
@@ -69,7 +69,7 @@ void WalkPattern(const Pattern& p, QueryFeatures& f, bool in_body) {
     case PatternKind::kBind:
       f.bind = true;
       if (in_body) f.opset_other = true;
-      WalkExpr(p.expr, f, in_body);
+      WalkExpr(p.expr(), f, in_body);
       return;
     case PatternKind::kValues:
       f.values = true;
@@ -78,26 +78,27 @@ void WalkPattern(const Pattern& p, QueryFeatures& f, bool in_body) {
     case PatternKind::kSubSelect:
       f.subquery = true;
       if (in_body) f.opset_other = true;
-      if (p.subquery) {
-        if (p.subquery->distinct) f.distinct = true;
-        if (p.subquery->reduced) f.reduced = true;
-        if (p.subquery->limit.has_value()) f.has_limit = true;
-        if (p.subquery->offset.has_value()) f.has_offset = true;
-        if (!p.subquery->order_by.empty()) f.has_order_by = true;
-        if (!p.subquery->group_by.empty()) f.has_group_by = true;
-        if (!p.subquery->having.empty()) f.has_having = true;
-        for (const sparql::SelectItem& item : p.subquery->select_items) {
+      {
+        const Query& sub = p.subquery();
+        if (sub.distinct) f.distinct = true;
+        if (sub.reduced) f.reduced = true;
+        if (sub.limit.has_value()) f.has_limit = true;
+        if (sub.offset.has_value()) f.has_offset = true;
+        if (!sub.order_by.empty()) f.has_order_by = true;
+        if (!sub.group_by.empty()) f.has_group_by = true;
+        if (!sub.having.empty()) f.has_having = true;
+        for (const sparql::SelectItem& item : sub.select_items) {
           if (item.expr.has_value()) WalkExpr(*item.expr, f, false);
         }
-        for (const Expr& e : p.subquery->having) WalkExpr(e, f, false);
-        for (const sparql::OrderCondition& oc : p.subquery->order_by) {
+        for (const Expr& e : sub.having) WalkExpr(e, f, false);
+        for (const sparql::OrderCondition& oc : sub.order_by) {
           WalkExpr(oc.expr, f, false);
         }
-        if (p.subquery->has_body) {
+        if (sub.has_body) {
           // Operators inside a subquery do not contribute to the outer
           // body's operator set (Table 3's "other" bucket), but they do
           // count for keyword statistics.
-          WalkPattern(p.subquery->where, f, false);
+          WalkPattern(sub.where, f, false);
         }
       }
       return;
@@ -106,8 +107,8 @@ void WalkPattern(const Pattern& p, QueryFeatures& f, bool in_body) {
       // Filters, optionals, minuses, and binds do not introduce a join
       // (they translate to Filter / LeftJoin / Minus / Extend).
       int joinable = 0;
-      for (const Pattern& c : p.children) {
-        switch (c.kind) {
+      for (const Pattern& c : p.children()) {
+        switch (c.kind()) {
           case PatternKind::kTriple:
           case PatternKind::kGroup:
           case PatternKind::kUnion:
@@ -128,7 +129,7 @@ void WalkPattern(const Pattern& p, QueryFeatures& f, bool in_body) {
       break;
     }
   }
-  for (const Pattern& c : p.children) WalkPattern(c, f, in_body);
+  for (const Pattern& c : p.children()) WalkPattern(c, f, in_body);
 }
 
 void WalkExpr(const Expr& e, QueryFeatures& f, bool in_body) {

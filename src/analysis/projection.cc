@@ -12,14 +12,15 @@ using sparql::QueryForm;
 namespace {
 
 bool ContainsBind(const Pattern& p) {
-  if (p.kind == PatternKind::kBind) return true;
-  if (p.kind == PatternKind::kSubSelect && p.subquery) {
-    for (const sparql::SelectItem& item : p.subquery->select_items) {
+  if (p.kind() == PatternKind::kBind) return true;
+  if (p.kind() == PatternKind::kSubSelect) {
+    const Query& sub = p.subquery();
+    for (const sparql::SelectItem& item : sub.select_items) {
       if (item.expr.has_value()) return true;
     }
-    if (p.subquery->has_body && ContainsBind(p.subquery->where)) return true;
+    if (sub.has_body && ContainsBind(sub.where)) return true;
   }
-  for (const Pattern& c : p.children) {
+  for (const Pattern& c : p.children()) {
     if (ContainsBind(c)) return true;
   }
   return false;

@@ -498,47 +498,43 @@ Query SyntheticLogGenerator::GenerateQueryOfForm(QueryForm form) {
     children.push_back(Pattern::Filter(std::move(ne)));
   }
   if (rng_.Chance(profile_.bind_rate) && !body_vars.empty()) {
-    Pattern bind;
-    bind.kind = PatternKind::kBind;
-    bind.expr = Expr::Call("STR", {Expr::MakeVar(*body_vars.begin())});
-    bind.var = Term::Var("bound");
+    Pattern bind(PatternKind::kBind);
+    bind.expr() = Expr::Call("STR", {Expr::MakeVar(*body_vars.begin())});
+    bind.var() = Term::Var("bound");
     children.push_back(std::move(bind));
   }
   if (rng_.Chance(profile_.values_rate)) {
-    Pattern values;
-    values.kind = PatternKind::kValues;
-    values.values_vars.push_back(Term::Var("vv"));
-    values.values_rows.push_back(
+    Pattern values(PatternKind::kValues);
+    values.values().vars.push_back(Term::Var("vv"));
+    values.values().rows.push_back(
         {std::optional<Term>(Term::Iri(FreshIri("resource")))});
     children.push_back(std::move(values));
   }
   if (rng_.Chance(profile_.service_rate)) {
-    Pattern service;
-    service.kind = PatternKind::kService;
-    service.graph = Term::Iri("http://wikiba.se/ontology#label");
+    Pattern service(PatternKind::kService);
+    service.graph() = Term::Iri("http://wikiba.se/ontology#label");
     sparql::AstVector<Pattern> body;
     for (const TriplePattern& t : GenerateTriples(1)) {
       body.push_back(Pattern::Triple(t));
     }
-    service.children.push_back(Pattern::Group(std::move(body)));
+    Pattern group = Pattern::Group(std::move(body));
+    service.SetChildren({&group, 1});
     children.push_back(std::move(service));
   }
   if (rng_.Chance(profile_.subquery_rate)) {
-    auto sub = std::make_shared<Query>();
-    sub->form = QueryForm::kSelect;
+    Pattern subp(PatternKind::kSubSelect);
+    Query& sub = subp.subquery();
+    sub.form = QueryForm::kSelect;
     SelectItem item;
     item.var = Term::Var("sq");
-    sub->select_items.push_back(item);
-    sub->has_body = true;
+    sub.select_items.push_back(item);
+    sub.has_body = true;
     sparql::AstVector<Pattern> body;
     body.push_back(Pattern::Triple(TriplePattern::Make(
         Term::Var("sq"), Term::Iri(profile_.ns + "prop/p0"),
         Term::Var("sqo"))));
-    sub->where = Pattern::Group(std::move(body));
-    sub->limit = 10;
-    Pattern subp;
-    subp.kind = PatternKind::kSubSelect;
-    subp.subquery = std::move(sub);
+    sub.where = Pattern::Group(std::move(body));
+    sub.limit = 10;
     children.push_back(std::move(subp));
   }
 
@@ -630,7 +626,7 @@ Query SyntheticLogGenerator::GenerateQuery() {
     std::vector<const TriplePattern*> triples;
     if (q.has_body) q.where.CollectTriples(triples);
     for (const TriplePattern* t : triples) {
-      if (!t->has_path) q.construct_template.push_back(*t);
+      if (!t->has_path()) q.construct_template.push_back(*t);
     }
     if (q.construct_template.empty()) {
       q.construct_template.push_back(TriplePattern::Make(

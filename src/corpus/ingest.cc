@@ -37,13 +37,14 @@ std::optional<std::string_view> ExtractQueryText(std::string_view line,
   return std::string_view(decode_buf);
 }
 
-ParsedLine ParseLogLine(sparql::Parser& parser, std::string_view line,
-                        std::string& decode_buf) {
+ParsedLine ParseLogLine(const sparql::Parser& parser, std::string_view line,
+                        ParseScratch& scratch) {
   ParsedLine out;
-  std::optional<std::string_view> text = ExtractQueryText(line, decode_buf);
+  std::optional<std::string_view> text =
+      ExtractQueryText(line, scratch.decode_buf);
   if (!text.has_value()) return out;  // non-query noise
   out.is_query = true;
-  util::Result<sparql::Query> parsed = parser.Parse(*text);
+  util::Result<sparql::Query> parsed = parser.Parse(*text, scratch.parser);
   if (!parsed.ok()) {
     // Malformed: Total but not Valid. Only these entries route by raw
     // line (valid ones route by canonical hash), so hash lazily here.
@@ -55,29 +56,6 @@ ParsedLine ParseLogLine(sparql::Parser& parser, std::string_view line,
   // are duplicates iff they parse to the same AST. The hash streams the
   // serialization through an FNV-1a sink — bit-identical to hashing the
   // materialized canonical string, without building it.
-  out.canonical_hash = sparql::CanonicalHash(parsed.value());
-  out.query = std::move(parsed).value();
-  return out;
-}
-
-ParsedLine ParseLogLine(sparql::Parser& parser, const std::string& line) {
-  std::string decode_buf;
-  return ParseLogLine(parser, std::string_view(line), decode_buf);
-}
-
-ParsedLine ParseLogLine(const sparql::Parser& parser, std::string_view line,
-                        ParseScratch& scratch) {
-  ParsedLine out;
-  std::optional<std::string_view> text =
-      ExtractQueryText(line, scratch.decode_buf);
-  if (!text.has_value()) return out;  // non-query noise
-  out.is_query = true;
-  util::Result<sparql::Query> parsed = parser.Parse(*text, scratch.parser);
-  if (!parsed.ok()) {
-    out.line_hash = HashBytes(line);
-    return out;
-  }
-  out.valid = true;
   out.canonical_hash = sparql::CanonicalHash(parsed.value());
   out.query = std::move(parsed).value();
   return out;

@@ -87,7 +87,8 @@ struct ParsedLine {
 };
 
 /// The cleaning stage of `ParseLogLine`, shared with perfbench's layer
-/// pass and the allocation test so they see exactly the production
+/// pass, the heap reference parse and the allocation test so they see
+/// exactly the production
 /// input: strips the "query=" prefix and trailing CGI parameters (first
 /// raw '&'), URL-decoding into `decode_buf` only when `%`/`+` escapes
 /// are present (otherwise the returned view slices `line` directly).
@@ -95,27 +96,6 @@ struct ParsedLine {
 /// `line`/`decode_buf`.
 std::optional<std::string_view> ExtractQueryText(std::string_view line,
                                                  std::string& decode_buf);
-
-/// Runs the cleaning + validation stages on one raw log line:
-///  * `query=<urlencoded>` lines are query entries; the value ends at
-///    the first raw `&` (further CGI parameters are not query text);
-///  * any other line is non-query noise (`is_query` false).
-/// The decoded text is parsed with `parser`; entries whose value does
-/// not decode to valid SPARQL come back with `valid == false` so the
-/// ingestor can count them as Total-but-not-Valid. Thread-safe when
-/// each thread uses its own parser.
-///
-/// `decode_buf` is caller-provided scratch for URL-decoding, reused
-/// across lines so the steady state allocates nothing (values without
-/// any `%`/`+` escape are parsed in place and skip even the decode
-/// write). The canonical hash is streamed off the AST (`CanonicalHash`)
-/// — the canonical string is never materialized.
-ParsedLine ParseLogLine(sparql::Parser& parser, std::string_view line,
-                        std::string& decode_buf);
-
-/// Convenience overload with private scratch (one allocation per
-/// escaped line); hot loops should hoist the buffer.
-ParsedLine ParseLogLine(sparql::Parser& parser, const std::string& line);
 
 /// Reusable per-worker ingest scratch: the parser's arena/token/pname
 /// scratch plus the URL-decode buffer. One warm ParseScratch takes the
@@ -131,12 +111,23 @@ struct ParseScratch {
   void Reset() { parser.Reset(); }
 };
 
-/// Arena-pooled variant of ParseLogLine: the returned line's `query`
-/// (when valid) lives on `scratch.parser.arena` until `scratch.Reset()`.
-/// Multiple lines may be parsed into one scratch before resetting (the
-/// pipeline accumulates a whole chunk); copying a Query detaches it
-/// onto the heap. Byte-identical outputs to the heap overload — the
-/// fuzz harness enforces this.
+/// Runs the cleaning + validation stages on one raw log line:
+///  * `query=<urlencoded>` lines are query entries; the value ends at
+///    the first raw `&` (further CGI parameters are not query text);
+///  * any other line is non-query noise (`is_query` false).
+/// The decoded text is parsed with `parser`; entries whose value does
+/// not decode to valid SPARQL come back with `valid == false` so the
+/// ingestor can count them as Total-but-not-Valid. Thread-safe when
+/// each thread uses its own scratch. The canonical hash is streamed off
+/// the AST (`CanonicalHash`) — the canonical string is never
+/// materialized.
+///
+/// The returned line's `query` (when valid) lives on
+/// `scratch.parser.arena` until `scratch.Reset()`. Multiple lines may be
+/// parsed into one scratch before resetting (the pipeline accumulates a
+/// whole chunk); copying a Query detaches it onto the heap. The heap
+/// reference `testing::ParseLogLine` must give byte-identical outputs —
+/// the fuzz harness enforces this.
 ParsedLine ParseLogLine(const sparql::Parser& parser, std::string_view line,
                         ParseScratch& scratch);
 

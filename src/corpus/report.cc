@@ -248,9 +248,9 @@ void CorpusAnalyzer::CommitShapes(const FragmentClass& fc,
 }
 
 void CorpusAnalyzer::AnalyzePaths(const Pattern& p) {
-  if (p.kind == PatternKind::kTriple) {
-    if (!p.triple.has_path) return;
-    const sparql::PathExpr& path = p.triple.path;
+  if (p.kind() == PatternKind::kTriple) {
+    if (!p.triple().has_path()) return;
+    const sparql::PathExpr& path = p.triple().path();
     paths::PathClassification pc = paths::ClassifyPath(path);
     if (pc.type == paths::PathType::kPlainLink) return;
     ++paths_.total_paths;
@@ -270,12 +270,11 @@ void CorpusAnalyzer::AnalyzePaths(const Pattern& p) {
     if (!paths::IsCtract(path)) ++paths_.not_ctract;
     return;
   }
-  if (p.kind == PatternKind::kSubSelect && p.subquery &&
-      p.subquery->has_body) {
-    AnalyzePaths(p.subquery->where);
+  if (p.kind() == PatternKind::kSubSelect && p.subquery().has_body) {
+    AnalyzePaths(p.subquery().where);
     return;
   }
-  for (const Pattern& c : p.children) AnalyzePaths(c);
+  for (const Pattern& c : p.children()) AnalyzePaths(c);
 }
 
 }  // namespace sparqlog::corpus

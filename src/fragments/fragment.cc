@@ -25,12 +25,12 @@ struct BodyScan {
 };
 
 void Scan(const Pattern& p, BodyScan& s) {
-  switch (p.kind) {
+  switch (p.kind()) {
     case PatternKind::kTriple:
       ++s.num_triples;
-      if (p.triple.has_path) {
+      if (p.triple().has_path()) {
         s.only_triples_and = s.only_triples_and_f = s.aof = false;
-      } else if (p.triple.predicate.is_variable()) {
+      } else if (p.triple().predicate.is_variable()) {
         s.var_predicate = true;
       }
       return;
@@ -38,9 +38,9 @@ void Scan(const Pattern& p, BodyScan& s) {
       break;
     case PatternKind::kFilter:
       s.only_triples_and = false;
-      if (!IsSimpleFilter(p.expr)) s.simple_filters = false;
+      if (!IsSimpleFilter(p.expr())) s.simple_filters = false;
       // EXISTS embeds patterns: not AOF.
-      if (ExprUsesPatterns(p.expr)) s.only_triples_and_f = s.aof = false;
+      if (ExprUsesPatterns(p.expr())) s.only_triples_and_f = s.aof = false;
       return;
     case PatternKind::kOptional:
       s.only_triples_and = s.only_triples_and_f = false;
@@ -50,7 +50,7 @@ void Scan(const Pattern& p, BodyScan& s) {
       // Still count triples below for statistics.
       break;
   }
-  for (const Pattern& c : p.children) Scan(c, s);
+  for (const Pattern& c : p.children()) Scan(c, s);
 }
 
 }  // namespace

@@ -83,19 +83,19 @@ int Join(FragmentScratch& s, int a, int b) {
 /// translation of group graph patterns; returns the node index, or -1 if
 /// the body is not AOF.
 int Translate(const Pattern& p, FragmentScratch& s) {
-  if (p.kind == PatternKind::kTriple) {
-    if (p.triple.has_path) return -1;
+  if (p.kind() == PatternKind::kTriple) {
+    if (p.triple().has_path()) return -1;
     const int n = NewNode(s, Kind::kBgp);
     s.nodes[static_cast<size_t>(n)].has_triples = true;
-    AddVariables(s.vars, p.triple, NodeMask(s, n, kTriples));
+    AddVariables(s.vars, p.triple(), NodeMask(s, n, kTriples));
     std::copy_n(NodeMask(s, n, kTriples), s.words, NodeMask(s, n, kOwn));
     return n;
   }
-  if (p.kind != PatternKind::kGroup) return -1;
+  if (p.kind() != PatternKind::kGroup) return -1;
 
   int acc = NewNode(s, Kind::kBgp);  // empty BGP
-  for (const Pattern& c : p.children) {
-    switch (c.kind) {
+  for (const Pattern& c : p.children()) {
+    switch (c.kind()) {
       case PatternKind::kTriple:
       case PatternKind::kGroup: {
         const int t = Translate(c, s);
@@ -106,7 +106,7 @@ int Translate(const Pattern& p, FragmentScratch& s) {
       case PatternKind::kFilter:
         break;  // below: filters of a group apply to the whole group
       case PatternKind::kOptional: {
-        const int body = Translate(c.children[0], s);
+        const int body = Translate(c.children()[0], s);
         if (body < 0) return -1;
         acc = NewNode(s, Kind::kLeftJoin, acc, body);
         break;
@@ -115,11 +115,11 @@ int Translate(const Pattern& p, FragmentScratch& s) {
         return -1;  // not an AOF pattern
     }
   }
-  for (const Pattern& c : p.children) {
-    if (c.kind != PatternKind::kFilter) continue;
-    if (ExprUsesPatterns(c.expr)) return -1;
+  for (const Pattern& c : p.children()) {
+    if (c.kind() != PatternKind::kFilter) continue;
+    if (ExprUsesPatterns(c.expr())) return -1;
     s.nodes[static_cast<size_t>(acc)].has_filters = true;
-    AddVariables(s.vars, c.expr, NodeMask(s, acc, kOwn));
+    AddVariables(s.vars, c.expr(), NodeMask(s, acc, kOwn));
   }
   return acc;
 }

@@ -184,19 +184,19 @@ bool IsVarEqualityFilter(const Expr& e) {
 void CollectTriplesAndFilters(const Pattern& body,
                               std::vector<const TriplePattern*>& triples,
                               std::vector<const Expr*>& filters) {
-  switch (body.kind) {
+  switch (body.kind()) {
     case PatternKind::kTriple:
-      triples.push_back(&body.triple);
+      triples.push_back(&body.triple());
       return;
     case PatternKind::kFilter:
-      filters.push_back(&body.expr);
+      filters.push_back(&body.expr());
       return;
     case PatternKind::kSubSelect:
       return;
     default:
       break;
   }
-  for (const Pattern& c : body.children) {
+  for (const Pattern& c : body.children()) {
     CollectTriplesAndFilters(c, triples, filters);
   }
 }
@@ -210,7 +210,7 @@ void BuildCanonicalGraph(const std::vector<const TriplePattern*>& triples,
   out.owned_terms.clear();
   out.valid = true;
   for (const TriplePattern* tp : triples) {
-    if (tp->has_path || tp->predicate.is_variable()) {
+    if (tp->has_path() || tp->predicate.is_variable()) {
       out.valid = false;
       return;
     }
@@ -341,7 +341,7 @@ void BuildCanonicalHypergraph(const std::vector<const TriplePattern*>& triples,
     int e[3];
     int count = 0;
     if (tp->subject.is_unknown()) e[count++] = node_of(tp->subject);
-    if (!tp->has_path && tp->predicate.is_unknown()) {
+    if (!tp->has_path() && tp->predicate.is_unknown()) {
       e[count++] = node_of(tp->predicate);
     }
     if (tp->object.is_unknown()) e[count++] = node_of(tp->object);

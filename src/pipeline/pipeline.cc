@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -11,9 +10,8 @@
 
 #include "obs/alloc_tracker.h"
 #include "pipeline/merge.h"
+#include "pipeline/parse_memo.h"
 #include "sparql/parser.h"
-#include "util/arena.h"
-#include "util/crc32c.h"
 
 namespace sparqlog::pipeline {
 
@@ -211,33 +209,6 @@ class BarrierBoard {
 /// Bounded retries for TransientChunkError before the reader gives up
 /// and treats the failure as persistent.
 constexpr int kMaxTransientRetries = 3;
-
-/// A parse worker's exact-line memo: raw query line -> what parsing it
-/// gave (valid or not, and the hash it routes by), packed into the
-/// interner's value bytes. Flushed whole when its storage passes 1 MB.
-/// See the worker loop in Run for when a hit may skip the parse.
-constexpr size_t kParseMemoBytes = size_t{1} << 20;
-constexpr size_t kMemoValueBytes = 1 + sizeof(uint64_t);
-
-std::string_view PackMemoValue(const corpus::ParsedLine& parsed,
-                               char (&buf)[kMemoValueBytes]) {
-  const uint64_t hash = parsed.valid ? parsed.canonical_hash : parsed.line_hash;
-  buf[0] = parsed.valid ? 1 : 0;
-  std::memcpy(buf + 1, &hash, sizeof(hash));
-  return std::string_view(buf, kMemoValueBytes);
-}
-
-/// The routed entry for a memo hit: the first occurrence's verdict and
-/// hash, and no AST.
-corpus::ParsedLine UnpackMemoValue(std::string_view value) {
-  corpus::ParsedLine out;
-  out.is_query = true;
-  out.valid = value[0] != 0;
-  uint64_t hash;
-  std::memcpy(&hash, value.data() + 1, sizeof(hash));
-  (out.valid ? out.canonical_hash : out.line_hash) = hash;
-  return out;
-}
 
 }  // namespace
 
@@ -465,8 +436,7 @@ PipelineResult ParallelLogPipeline::Run(
       // in the shard's seen or abandoned set. The valid corpus analyzes
       // every occurrence, so it never consults the memo.
       const bool use_memo = !options_.use_valid_corpus;
-      util::StringInterner memo(kParseMemoBytes);
-      char memo_value[kMemoValueBytes];
+      ParseMemo memo;
       while (std::optional<NumberedChunk> chunk = chunk_queue.Pop()) {
         uint64_t t0 = rt != nullptr ? obs::NowNs() : 0;
         local_lines += chunk->data.lines.size();
@@ -486,13 +456,10 @@ PipelineResult ParallelLogPipeline::Run(
           obs::AllocFaultScope fault_scope;
           for (std::string_view line : chunk->data.lines) {
             if (options_.parse_fault_hook) options_.parse_fault_hook(line);
-            uint64_t line_key = 0;
             if (use_memo) {
-              line_key = util::Crc32c(line);
-              if (const std::string_view* v = memo.Find(line, line_key)) {
-                corpus::ParsedLine hit = UnpackMemoValue(*v);
-                buckets[ShardIndexFor(hit, num_shards)].push_back(
-                    std::move(hit));
+              if (std::optional<corpus::ParsedLine> hit = memo.Find(line)) {
+                buckets[ShardIndexFor(*hit, num_shards)].push_back(
+                    std::move(*hit));
                 ++memo_hits;
                 continue;
               }
@@ -503,9 +470,7 @@ PipelineResult ParallelLogPipeline::Run(
             // Inserted at once, not at chunk end, so repeats inside one
             // chunk hit too: the first occurrence sits earlier in the
             // same bucket.
-            if (use_memo) {
-              memo.Insert(line, line_key, PackMemoValue(parsed, memo_value));
-            }
+            if (use_memo) memo.Insert(line, parsed);
             buckets[ShardIndexFor(parsed, num_shards)].push_back(
                 std::move(parsed));
           }
@@ -515,11 +480,14 @@ PipelineResult ParallelLogPipeline::Run(
         if (!chunk_ok) {
           // Recovery: the fast pass left arena-backed entries behind, so
           // drop them (before the scratch — their Query destructors touch
-          // its arena) and reprocess every line on the heap path with a
-          // per-line guard. Lines that still throw are quarantined: they
-          // count toward Total in the quarantined bucket and are sampled
-          // for offline reproduction. One-shot faults (an injected or
-          // transient bad_alloc) parse cleanly here and lose nothing.
+          // its arena), reset the scratch and reprocess every line into
+          // it with a per-line guard. Lines that still
+          // throw are quarantined: they count toward Total in the
+          // quarantined bucket and are sampled for offline reproduction.
+          // One-shot faults (an injected or transient bad_alloc) parse
+          // cleanly here and lose nothing. The scratch is not reset
+          // between lines: the lines parsed so far travel to the shards
+          // on its arena, as on the fast pass.
           //
           // The memo is emptied first: the discarded pass may have
           // memoized a line whose recovery parse is then quarantined, so
@@ -527,7 +495,7 @@ PipelineResult ParallelLogPipeline::Run(
           // delivered (the same holds for an Insert that threw halfway).
           // The recovery pass neither reads nor writes the memo.
           for (Batch& b : buckets) b.clear();
-          scratch.reset();
+          scratch->Reset();
           memo.Clear();
           memo_hits = 0;
           for (size_t j = 0; j < chunk->data.lines.size(); ++j) {
@@ -535,8 +503,7 @@ PipelineResult ParallelLogPipeline::Run(
             corpus::ParsedLine parsed;
             try {
               if (options_.parse_fault_hook) options_.parse_fault_hook(line);
-              std::string decode_buf;
-              parsed = corpus::ParseLogLine(parser, line, decode_buf);
+              parsed = corpus::ParseLogLine(parser, line, *scratch);
             } catch (const std::exception& e) {
               parsed = corpus::ParsedLine();
               parsed.is_query = true;

@@ -1,5 +1,11 @@
 #include "sparql/ast.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <type_traits>
+#include <utility>
+
 namespace sparqlog::sparql {
 
 namespace {
@@ -177,6 +183,68 @@ void Expr::CollectVariables(std::set<std::string>& out) const {
 // TriplePattern
 // ---------------------------------------------------------------------------
 
+namespace {
+template <typename T>
+T* NewOn(std::pmr::memory_resource* mr) {
+  return new (mr->allocate(sizeof(T), alignof(T))) T(mr);
+}
+template <typename T>
+void DeleteOn(std::pmr::memory_resource* mr, T* p) {
+  p->~T();
+  mr->deallocate(p, sizeof(T), alignof(T));
+}
+}  // namespace
+
+TriplePattern::TriplePattern(const TriplePattern& o)
+    : subject(o.subject), predicate(o.predicate), object(o.object) {
+  if (o.path_ != nullptr) set_path(*o.path_);
+}
+
+TriplePattern& TriplePattern::operator=(const TriplePattern& o) {
+  if (this != &o) {
+    subject = o.subject;
+    predicate = o.predicate;
+    object = o.object;
+    if (o.path_ == nullptr) {
+      clear_path();
+    } else {
+      set_path(*o.path_);
+    }
+  }
+  return *this;
+}
+
+TriplePattern& TriplePattern::operator=(TriplePattern&& o) {
+  if (this == &o) return *this;
+  // Across resources a move is a copy, as for the pmr members.
+  if (!(*resource() == *o.resource())) return *this = o;
+  clear_path();
+  path_ = std::exchange(o.path_, nullptr);
+  subject = std::move(o.subject);
+  predicate = std::move(o.predicate);
+  object = std::move(o.object);
+  return *this;
+}
+
+PathExpr* TriplePattern::CheckedPath() const {
+  if (path_ == nullptr) [[unlikely]] {
+    std::fprintf(stderr, "TriplePattern::path() on a pattern without one\n");
+    std::abort();
+  }
+  return path_;
+}
+
+void TriplePattern::set_path(PathExpr path) {
+  if (path_ == nullptr) path_ = NewOn<PathExpr>(resource());
+  *path_ = std::move(path);
+}
+
+void TriplePattern::clear_path() {
+  if (path_ == nullptr) return;
+  DeleteOn(resource(), path_);
+  path_ = nullptr;
+}
+
 TriplePattern TriplePattern::Make(Term s, Term p, Term o) {
   TriplePattern tp(ResOf(s));
   tp.subject = std::move(s);
@@ -188,8 +256,7 @@ TriplePattern TriplePattern::Make(Term s, Term p, Term o) {
 TriplePattern TriplePattern::MakePath(Term s, PathExpr path, Term o) {
   TriplePattern tp(ResOf(s));
   tp.subject = std::move(s);
-  tp.has_path = true;
-  tp.path = std::move(path);
+  tp.set_path(std::move(path));
   tp.object = std::move(o);
   return tp;
 }
@@ -205,81 +272,161 @@ void TriplePattern::CollectVariables(std::set<std::string>& out) const {
 // Pattern
 // ---------------------------------------------------------------------------
 
-Pattern::Pattern(const Pattern& o)
-    : kind(o.kind),
-      triple(o.triple),
-      children(o.children),
-      expr(o.expr),
-      var(o.var),
-      graph(o.graph),
-      silent(o.silent),
-      values_vars(o.values_vars),
-      values_rows(o.values_rows),
-      subquery(o.subquery ? std::make_shared<Query>(*o.subquery) : nullptr) {}
+template <typename F>
+void Pattern::WithPayloadType(PatternKind kind, F&& f) {
+  switch (kind) {
+    case PatternKind::kTriple:
+      return f(std::type_identity<TriplePattern>{});
+    case PatternKind::kFilter:
+      return f(std::type_identity<Expr>{});
+    case PatternKind::kBind:
+      return f(std::type_identity<BindNode>{});
+    case PatternKind::kGraph:
+    case PatternKind::kService:
+      return f(std::type_identity<GraphNode>{});
+    case PatternKind::kValues:
+      return f(std::type_identity<ValuesTable>{});
+    case PatternKind::kSubSelect:
+      return f(std::type_identity<Query>{});
+    default:
+      return;  // groups, unions, OPTIONAL and MINUS have no payload
+  }
+}
+
+template <typename F>
+Pattern* Pattern::NewArray(size_t n, std::pmr::memory_resource* mr,
+                           F&& make) {
+  if (n == 0) return nullptr;
+  Pattern* array = static_cast<Pattern*>(
+      mr->allocate(n * sizeof(Pattern), alignof(Pattern)));
+  size_t built = 0;
+  try {
+    for (; built < n; ++built) new (&array[built]) Pattern(make(built));
+  } catch (...) {
+    for (size_t i = 0; i < built; ++i) array[i].~Pattern();
+    mr->deallocate(array, n * sizeof(Pattern), alignof(Pattern));
+    throw;
+  }
+  return array;
+}
+
+Pattern::Pattern(PatternKind kind, std::pmr::memory_resource* mr)
+    : mr_(mr), kind_(kind) {
+  WithPayloadType(kind, [&]<typename T>(std::type_identity<T>) {
+    payload_ = NewOn<T>(mr);
+  });
+}
+
+void Pattern::ReleaseChildren() {
+  for (uint32_t i = 0; i < num_children_; ++i) children_[i].~Pattern();
+  if (children_ != nullptr) {
+    mr_->deallocate(children_, num_children_ * sizeof(Pattern),
+                    alignof(Pattern));
+  }
+  children_ = nullptr;
+  num_children_ = 0;
+}
+
+void Pattern::Release() {
+  ReleaseChildren();
+  if (payload_ != nullptr) {
+    WithPayloadType(kind_, [&]<typename T>(std::type_identity<T>) {
+      DeleteOn(mr_, static_cast<T*>(payload_));
+    });
+  }
+  Forget();
+}
+
+void Pattern::BadKind() const {
+  std::fprintf(stderr, "Pattern: payload accessor on a node of kind %d\n",
+               static_cast<int>(kind_));
+  std::abort();
+}
+
+Pattern Pattern::Clone(const Pattern& o, std::pmr::memory_resource* mr) {
+  Pattern p(o.kind_, mr);
+  // Copy assignment keeps the target's resource, so the copy lands on mr.
+  WithPayloadType(o.kind_, [&]<typename T>(std::type_identity<T>) {
+    *static_cast<T*>(p.payload_) = *static_cast<const T*>(o.payload_);
+  });
+  p.children_ = NewArray(o.num_children_, mr,
+                         [&](size_t i) { return Clone(o.children_[i], mr); });
+  p.num_children_ = o.num_children_;
+  return p;
+}
 
 Pattern& Pattern::operator=(const Pattern& o) {
   if (this != &o) {
-    kind = o.kind;
-    triple = o.triple;
-    children = o.children;
-    expr = o.expr;
-    var = o.var;
-    graph = o.graph;
-    silent = o.silent;
-    values_vars = o.values_vars;
-    values_rows = o.values_rows;
-    subquery = o.subquery ? std::make_shared<Query>(*o.subquery) : nullptr;
+    // Clone first: `o` may live inside this node's subtree.
+    *this = Clone(o, mr_);
   }
   return *this;
 }
 
+Pattern& Pattern::operator=(Pattern&& o) {
+  if (this == &o) return *this;
+  if (!(*mr_ == *o.mr_)) return *this = static_cast<const Pattern&>(o);
+  // Take `o` first: it may live inside this node's subtree.
+  Pattern taken(std::move(o));
+  Release();
+  payload_ = taken.payload_;
+  children_ = taken.children_;
+  num_children_ = taken.num_children_;
+  kind_ = taken.kind_;
+  taken.Forget();
+  return *this;
+}
+
+void Pattern::SetChildren(std::span<Pattern> from) {
+  Pattern* array = NewArray(from.size(), mr_, [&](size_t i) {
+    Pattern& c = from[i];
+    return *c.mr_ == *mr_ ? Pattern(std::move(c)) : Clone(c, mr_);
+  });
+  ReleaseChildren();
+  children_ = array;
+  num_children_ = static_cast<uint32_t>(from.size());
+}
+
 Pattern Pattern::Group(AstVector<Pattern> children) {
-  Pattern p(ResOf(children));
-  p.kind = PatternKind::kGroup;
-  p.children = std::move(children);
+  Pattern p(PatternKind::kGroup, ResOf(children));
+  p.SetChildren(children);
   return p;
 }
 
 Pattern Pattern::Triple(TriplePattern tp) {
-  Pattern p(ResOf(tp.subject));
-  p.kind = PatternKind::kTriple;
-  p.triple = std::move(tp);
+  Pattern p(PatternKind::kTriple, ResOf(tp.subject));
+  p.triple() = std::move(tp);
   return p;
 }
 
 Pattern Pattern::Filter(Expr e) {
-  Pattern p(ResOf(e.args));
-  p.kind = PatternKind::kFilter;
-  p.expr = std::move(e);
+  Pattern p(PatternKind::kFilter, ResOf(e.args));
+  p.expr() = std::move(e);
   return p;
 }
 
 Pattern Pattern::Union(AstVector<Pattern> branches) {
-  Pattern p(ResOf(branches));
-  p.kind = PatternKind::kUnion;
-  p.children = std::move(branches);
+  Pattern p(PatternKind::kUnion, ResOf(branches));
+  p.SetChildren(branches);
   return p;
 }
 
 Pattern Pattern::Optional(Pattern body) {
-  Pattern p(ResOf(body.children));
-  p.kind = PatternKind::kOptional;
-  p.children.push_back(std::move(body));
+  Pattern p(PatternKind::kOptional, body.mr_);
+  p.SetChildren({&body, 1});
   return p;
 }
 
 Pattern Pattern::Minus(Pattern body) {
-  Pattern p(ResOf(body.children));
-  p.kind = PatternKind::kMinus;
-  p.children.push_back(std::move(body));
+  Pattern p(PatternKind::kMinus, body.mr_);
+  p.SetChildren({&body, 1});
   return p;
 }
 
 Pattern Pattern::Graph(Term iv, Pattern body) {
-  Pattern p(ResOf(iv));
-  p.kind = PatternKind::kGraph;
-  p.graph = std::move(iv);
-  p.children.push_back(std::move(body));
+  Pattern p(PatternKind::kGraph, ResOf(iv));
+  p.graph() = std::move(iv);
+  p.SetChildren({&body, 1});
   return p;
 }
 
@@ -291,14 +438,14 @@ void Pattern::CollectVariables(std::set<std::string>& out) const {
 }
 
 void Pattern::CollectTriples(std::vector<const TriplePattern*>& out) const {
-  if (kind == PatternKind::kTriple) {
-    out.push_back(&triple);
+  if (kind_ == PatternKind::kTriple) {
+    out.push_back(&triple());
     return;
   }
-  if (kind == PatternKind::kSubSelect || kind == PatternKind::kFilter) {
+  if (kind_ == PatternKind::kSubSelect || kind_ == PatternKind::kFilter) {
     return;  // Subquery bodies and EXISTS patterns are counted separately.
   }
-  for (const Pattern& c : children) c.CollectTriples(out);
+  for (const Pattern& c : children()) c.CollectTriples(out);
 }
 
 void Pattern::CollectInScopeVariables(std::set<std::string>& out) const {

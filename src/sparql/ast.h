@@ -6,6 +6,7 @@
 #include <memory_resource>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,20 +17,23 @@ namespace sparqlog::sparql {
 
 using rdf::Term;
 
-/// AST node storage types. Every string and child vector in the AST is
-/// allocator-aware: the parser's hot path constructs whole queries on an
-/// epoch-reset arena (`util::ArenaResource`, zero heap allocations once
-/// warm), while default-constructed nodes — tests, the query generator,
-/// the fuzzer — land on the heap exactly as before.
+/// AST node storage types. Every string, child array and node payload in
+/// the AST is allocator-aware: the parser's hot path constructs whole
+/// queries on an epoch-reset arena (`util::ArenaResource`, zero heap
+/// allocations once warm), while default-constructed nodes — tests, the
+/// query generator, the fuzzer — land on the heap.
 ///
 /// Memory discipline (see DESIGN.md "Parser memory discipline"):
 ///  * Nodes composed into one tree must share one memory_resource; the
 ///    `explicit X(memory_resource*)` constructors plus the factory
 ///    functions (which inherit the resource of their arguments) keep
 ///    this true by construction.
-///  * Moves steal storage and keep the source's resource.
+///  * Moves steal storage and keep the source's resource; a move
+///    assignment between different resources copies instead, as pmr
+///    containers do.
 ///  * Copies always land on the default (heap) resource — copying an
 ///    arena-built AST yields an independent, arena-free deep copy.
+///    Copy assignment lands on the target's resource.
 using AstString = std::pmr::string;
 template <typename T>
 using AstVector = std::pmr::vector<T>;
@@ -82,7 +86,7 @@ struct PathExpr {
 // Expressions: filter constraints, projection expressions, HAVING, ORDER BY.
 // ---------------------------------------------------------------------------
 
-struct Pattern;  // forward declaration; Expr can hold EXISTS { Pattern }
+class Pattern;  // forward declaration; Expr can hold EXISTS { Pattern }
 
 enum class ExprKind {
   kTerm,        ///< A variable or RDF term.
@@ -152,29 +156,59 @@ struct Expr {
 // Graph patterns.
 // ---------------------------------------------------------------------------
 
-/// A triple pattern or property-path pattern.
+/// A triple pattern or property-path pattern. The path, when there is
+/// one, lives out of line on the triple's memory resource: most triples
+/// have a plain predicate and pay one pointer for the rare path.
 struct TriplePattern {
   Term subject;
-  /// When false, `predicate` holds the predicate term (IRI or variable).
-  bool has_path = false;
+  /// The predicate term (IRI or variable); unused iff has_path().
   Term predicate;
-  PathExpr path;  ///< Valid iff has_path.
   Term object;
 
   TriplePattern() = default;
   explicit TriplePattern(std::pmr::memory_resource* mr)
-      : subject(mr), predicate(mr), path(mr), object(mr) {}
+      : subject(mr), predicate(mr), object(mr) {}
+  /// Deep copy onto the heap (the path too).
+  TriplePattern(const TriplePattern& o);
+  /// Deep copy onto this triple's resource.
+  TriplePattern& operator=(const TriplePattern& o);
+  TriplePattern(TriplePattern&& o) noexcept
+      : subject(std::move(o.subject)),
+        predicate(std::move(o.predicate)),
+        object(std::move(o.object)),
+        path_(o.path_) {
+    o.path_ = nullptr;
+  }
+  TriplePattern& operator=(TriplePattern&& o);
+  ~TriplePattern() { clear_path(); }
 
   static TriplePattern Make(Term s, Term p, Term o);
   static TriplePattern MakePath(Term s, PathExpr path, Term o);
 
+  bool has_path() const { return path_ != nullptr; }
+  /// The property path; only valid when has_path().
+  const PathExpr& path() const { return *CheckedPath(); }
+  PathExpr& path() { return *CheckedPath(); }
+  /// Makes this a path pattern (on this triple's resource).
+  void set_path(PathExpr path);
+  /// Drops the path: the pattern reads `predicate` again.
+  void clear_path();
+
   /// True iff the predicate position holds a variable (these queries have
   /// no meaningful canonical *graph*; Section 5 of the paper).
   bool has_variable_predicate() const {
-    return !has_path && predicate.is_variable();
+    return !has_path() && predicate.is_variable();
   }
 
   void CollectVariables(std::set<std::string>& out) const;
+
+ private:
+  std::pmr::memory_resource* resource() const {
+    return subject.value.get_allocator().resource();
+  }
+  PathExpr* CheckedPath() const;
+
+  PathExpr* path_ = nullptr;
 };
 
 struct Query;  // forward declaration (subqueries)
@@ -193,47 +227,56 @@ enum class PatternKind {
   kSubSelect,  ///< A nested SELECT query.
 };
 
-/// A node of a SPARQL graph-pattern tree. One fat value-type node keeps
-/// the AST copyable and easy to traverse; queries are small in practice
-/// (the paper's corpus: > 55% have one triple, max 229).
-struct Pattern {
-  PatternKind kind = PatternKind::kGroup;
-  /// kTriple payload.
-  TriplePattern triple;
-  /// Children: group members, union branches, or the single body of
-  /// optional/minus/graph/service.
-  AstVector<Pattern> children;
-  /// kFilter constraint or kBind source expression.
-  Expr expr;
-  /// kBind target variable.
-  Term var;
-  /// kGraph / kService: the IRI or variable `iv`.
-  Term graph;
-  bool silent = false;  ///< SERVICE SILENT.
-  /// kValues payload.
-  AstVector<Term> values_vars;
-  AstVector<AstVector<std::optional<Term>>> values_rows;
-  /// kSubSelect payload; shared_ptr keeps Pattern copyable. The copy
-  /// path deep-copies it so no two Patterns ever share a subquery.
-  std::shared_ptr<Query> subquery;
+/// The payload of a VALUES pattern: the variables and one row of
+/// values per solution (nullopt for UNDEF).
+struct ValuesTable {
+  AstVector<Term> vars;
+  AstVector<AstVector<std::optional<Term>>> rows;
 
+  ValuesTable() = default;
+  explicit ValuesTable(std::pmr::memory_resource* mr) : vars(mr), rows(mr) {}
+};
+
+/// A node of a SPARQL graph-pattern tree: its kind, its children (one
+/// exact-size array) and the one payload its kind needs, out of line on
+/// the node's memory resource. The queries of the paper's corpus are
+/// small (> 55% have one triple) but a log holds hundreds of millions of
+/// them, so a node is four words whatever its kind.
+///
+/// Payloads by kind, each read through an accessor that checks the kind:
+///   kTriple              triple()
+///   kFilter              expr()
+///   kBind                expr(), var()
+///   kGraph, kService     graph(), silent()
+///   kValues              values()
+///   kSubSelect           subquery()
+/// Groups, unions, OPTIONAL and MINUS carry children only; OPTIONAL,
+/// MINUS, GRAPH and SERVICE have exactly one.
+class Pattern {
+ public:
+  /// An empty group on the heap.
   Pattern() = default;
-  explicit Pattern(std::pmr::memory_resource* mr)
-      : triple(mr),
-        children(mr),
-        expr(mr),
-        var(mr),
-        graph(mr),
-        values_vars(mr),
-        values_rows(mr) {}
-  /// Deep copy: clones the subquery payload instead of aliasing it, so
-  /// mutating a copied pattern (e.g. the AST shrinker) never edits the
+  /// An empty node of `kind` on `mr`, its payload default-constructed.
+  explicit Pattern(PatternKind kind,
+                   std::pmr::memory_resource* mr =
+                       std::pmr::get_default_resource());
+  /// Deep copy onto the heap: the children and the payload (a subquery
+  /// too), so mutating a copy (e.g. the AST shrinker) never edits the
   /// original.
-  Pattern(const Pattern& o);
+  Pattern(const Pattern& o)
+      : Pattern(Clone(o, std::pmr::get_default_resource())) {}
+  /// Deep copy onto this node's resource.
   Pattern& operator=(const Pattern& o);
-  Pattern(Pattern&&) noexcept = default;
-  Pattern& operator=(Pattern&&) = default;
-  ~Pattern() = default;
+  Pattern(Pattern&& o) noexcept
+      : mr_(o.mr_),
+        payload_(o.payload_),
+        children_(o.children_),
+        num_children_(o.num_children_),
+        kind_(o.kind_) {
+    o.Forget();
+  }
+  Pattern& operator=(Pattern&& o);
+  ~Pattern() { Release(); }
 
   static Pattern Group(AstVector<Pattern> children);
   static Pattern Triple(TriplePattern tp);
@@ -242,6 +285,59 @@ struct Pattern {
   static Pattern Optional(Pattern body);
   static Pattern Minus(Pattern body);
   static Pattern Graph(Term iv, Pattern body);
+
+  PatternKind kind() const { return kind_; }
+  std::pmr::memory_resource* resource() const { return mr_; }
+
+  /// Group members, union branches, or the single body of
+  /// optional/minus/graph/service.
+  std::span<const Pattern> children() const {
+    return {children_, num_children_};
+  }
+  std::span<Pattern> children() { return {children_, num_children_}; }
+  /// Replaces the children by `from`'s elements, moved (copied if they
+  /// sit on another resource) into one exact-size array on this node's
+  /// resource. `from` may alias the current children.
+  void SetChildren(std::span<Pattern> from);
+
+  const TriplePattern& triple() const {
+    return *Payload<TriplePattern>(kind_ == PatternKind::kTriple);
+  }
+  TriplePattern& triple() {
+    return *Payload<TriplePattern>(kind_ == PatternKind::kTriple);
+  }
+  /// kFilter constraint or kBind source expression.
+  const Expr& expr() const { return const_cast<Pattern*>(this)->expr(); }
+  Expr& expr() {
+    if (kind_ == PatternKind::kBind) return Payload<BindNode>(true)->expr;
+    return *Payload<Expr>(kind_ == PatternKind::kFilter);
+  }
+  /// kBind target variable.
+  const Term& var() const { return const_cast<Pattern*>(this)->var(); }
+  Term& var() { return Payload<BindNode>(kind_ == PatternKind::kBind)->var; }
+  /// kGraph / kService: the IRI or variable `iv`.
+  const Term& graph() const { return const_cast<Pattern*>(this)->graph(); }
+  Term& graph() { return Payload<GraphNode>(IsGraphOrService())->iv; }
+  /// SERVICE SILENT (always false for GRAPH).
+  bool silent() const {
+    return const_cast<Pattern*>(this)->Payload<GraphNode>(IsGraphOrService())
+        ->silent;
+  }
+  void set_silent(bool silent) {
+    Payload<GraphNode>(kind_ == PatternKind::kService)->silent = silent;
+  }
+  const ValuesTable& values() const {
+    return const_cast<Pattern*>(this)->values();
+  }
+  ValuesTable& values() {
+    return *Payload<ValuesTable>(kind_ == PatternKind::kValues);
+  }
+  const Query& subquery() const {
+    return const_cast<Pattern*>(this)->subquery();
+  }
+  Query& subquery() {
+    return *Payload<Query>(kind_ == PatternKind::kSubSelect);
+  }
 
   /// Appends all variables in the pattern (not descending into
   /// subqueries' SELECT clauses, but into their bodies) to `out`.
@@ -255,6 +351,57 @@ struct Pattern {
   /// to the enclosing projection (excludes MINUS bodies and variables
   /// only mentioned in FILTER constraints).
   void CollectInScopeVariables(std::set<std::string>& out) const;
+
+ private:
+  struct BindNode {
+    Expr expr;
+    Term var;
+    explicit BindNode(std::pmr::memory_resource* mr) : expr(mr), var(mr) {}
+  };
+  struct GraphNode {
+    Term iv;
+    bool silent = false;
+    explicit GraphNode(std::pmr::memory_resource* mr) : iv(mr) {}
+  };
+
+  /// Calls `f(std::type_identity<T>{})` with the payload type T of
+  /// `kind`; not at all for the kinds without a payload.
+  template <typename F>
+  static void WithPayloadType(PatternKind kind, F&& f);
+  /// An exact-size array of `n` nodes on `mr`, node i built from
+  /// `make(i)`; nullptr for n == 0. A throw frees what was built.
+  template <typename F>
+  static Pattern* NewArray(size_t n, std::pmr::memory_resource* mr, F&& make);
+  /// A deep copy of `o` with every node, child array and payload on `mr`.
+  static Pattern Clone(const Pattern& o, std::pmr::memory_resource* mr);
+  [[noreturn]] void BadKind() const;
+
+  template <typename T>
+  T* Payload(bool kind_matches) const {
+    if (!kind_matches) [[unlikely]] BadKind();
+    return static_cast<T*>(payload_);
+  }
+  bool IsGraphOrService() const {
+    return kind_ == PatternKind::kGraph || kind_ == PatternKind::kService;
+  }
+  /// Destroys the children and the payload, leaving an empty group.
+  void Release();
+  /// Destroys the children and frees their array.
+  void ReleaseChildren();
+  /// Drops ownership without destroying: the node reads as an empty
+  /// group (after its contents moved elsewhere).
+  void Forget() {
+    payload_ = nullptr;
+    children_ = nullptr;
+    num_children_ = 0;
+    kind_ = PatternKind::kGroup;
+  }
+
+  std::pmr::memory_resource* mr_ = std::pmr::get_default_resource();
+  void* payload_ = nullptr;
+  Pattern* children_ = nullptr;
+  uint32_t num_children_ = 0;
+  PatternKind kind_ = PatternKind::kGroup;
 };
 
 // ---------------------------------------------------------------------------
@@ -343,7 +490,7 @@ struct Query {
         construct_template(mr),
         describe_targets(mr),
         dataset(mr),
-        where(mr),
+        where(PatternKind::kGroup, mr),
         group_by(mr),
         having(mr),
         order_by(mr) {}
@@ -372,7 +519,7 @@ bool ForEachVariable(const TriplePattern& t, F&& f) {
   if (t.subject.is_variable() && !f(std::string_view(t.subject.value))) {
     return false;
   }
-  if (!t.has_path && t.predicate.is_variable() &&
+  if (!t.has_path() && t.predicate.is_variable() &&
       !f(std::string_view(t.predicate.value))) {
     return false;
   }
@@ -398,29 +545,29 @@ bool ForEachVariable(const Pattern& p, F&& f) {
   auto term = [&f](const Term& t) {
     return !t.is_variable() || f(std::string_view(t.value));
   };
-  switch (p.kind) {
+  switch (p.kind()) {
     case PatternKind::kTriple:
-      return ForEachVariable(p.triple, f);
+      return ForEachVariable(p.triple(), f);
     case PatternKind::kFilter:
-      return ForEachVariable(p.expr, f);
+      return ForEachVariable(p.expr(), f);
     case PatternKind::kBind:
-      return ForEachVariable(p.expr, f) && term(p.var);
+      return ForEachVariable(p.expr(), f) && term(p.var());
     case PatternKind::kValues:
-      for (const Term& v : p.values_vars) {
+      for (const Term& v : p.values().vars) {
         if (!term(v)) return false;
       }
       return true;
     case PatternKind::kGraph:
     case PatternKind::kService:
-      if (!term(p.graph)) return false;
+      if (!term(p.graph())) return false;
       break;
     case PatternKind::kSubSelect:
-      return !(p.subquery && p.subquery->has_body) ||
-             ForEachVariable(p.subquery->where, f);
+      return !p.subquery().has_body ||
+             ForEachVariable(p.subquery().where, f);
     default:
       break;
   }
-  for (const Pattern& c : p.children) {
+  for (const Pattern& c : p.children()) {
     if (!ForEachVariable(c, f)) return false;
   }
   return true;
@@ -434,36 +581,37 @@ bool ForEachInScopeVariable(const Pattern& p, F&& f) {
   auto term = [&f](const Term& t) {
     return !t.is_variable() || f(std::string_view(t.value));
   };
-  switch (p.kind) {
+  switch (p.kind()) {
     case PatternKind::kTriple:
-      return ForEachVariable(p.triple, f);
+      return ForEachVariable(p.triple(), f);
     case PatternKind::kFilter:
     case PatternKind::kMinus:
       return true;
     case PatternKind::kBind:
-      return term(p.var);
+      return term(p.var());
     case PatternKind::kValues:
-      for (const Term& v : p.values_vars) {
+      for (const Term& v : p.values().vars) {
         if (!term(v)) return false;
       }
       return true;
     case PatternKind::kGraph:
     case PatternKind::kService:
-      if (!term(p.graph)) return false;
+      if (!term(p.graph())) return false;
       break;
-    case PatternKind::kSubSelect:
-      if (!p.subquery) return true;
-      if (p.subquery->select_star && p.subquery->has_body) {
-        return ForEachInScopeVariable(p.subquery->where, f);
+    case PatternKind::kSubSelect: {
+      const Query& sub = p.subquery();
+      if (sub.select_star && sub.has_body) {
+        return ForEachInScopeVariable(sub.where, f);
       }
-      for (const SelectItem& item : p.subquery->select_items) {
+      for (const SelectItem& item : sub.select_items) {
         if (!f(std::string_view(item.var.value))) return false;
       }
       return true;
+    }
     default:
       break;
   }
-  for (const Pattern& c : p.children) {
+  for (const Pattern& c : p.children()) {
     if (!ForEachInScopeVariable(c, f)) return false;
   }
   return true;

@@ -4,7 +4,9 @@
 #include <array>
 #include <charconv>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "sparql/lexer.h"
 #include "util/strings.h"
@@ -81,11 +83,19 @@ const std::string_view* FindDefaultPrefix(std::string_view prefix) {
 class Impl {
  public:
   Impl(const TokenStream& tokens, std::pmr::memory_resource* mr,
-       util::StringInterner* pname_cache)
+       util::StringInterner* pname_cache, std::vector<Pattern>& stack)
       : tokens_(tokens.tokens()),
         mr_(mr),
         pname_cache_(pname_cache),
-        local_prefixes_(mr) {}
+        stack_(stack),
+        local_prefixes_(mr) {
+    stack_.clear();
+  }
+  /// A failed parse leaves nodes on the stack; they go before the
+  /// arena they point into can be reset.
+  ~Impl() { stack_.clear(); }
+  Impl(const Impl&) = delete;
+  Impl& operator=(const Impl&) = delete;
 
   Result<Query> ParseQueryUnit() {
     Query q(mr_);
@@ -382,15 +392,12 @@ class Impl {
     }
     // The template doubles as the pattern. Copy-assign into
     // mr_-constructed triples: the copies stay on the parse resource.
-    AstVector<Pattern> children(mr_);
-    children.reserve(q.construct_template.size());
+    const size_t base = stack_.size();
     for (const TriplePattern& tp : q.construct_template) {
-      TriplePattern copy(mr_);
-      copy = tp;
-      children.push_back(Pattern::Triple(std::move(copy)));
+      stack_.emplace_back(PatternKind::kTriple, mr_).triple() = tp;
     }
     q.has_body = true;
-    q.where = Pattern::Group(std::move(children));
+    q.where = TakeChildren(PatternKind::kGroup, base);
     return ParseSolutionModifier(q);
   }
 
@@ -561,46 +568,41 @@ class Impl {
       if (auto s = Expect(TokenType::kRBrace, "subquery"); !s.ok()) return s;
       return sub;
     }
-    AstVector<Pattern> children(mr_);
-    if (auto s = ParseTriplesBlock(children); !s.ok()) return s;
+    // Members collect on the stack and move into one exact-size array
+    // when the group closes; nested groups stack above them.
+    const size_t base = stack_.size();
+    if (auto s = ParseTriplesBlock(); !s.ok()) return s;
     while (!Is(TokenType::kRBrace)) {
       if (Is(TokenType::kEof)) return Err("unterminated group graph pattern");
       if (IsKeyword("FILTER")) {
         Bump();
         Result<Expr> e = ParseConstraint();
         if (!e.ok()) return e.status();
-        children.push_back(Pattern::Filter(std::move(e).value()));
+        stack_.emplace_back(PatternKind::kFilter, mr_).expr() =
+            std::move(e).value();
       } else if (IsKeyword("OPTIONAL")) {
         Bump();
         Result<Pattern> body = ParseGroupGraphPattern();
         if (!body.ok()) return body;
-        children.push_back(Pattern::Optional(std::move(body).value()));
+        stack_.push_back(Pattern::Optional(std::move(body).value()));
       } else if (IsKeyword("MINUS")) {
         Bump();
         Result<Pattern> body = ParseGroupGraphPattern();
         if (!body.ok()) return body;
-        children.push_back(Pattern::Minus(std::move(body).value()));
-      } else if (IsKeyword("GRAPH")) {
+        stack_.push_back(Pattern::Minus(std::move(body).value()));
+      } else if (IsKeyword("GRAPH") || IsKeyword("SERVICE")) {
+        const bool service = IsKeyword("SERVICE");
         Bump();
+        const bool silent = service && AcceptKeyword("SILENT");
         Result<Term> iv = ParseVarOrIri();
         if (!iv.ok()) return iv.status();
         Result<Pattern> body = ParseGroupGraphPattern();
         if (!body.ok()) return body;
-        children.push_back(
-            Pattern::Graph(std::move(iv).value(), std::move(body).value()));
-      } else if (IsKeyword("SERVICE")) {
-        Bump();
-        bool silent = AcceptKeyword("SILENT");
-        Result<Term> iv = ParseVarOrIri();
-        if (!iv.ok()) return iv.status();
-        Result<Pattern> body = ParseGroupGraphPattern();
-        if (!body.ok()) return body;
-        Pattern p(mr_);
-        p.kind = PatternKind::kService;
-        p.graph = std::move(iv).value();
-        p.silent = silent;
-        p.children.push_back(std::move(body).value());
-        children.push_back(std::move(p));
+        Pattern p(service ? PatternKind::kService : PatternKind::kGraph, mr_);
+        p.graph() = std::move(iv).value();
+        if (silent) p.set_silent(true);
+        p.SetChildren({&body.value(), 1});
+        stack_.push_back(std::move(p));
       } else if (IsKeyword("BIND")) {
         Bump();
         if (auto s = Expect(TokenType::kLParen, "BIND"); !s.ok()) return s;
@@ -608,80 +610,83 @@ class Impl {
         if (!e.ok()) return e.status();
         if (!AcceptKeyword("AS")) return Err("expected AS in BIND");
         if (!Is(TokenType::kVar)) return Err("expected variable in BIND");
-        Pattern p(mr_);
-        p.kind = PatternKind::kBind;
-        p.expr = std::move(e).value();
-        p.var = Term::Var(Cur().value, mr_);
+        Pattern p(PatternKind::kBind, mr_);
+        p.expr() = std::move(e).value();
+        p.var() = Term::Var(Cur().value, mr_);
         Bump();
         if (auto s = Expect(TokenType::kRParen, "BIND"); !s.ok()) return s;
-        children.push_back(std::move(p));
+        stack_.push_back(std::move(p));
       } else if (IsKeyword("VALUES")) {
         Result<Pattern> values = ParseInlineData();
         if (!values.ok()) return values;
-        children.push_back(std::move(values).value());
+        stack_.push_back(std::move(values).value());
       } else if (Is(TokenType::kLBrace)) {
         Result<Pattern> gu = ParseGroupOrUnion();
         if (!gu.ok()) return gu;
-        children.push_back(std::move(gu).value());
+        stack_.push_back(std::move(gu).value());
       } else {
         return Err("unexpected " + std::string(TokenTypeName(Cur().type)) +
                    " in group graph pattern");
       }
       Accept(TokenType::kDot);
-      if (auto s = ParseTriplesBlock(children); !s.ok()) return s;
+      if (auto s = ParseTriplesBlock(); !s.ok()) return s;
     }
     Bump();  // '}'
-    return Pattern::Group(std::move(children));
+    return TakeChildren(PatternKind::kGroup, base);
   }
 
   Result<Pattern> ParseGroupOrUnion() {
     Result<Pattern> first = ParseGroupGraphPattern();
     if (!first.ok()) return first;
     if (!IsKeyword("UNION")) return first;
-    AstVector<Pattern> branches(mr_);
-    branches.push_back(std::move(first).value());
+    const size_t base = stack_.size();
+    stack_.push_back(std::move(first).value());
     while (AcceptKeyword("UNION")) {
       Result<Pattern> next = ParseGroupGraphPattern();
       if (!next.ok()) return next;
-      branches.push_back(std::move(next).value());
+      stack_.push_back(std::move(next).value());
     }
-    return Pattern::Union(std::move(branches));
+    return TakeChildren(PatternKind::kUnion, base);
+  }
+
+  /// A node of `kind` whose children are the stack entries from `base`
+  /// up, moved into one exact-size array; pops them.
+  Pattern TakeChildren(PatternKind kind, size_t base) {
+    Pattern p(kind, mr_);
+    p.SetChildren(std::span<Pattern>(stack_).subspan(base));
+    stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(base),
+                 stack_.end());
+    return p;
   }
 
   Result<Pattern> ParseSubSelect() {
-    // allocate_shared keeps the control block and the subquery on the
-    // parse resource: the scratch path stays heap-free, the heap path
-    // is unchanged (the default resource is operator new).
-    auto sub = std::allocate_shared<Query>(
-        std::pmr::polymorphic_allocator<Query>(mr_), mr_);
+    // The subquery is the node's payload, parsed in place.
+    Pattern p(PatternKind::kSubSelect, mr_);
+    Query& sub = p.subquery();
     // Inherit the outer prologue; subqueries cannot re-declare prefixes.
-    if (auto s = ParseSelectClause(*sub); !s.ok()) return s;
-    if (auto s = ParseWhereClause(*sub); !s.ok()) return s;
-    if (auto s = ParseSolutionModifier(*sub); !s.ok()) return s;
+    if (auto s = ParseSelectClause(sub); !s.ok()) return s;
+    if (auto s = ParseWhereClause(sub); !s.ok()) return s;
+    if (auto s = ParseSolutionModifier(sub); !s.ok()) return s;
     if (IsKeyword("VALUES")) {
       Result<Pattern> values = ParseInlineData();
       if (!values.ok()) return values.status();
-      sub->trailing_values = std::move(values).value();
+      sub.trailing_values = std::move(values).value();
     }
-    sub->form = QueryForm::kSelect;
-    Pattern p(mr_);
-    p.kind = PatternKind::kSubSelect;
-    p.subquery = std::move(sub);
     return p;
   }
 
   Result<Pattern> ParseInlineData() {
     Bump();  // VALUES
-    Pattern p(mr_);
-    p.kind = PatternKind::kValues;
+    Pattern p(PatternKind::kValues, mr_);
+    ValuesTable& table = p.values();
     bool multi = false;
     if (Is(TokenType::kVar)) {
-      p.values_vars.push_back(Term::Var(Cur().value, mr_));
+      table.vars.push_back(Term::Var(Cur().value, mr_));
       Bump();
     } else if (Accept(TokenType::kLParen)) {
       multi = true;
       while (Is(TokenType::kVar)) {
-        p.values_vars.push_back(Term::Var(Cur().value, mr_));
+        table.vars.push_back(Term::Var(Cur().value, mr_));
         Bump();
       }
       if (auto s = Expect(TokenType::kRParen, "VALUES vars"); !s.ok()) {
@@ -709,7 +714,7 @@ class Impl {
         if (!v.ok()) return v.status();
         row.push_back(std::move(v).value());
       }
-      p.values_rows.push_back(std::move(row));
+      table.rows.push_back(std::move(row));
     }
     Bump();  // '}'
     return p;
@@ -747,37 +752,40 @@ class Impl {
     }
   }
 
-  Status ParseTriplesBlock(AstVector<Pattern>& out) {
+  /// Pushes the block's triples onto the stack.
+  Status ParseTriplesBlock() {
     while (StartsTriple()) {
-      if (auto s = ParseTriplesSameSubject(out); !s.ok()) return s;
+      if (auto s = ParseTriplesSameSubject(); !s.ok()) return s;
       if (!Accept(TokenType::kDot)) break;
     }
     return Status::OK();
   }
 
   Status ParseTriplesTemplate(AstVector<TriplePattern>& out) {
-    AstVector<Pattern> tmp(mr_);
-    if (auto s = ParseTriplesBlock(tmp); !s.ok()) return s;
-    for (Pattern& p : tmp) {
-      if (p.kind == PatternKind::kTriple) {
-        if (p.triple.has_path) {
-          return Err("property path not allowed in CONSTRUCT template");
-        }
-        out.push_back(std::move(p.triple));
+    const size_t base = stack_.size();
+    if (auto s = ParseTriplesBlock(); !s.ok()) return s;
+    std::span<Pattern> block = std::span<Pattern>(stack_).subspan(base);
+    out.reserve(out.size() + block.size());
+    for (Pattern& p : block) {
+      if (p.triple().has_path()) {
+        return Err("property path not allowed in CONSTRUCT template");
       }
+      out.push_back(std::move(p.triple()));
     }
+    stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(base),
+                 stack_.end());
     return Status::OK();
   }
 
-  Status ParseTriplesSameSubject(AstVector<Pattern>& out) {
-    Result<Term> subject = ParseVarOrTermOrNode(out);
+  Status ParseTriplesSameSubject() {
+    Result<Term> subject = ParseVarOrTermOrNode();
     if (!subject.ok()) return subject.status();
     // A bare blank-node property list `[ ... ]` may omit the property list.
     if (!StartsVerb()) {
       if (last_node_had_props_) return Status::OK();
       return Err("expected predicate");
     }
-    return ParsePropertyList(subject.value(), out);
+    return ParsePropertyList(subject.value());
   }
 
   bool StartsVerb() const {
@@ -796,38 +804,65 @@ class Impl {
     }
   }
 
-  Status ParsePropertyList(const Term& subject, AstVector<Pattern>& out) {
+  /// True at a verb that is one IRI with no path operator after it:
+  /// the predicate term then comes straight from the IRI.
+  bool AtPlainIriVerb() const {
+    if (!Is(TokenType::kIriRef) && !Is(TokenType::kPName) && !IsKeyword("a")) {
+      return false;
+    }
+    switch (Ahead(1).type) {
+      case TokenType::kStar:
+      case TokenType::kPlus:
+      case TokenType::kQuestion:
+      case TokenType::kSlash:
+      case TokenType::kPipe:
+        return false;
+      default:
+        return true;
+    }
+  }
+
+  Status ParsePropertyList(const Term& subject) {
     for (;;) {
-      // Verb: variable or property path (a bare IRI is a trivial path).
-      bool is_var_verb = Is(TokenType::kVar);
-      Term var_verb(mr_);
+      // Verb: a variable, a plain IRI, or a property path.
+      Term verb(mr_);
       PathExpr path(mr_);
-      if (is_var_verb) {
-        var_verb = Term::Var(Cur().value, mr_);
+      bool is_path = false;
+      if (Is(TokenType::kVar)) {
+        verb = Term::Var(Cur().value, mr_);
         Bump();
+      } else if (AtPlainIriVerb()) {
+        // The path route would pass one more depth guard; keep its cap.
+        if (depth_ + 1 > Parser::kMaxRecursionDepth) return DepthErr();
+        Result<Term> iri = ParseIri();
+        if (!iri.ok()) return iri.status();
+        verb = std::move(iri).value();
       } else {
         Result<PathExpr> p = ParsePath();
         if (!p.ok()) return p.status();
-        path = std::move(p).value();
-      }
-      // Object list. The subject and verb are shared across the list,
-      // so copy-assign them into mr_-constructed triples (keeps the
-      // copies on the parse resource).
-      for (;;) {
-        Result<Term> object = ParseVarOrTermOrNode(out);
-        if (!object.ok()) return object.status();
-        TriplePattern tp(mr_);
-        tp.subject = subject;
-        if (is_var_verb) {
-          tp.predicate = var_verb;
-        } else if (path.IsSimpleLink()) {
-          tp.predicate = Term::Iri(path.iri, mr_);
+        if (p.value().IsSimpleLink()) {
+          verb = Term::Iri(p.value().iri, mr_);
         } else {
-          tp.has_path = true;
-          tp.path = path;
+          path = std::move(p).value();
+          is_path = true;
+        }
+      }
+      // Object list. Each triple is built in place on the stack, after
+      // its object (whose blank-node or collection triples go first).
+      // The subject and verb are shared across the list, so they are
+      // copy-assigned (the copies stay on the parse resource).
+      for (;;) {
+        Result<Term> object = ParseVarOrTermOrNode();
+        if (!object.ok()) return object.status();
+        TriplePattern& tp =
+            stack_.emplace_back(PatternKind::kTriple, mr_).triple();
+        tp.subject = subject;
+        if (is_path) {
+          tp.set_path(path);
+        } else {
+          tp.predicate = verb;
         }
         tp.object = std::move(object).value();
-        out.push_back(Pattern::Triple(std::move(tp)));
         if (!Accept(TokenType::kComma)) break;
       }
       if (!Accept(TokenType::kSemicolon)) return Status::OK();
@@ -839,9 +874,9 @@ class Impl {
   }
 
   /// Parses a subject/object position: a variable, a graph term, a
-  /// blank-node property list, or an RDF collection. Emits auxiliary
-  /// triples for the latter two into `out`.
-  Result<Term> ParseVarOrTermOrNode(AstVector<Pattern>& out) {
+  /// blank-node property list, or an RDF collection. Pushes auxiliary
+  /// triples for the latter two onto the stack.
+  Result<Term> ParseVarOrTermOrNode() {
     // Blank-node property lists and collections nest through here
     // ("[[[[..." / "((((..."), so this is a recursion entry point too.
     DepthGuard depth(this);
@@ -858,7 +893,7 @@ class Impl {
       if (Accept(TokenType::kRBracket)) {
         return blank;  // ANON
       }
-      if (auto s = ParsePropertyList(blank, out); !s.ok()) return s;
+      if (auto s = ParsePropertyList(blank); !s.ok()) return s;
       if (auto s = Expect(TokenType::kRBracket, "blank node property list");
           !s.ok()) {
         return s;
@@ -873,7 +908,7 @@ class Impl {
       AstVector<Term> elements(mr_);
       while (!Is(TokenType::kRParen)) {
         if (Is(TokenType::kEof)) return Err("unterminated collection");
-        Result<Term> e = ParseVarOrTermOrNode(out);
+        Result<Term> e = ParseVarOrTermOrNode();
         if (!e.ok()) return e;
         elements.push_back(std::move(e).value());
       }
@@ -881,18 +916,18 @@ class Impl {
       Term head = Term::Blank(FreshBlank(), mr_);
       Term cur = head;  // blank labels are SSO-small; copying is free
       for (size_t i = 0; i < elements.size(); ++i) {
-        TriplePattern first(mr_);
+        TriplePattern& first =
+            stack_.emplace_back(PatternKind::kTriple, mr_).triple();
         first.subject = cur;
         first.predicate = Term::Iri(kRdfFirst, mr_);
         first.object = std::move(elements[i]);
-        out.push_back(Pattern::Triple(std::move(first)));
         Term next = (i + 1 == elements.size()) ? Term::Iri(kRdfNil, mr_)
                                                : Term::Blank(FreshBlank(), mr_);
-        TriplePattern rest(mr_);
+        TriplePattern& rest =
+            stack_.emplace_back(PatternKind::kTriple, mr_).triple();
         rest.subject = cur;
         rest.predicate = Term::Iri(kRdfRest, mr_);
         rest.object = next;
-        out.push_back(Pattern::Triple(std::move(rest)));
         cur = std::move(next);
       }
       last_node_had_props_ = true;
@@ -1434,6 +1469,8 @@ class Impl {
   size_t idx_ = 0;
   std::pmr::memory_resource* mr_;
   util::StringInterner* pname_cache_;
+  /// Children of the groups and unions being parsed (see TakeChildren).
+  std::vector<Pattern>& stack_;
   /// PREFIX declarations of this query, as views into token storage.
   /// A handful per query at most, so a reverse linear scan beats a map
   /// (and lives on the parse resource, not the heap).
@@ -1452,7 +1489,8 @@ Result<Query> Parser::Parse(std::string_view text) const {
   // alive for the whole parse; the AST copies what it keeps.
   Result<TokenStream> tokens = Lexer::Tokenize(text);
   if (!tokens.ok()) return tokens.status();
-  Impl impl(tokens.value(), std::pmr::get_default_resource(), nullptr);
+  std::vector<Pattern> stack;
+  Impl impl(tokens.value(), std::pmr::get_default_resource(), nullptr, stack);
   return impl.ParseQueryUnit();
 }
 
@@ -1463,7 +1501,8 @@ Result<Query> Parser::Parse(std::string_view text,
   // The AST copies every token value it keeps onto the arena, so the
   // token buffer can be clobbered by the next parse on this scratch
   // while earlier Queries stay valid (until scratch.Reset()).
-  Impl impl(scratch.tokens, &scratch.arena, &scratch.pnames);
+  Impl impl(scratch.tokens, &scratch.arena, &scratch.pnames,
+            scratch.patterns);
   return impl.ParseQueryUnit();
 }
 

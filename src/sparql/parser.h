@@ -2,6 +2,7 @@
 #define SPARQLOG_SPARQL_PARSER_H_
 
 #include <string_view>
+#include <vector>
 
 #include "sparql/ast.h"
 #include "sparql/lexer.h"
@@ -28,6 +29,10 @@ struct ParserScratch {
   util::ArenaResource arena;
   TokenStream tokens;
   util::StringInterner pnames;
+  /// The parser's child stack: members of open groups wait here until
+  /// the group closes and takes them as one exact-size array. Empty
+  /// between parses; only its capacity is reused.
+  std::vector<Pattern> patterns;
 
   /// Invalidates every Query previously parsed into this scratch.
   void Reset() { arena.Reset(); }

@@ -120,10 +120,10 @@ class Writer {
   }
 
   void WritePattern(const Pattern& p, int indent) {
-    switch (p.kind) {
+    switch (p.kind()) {
       case PatternKind::kGroup: {
         Put("{\n");
-        for (const Pattern& c : p.children) {
+        for (const Pattern& c : p.children()) {
           WritePattern(c, indent + 1);
         }
         PutIndent(indent);
@@ -132,20 +132,20 @@ class Writer {
       }
       case PatternKind::kTriple:
         PutIndent(indent);
-        WriteTriple(p.triple);
+        WriteTriple(p.triple());
         Put(" .\n");
         return;
       case PatternKind::kFilter:
         PutIndent(indent);
         Put("FILTER ");
-        WriteExpr(p.expr);
+        WriteExpr(p.expr());
         Put("\n");
         return;
       case PatternKind::kUnion: {
         PutIndent(indent);
-        for (size_t i = 0; i < p.children.size(); ++i) {
+        for (size_t i = 0; i < p.children().size(); ++i) {
           if (i > 0) Put(" UNION ");
-          WritePattern(p.children[i], indent);
+          WritePattern(p.children()[i], indent);
         }
         Put("\n");
         return;
@@ -153,49 +153,49 @@ class Writer {
       case PatternKind::kOptional:
         PutIndent(indent);
         Put("OPTIONAL ");
-        WritePattern(p.children[0], indent);
+        WritePattern(p.children()[0], indent);
         Put("\n");
         return;
       case PatternKind::kMinus:
         PutIndent(indent);
         Put("MINUS ");
-        WritePattern(p.children[0], indent);
+        WritePattern(p.children()[0], indent);
         Put("\n");
         return;
       case PatternKind::kGraph:
         PutIndent(indent);
         Put("GRAPH ");
-        WriteTerm(p.graph);
+        WriteTerm(p.graph());
         Put(" ");
-        WritePattern(p.children[0], indent);
+        WritePattern(p.children()[0], indent);
         Put("\n");
         return;
       case PatternKind::kService:
         PutIndent(indent);
         Put("SERVICE ");
-        if (p.silent) Put("SILENT ");
-        WriteTerm(p.graph);
+        if (p.silent()) Put("SILENT ");
+        WriteTerm(p.graph());
         Put(" ");
-        WritePattern(p.children[0], indent);
+        WritePattern(p.children()[0], indent);
         Put("\n");
         return;
       case PatternKind::kBind:
         PutIndent(indent);
         Put("BIND(");
-        WriteExpr(p.expr);
+        WriteExpr(p.expr());
         Put(" AS ");
-        WriteTerm(p.var);
+        WriteTerm(p.var());
         Put(")\n");
         return;
       case PatternKind::kValues: {
         PutIndent(indent);
         Put("VALUES (");
-        for (size_t i = 0; i < p.values_vars.size(); ++i) {
+        for (size_t i = 0; i < p.values().vars.size(); ++i) {
           if (i > 0) Put(" ");
-          WriteTerm(p.values_vars[i]);
+          WriteTerm(p.values().vars[i]);
         }
         Put(") {\n");
-        for (const auto& row : p.values_rows) {
+        for (const auto& row : p.values().rows) {
           PutIndent(indent + 1);
           Put("(");
           for (size_t i = 0; i < row.size(); ++i) {
@@ -216,9 +216,9 @@ class Writer {
         PutIndent(indent);
         Put("{\n");
         PutIndent(indent + 1);
-        if (p.subquery) {
+        {
           // Serialize the subquery without a prologue.
-          const Query& sub = *p.subquery;
+          const Query& sub = p.subquery();
           WriteSelectClause(sub);
           Put(" WHERE ");
           if (sub.has_body) WritePattern(sub.where, indent + 1);
@@ -320,8 +320,8 @@ class Writer {
   void WriteTriple(const TriplePattern& tp) {
     WriteTerm(tp.subject);
     Put(" ");
-    if (tp.has_path) {
-      WritePath(tp.path);
+    if (tp.has_path()) {
+      WritePath(tp.path());
     } else {
       WriteTerm(tp.predicate);
     }

@@ -62,6 +62,31 @@ std::string DiffParsedLines(const corpus::ParsedLine& a,
 
 }  // namespace
 
+corpus::ParsedLine ParseLogLine(const sparql::Parser& parser,
+                                std::string_view line,
+                                std::string& decode_buf) {
+  corpus::ParsedLine out;
+  std::optional<std::string_view> text =
+      corpus::ExtractQueryText(line, decode_buf);
+  if (!text.has_value()) return out;  // non-query noise
+  out.is_query = true;
+  util::Result<sparql::Query> parsed = parser.Parse(*text);
+  if (!parsed.ok()) {
+    out.line_hash = corpus::HashBytes(line);
+    return out;
+  }
+  out.valid = true;
+  out.canonical_hash = sparql::CanonicalHash(parsed.value());
+  out.query = std::move(parsed).value();
+  return out;
+}
+
+corpus::ParsedLine ParseLogLine(const sparql::Parser& parser,
+                                const std::string& line) {
+  std::string decode_buf;
+  return ParseLogLine(parser, std::string_view(line), decode_buf);
+}
+
 std::optional<Violation> CheckQuery(const sparql::Parser& parser,
                                     const sparql::Query& q) {
   std::string s0 = sparql::Serialize(q);
@@ -104,9 +129,8 @@ std::optional<Violation> CheckQueryText(const sparql::Parser& parser,
 std::optional<Violation> CheckLogLine(sparql::Parser& parser,
                                       std::string_view line) {
   std::string decode_buf;
-  corpus::ParsedLine scratch = corpus::ParseLogLine(parser, line, decode_buf);
-  corpus::ParsedLine owned =
-      corpus::ParseLogLine(parser, std::string(line));
+  corpus::ParsedLine scratch = ParseLogLine(parser, line, decode_buf);
+  corpus::ParsedLine owned = ParseLogLine(parser, std::string(line));
   if (std::string diff = DiffParsedLines(scratch, owned); !diff.empty()) {
     return Violate("logline-overload-agreement",
                    "scratch-buffer and convenience overloads disagree: " +
@@ -114,7 +138,7 @@ std::optional<Violation> CheckLogLine(sparql::Parser& parser,
                    line);
   }
   std::string decode_buf2;
-  corpus::ParsedLine again = corpus::ParseLogLine(parser, line, decode_buf2);
+  corpus::ParsedLine again = ParseLogLine(parser, line, decode_buf2);
   if (std::string diff = DiffParsedLines(scratch, again); !diff.empty()) {
     return Violate("logline-determinism",
                    "same line parsed twice differs: " + diff, line);
@@ -156,7 +180,7 @@ std::optional<Violation> CheckLogLineScratch(sparql::Parser& parser,
                                              std::string_view line,
                                              corpus::ParseScratch& scratch) {
   corpus::ParsedLine arena = corpus::ParseLogLine(parser, line, scratch);
-  corpus::ParsedLine heap = corpus::ParseLogLine(parser, std::string(line));
+  corpus::ParsedLine heap = ParseLogLine(parser, std::string(line));
   if (std::string diff = DiffParsedLines(arena, heap); !diff.empty()) {
     return Violate("logline-scratch-agreement",
                    "arena-scratch and heap overloads disagree: " + diff, line);

@@ -26,6 +26,18 @@ struct Violation {
   std::string input;
 };
 
+/// The heap reference for `corpus::ParseLogLine`: the same cleaning,
+/// parse and hash, with the query parsed onto the heap (one allocation
+/// per node, no scratch to alias). The oracle CheckLogLineScratch and
+/// the tests diff the production scratch path against. `decode_buf` is
+/// URL-decode scratch, reused across lines.
+corpus::ParsedLine ParseLogLine(const sparql::Parser& parser,
+                                std::string_view line,
+                                std::string& decode_buf);
+/// Same, with a private decode buffer.
+corpus::ParsedLine ParseLogLine(const sparql::Parser& parser,
+                                const std::string& line);
+
 /// Checks the serializer/parser invariants on an AST:
 ///  * serializer closure — Serialize(q) must re-parse;
 ///  * round-trip idempotence — Serialize(Parse(Serialize(q))) == Serialize(q);
@@ -42,7 +54,7 @@ std::optional<Violation> CheckQueryText(const sparql::Parser& parser,
                                         std::string_view text);
 
 /// Checks the log-ingest invariants on one raw line:
-///  * both ParseLogLine overloads agree field for field;
+///  * both heap ParseLogLine overloads above agree field for field;
 ///  * parsing the same line twice is deterministic;
 ///  * classification matches ExtractQueryText;
 ///  * valid entries: canonical_hash equals the FNV of the canonical
@@ -52,10 +64,10 @@ std::optional<Violation> CheckLogLine(sparql::Parser& parser,
                                       std::string_view line);
 
 /// Arena-path variant of CheckLogLine: parses `line` through the
-/// ParseScratch overload — reusing `scratch` across calls is the point,
-/// the caller owns the Reset cadence — and diffs every field plus the
-/// canonical serialization against the heap overload (the
-/// allocation-per-node differential oracle). Also checks detach
+/// production `corpus::ParseLogLine` — reusing `scratch` across calls is
+/// the point, the caller owns the Reset cadence — and diffs every field
+/// plus the canonical serialization against the heap ParseLogLine above
+/// (the allocation-per-node differential oracle). Also checks detach
 /// semantics: plain-copying the arena-built Query must yield an
 /// independent heap AST with an identical serialization.
 std::optional<Violation> CheckLogLineScratch(sparql::Parser& parser,

@@ -285,11 +285,10 @@ Pattern QueryFuzzer::GenTriple() {
 
 Pattern QueryFuzzer::GenValues() {
   ++coverage_.patterns[static_cast<size_t>(PatternKind::kValues)];
-  Pattern p;
-  p.kind = PatternKind::kValues;
+  Pattern p(PatternKind::kValues);
   size_t vars = 1 + rng_.Below(3);
   for (size_t i = 0; i < vars; ++i) {
-    p.values_vars.push_back(Term::Var(termgen::VariableName(rng_)));
+    p.values().vars.push_back(Term::Var(termgen::VariableName(rng_)));
   }
   size_t rows = rng_.Below(3);
   termgen::TermGenOptions cell_options;
@@ -304,34 +303,32 @@ Pattern QueryFuzzer::GenValues() {
         row.push_back(GenTerm(cell_options));
       }
     }
-    p.values_rows.push_back(std::move(row));
+    p.values().rows.push_back(std::move(row));
   }
   return p;
 }
 
 Pattern QueryFuzzer::GenSubSelect(int depth) {
   ++coverage_.patterns[static_cast<size_t>(PatternKind::kSubSelect)];
-  auto sub = std::make_shared<Query>();
-  sub->form = QueryForm::kSelect;
+  Pattern p(PatternKind::kSubSelect);
+  Query& sub = p.subquery();
+  sub.form = QueryForm::kSelect;
   if (rng_.Chance(0.3)) {
-    sub->select_star = true;
+    sub.select_star = true;
   } else {
     size_t n = 1 + rng_.Below(2);
     for (size_t i = 0; i < n; ++i) {
       sparql::SelectItem item;
       item.var = Term::Var(termgen::VariableName(rng_));
       if (rng_.Chance(0.3)) item.expr = GenExpr(1, true);
-      sub->select_items.push_back(std::move(item));
+      sub.select_items.push_back(std::move(item));
     }
   }
-  if (rng_.Chance(0.3)) sub->distinct = true;
-  sub->has_body = true;
-  sub->where = GenGroup(depth - 1);
-  if (rng_.Chance(0.3)) sub->limit = rng_.Below(1000);
-  if (rng_.Chance(0.2)) sub->offset = rng_.Below(100);
-  Pattern p;
-  p.kind = PatternKind::kSubSelect;
-  p.subquery = std::move(sub);
+  if (rng_.Chance(0.3)) sub.distinct = true;
+  sub.has_body = true;
+  sub.where = GenGroup(depth - 1);
+  if (rng_.Chance(0.3)) sub.limit = rng_.Below(1000);
+  if (rng_.Chance(0.2)) sub.offset = rng_.Below(100);
   return p;
 }
 
@@ -350,10 +347,9 @@ Pattern QueryFuzzer::GenGroupChild(int depth) {
     }
     case 5: {
       ++coverage_.patterns[static_cast<size_t>(PatternKind::kBind)];
-      Pattern p;
-      p.kind = PatternKind::kBind;
-      p.expr = GenExpr(2, false);
-      p.var = Term::Var(termgen::VariableName(rng_));
+      Pattern p(PatternKind::kBind);
+      p.expr() = GenExpr(2, false);
+      p.var() = Term::Var(termgen::VariableName(rng_));
       return p;
     }
     case 6:
@@ -379,11 +375,11 @@ Pattern QueryFuzzer::GenGroupChild(int depth) {
     }
     case 12: {
       ++coverage_.patterns[static_cast<size_t>(PatternKind::kService)];
-      Pattern p;
-      p.kind = PatternKind::kService;
-      p.graph = GenVarOrIri();
-      p.silent = rng_.Chance(0.3);
-      p.children.push_back(GenGroup(depth - 1));
+      Pattern p(PatternKind::kService);
+      p.graph() = GenVarOrIri();
+      p.set_silent(rng_.Chance(0.3));
+      Pattern body = GenGroup(depth - 1);
+      p.SetChildren({&body, 1});
       return p;
     }
     case 13:
@@ -416,18 +412,18 @@ sparql::AstVector<Pattern> QueryFuzzer::GenBaseTriples() {
         skeletons_[rng_.Below(skeletons_.size())];
     ++coverage_.gmark_skeletons;
     ++coverage_.shapes[static_cast<size_t>(skeleton.shape)];
-    sparql::AstVector<Pattern> children = skeleton.sparql.where.children;
+    const std::span<const Pattern> skeleton_children =
+        skeleton.sparql.where.children();
+    sparql::AstVector<Pattern> children(skeleton_children.begin(),
+                                        skeleton_children.end());
     for (Pattern& child : children) {
-      if (child.kind == PatternKind::kTriple) {
+      if (child.kind() == PatternKind::kTriple) {
         ++coverage_.patterns[static_cast<size_t>(PatternKind::kTriple)];
         // Occasionally upgrade a skeleton edge to a property path so
         // shaped BGPs also exercise the path serializer.
-        if (!child.triple.has_path && rng_.Chance(0.15)) {
+        if (!child.triple().has_path() && rng_.Chance(0.15)) {
           PathExpr path = GenPath(2);
-          if (!path.IsSimpleLink()) {
-            child.triple.has_path = true;
-            child.triple.path = std::move(path);
-          }
+          if (!path.IsSimpleLink()) child.triple().set_path(std::move(path));
         }
       }
     }

@@ -245,7 +245,7 @@ ReferenceCanonicalGraph BuildCanonicalGraph(
     const graph::CanonicalOptions& options) {
   ReferenceCanonicalGraph out;
   for (const TriplePattern* tp : triples) {
-    if (tp->has_path || tp->predicate.is_variable()) {
+    if (tp->has_path() || tp->predicate.is_variable()) {
       out.valid = false;
       return out;
     }
@@ -340,7 +340,7 @@ ReferenceHypergraph BuildCanonicalHypergraph(
   for (const TriplePattern* tp : triples) {
     std::set<int> edge;
     if (tp->subject.is_unknown()) edge.insert(node_of(tp->subject));
-    if (!tp->has_path && tp->predicate.is_unknown()) {
+    if (!tp->has_path() && tp->predicate.is_unknown()) {
       edge.insert(node_of(tp->predicate));
     }
     if (tp->object.is_unknown()) edge.insert(node_of(tp->object));

@@ -61,13 +61,13 @@ void ComputeVars(AlgebraNode& n) {
 /// the body is not AOF (anything besides triples without paths, groups,
 /// filters without EXISTS, and OPTIONAL).
 std::unique_ptr<AlgebraNode> Translate(const Pattern& p) {
-  if (p.kind == PatternKind::kTriple) {
-    if (p.triple.has_path) return nullptr;
+  if (p.kind() == PatternKind::kTriple) {
+    if (p.triple().has_path()) return nullptr;
     auto node = std::make_unique<AlgebraNode>();
-    node->triples.push_back(&p.triple);
+    node->triples.push_back(&p.triple());
     return node;
   }
-  if (p.kind != PatternKind::kGroup) return nullptr;
+  if (p.kind() != PatternKind::kGroup) return nullptr;
 
   auto acc = std::make_unique<AlgebraNode>();  // empty BGP
   std::vector<const Expr*> filters;
@@ -92,8 +92,8 @@ std::unique_ptr<AlgebraNode> Translate(const Pattern& p) {
     return j;
   };
 
-  for (const Pattern& c : p.children) {
-    switch (c.kind) {
+  for (const Pattern& c : p.children()) {
+    switch (c.kind()) {
       case PatternKind::kTriple: {
         auto t = Translate(c);
         if (t == nullptr) return nullptr;
@@ -107,11 +107,11 @@ std::unique_ptr<AlgebraNode> Translate(const Pattern& p) {
         break;
       }
       case PatternKind::kFilter:
-        if (ExprUsesPatterns(c.expr)) return nullptr;
-        filters.push_back(&c.expr);
+        if (ExprUsesPatterns(c.expr())) return nullptr;
+        filters.push_back(&c.expr());
         break;
       case PatternKind::kOptional: {
-        auto body = Translate(c.children[0]);
+        auto body = Translate(c.children()[0]);
         if (body == nullptr) return nullptr;
         auto lj = std::make_unique<AlgebraNode>();
         lj->kind = AlgebraNode::Kind::kLeftJoin;
@@ -321,12 +321,12 @@ struct BodyScan {
 };
 
 void Scan(const Pattern& p, BodyScan& s) {
-  switch (p.kind) {
+  switch (p.kind()) {
     case PatternKind::kTriple:
       ++s.num_triples;
-      if (p.triple.has_path) {
+      if (p.triple().has_path()) {
         s.only_triples_and = s.only_triples_and_f = s.aof = false;
-      } else if (p.triple.predicate.is_variable()) {
+      } else if (p.triple().predicate.is_variable()) {
         s.var_predicate = true;
       }
       return;
@@ -334,11 +334,11 @@ void Scan(const Pattern& p, BodyScan& s) {
       break;
     case PatternKind::kFilter:
       s.only_triples_and = false;
-      if (!IsSimpleFilter(p.expr)) s.simple_filters = false;
+      if (!IsSimpleFilter(p.expr())) s.simple_filters = false;
       // EXISTS embeds patterns: not AOF.
       {
         std::set<std::string> ignored;
-        const Expr& e = p.expr;
+        const Expr& e = p.expr();
         std::function<bool(const Expr&)> uses_pattern =
             [&](const Expr& x) -> bool {
           if (x.kind == ExprKind::kExists || x.kind == ExprKind::kNotExists) {
@@ -362,7 +362,7 @@ void Scan(const Pattern& p, BodyScan& s) {
       // Still count triples below for statistics.
       break;
   }
-  for (const Pattern& c : p.children) Scan(c, s);
+  for (const Pattern& c : p.children()) Scan(c, s);
 }
 
 }  // namespace
@@ -417,14 +417,15 @@ FragmentClass ClassifyFragment(const Query& q) {
 namespace {
 
 bool ContainsBind(const Pattern& p) {
-  if (p.kind == PatternKind::kBind) return true;
-  if (p.kind == PatternKind::kSubSelect && p.subquery) {
-    for (const sparql::SelectItem& item : p.subquery->select_items) {
+  if (p.kind() == PatternKind::kBind) return true;
+  if (p.kind() == PatternKind::kSubSelect) {
+    const sparql::Query& sub = p.subquery();
+    for (const sparql::SelectItem& item : sub.select_items) {
       if (item.expr.has_value()) return true;
     }
-    if (p.subquery->has_body && ContainsBind(p.subquery->where)) return true;
+    if (sub.has_body && ContainsBind(sub.where)) return true;
   }
-  for (const Pattern& c : p.children) {
+  for (const Pattern& c : p.children()) {
     if (ContainsBind(c)) return true;
   }
   return false;

@@ -327,20 +327,33 @@ class AstShrinker {
 
   bool ShrinkTriple(sparql::TriplePattern& t) {
     bool changed = ShrinkTerm(t.subject);
-    if (t.has_path) {
+    if (t.has_path()) {
       changed |= Attempt(t, [](sparql::TriplePattern& x) {
-        x.has_path = false;
-        x.path = PathExpr();
+        x.clear_path();
         x.predicate = Term::Var("a");
       });
     }
-    if (t.has_path) {
-      changed |= ShrinkPath(t.path);
+    if (t.has_path()) {
+      changed |= ShrinkPath(t.path());
     } else {
       changed |= ShrinkTerm(t.predicate);
     }
     changed |= ShrinkTerm(t.object);
     return changed;
+  }
+
+  /// Removes child `i` of `p`, or inserts `*insert` before it. The
+  /// children sit in one exact-size array, so the array is rebuilt.
+  static void SpliceChild(Pattern& p, size_t i, Pattern* insert) {
+    std::vector<Pattern> kids;
+    kids.reserve(p.children().size() + 1);
+    for (Pattern& c : p.children()) kids.push_back(std::move(c));
+    if (insert != nullptr) {
+      kids.insert(kids.begin() + static_cast<long>(i), std::move(*insert));
+    } else {
+      kids.erase(kids.begin() + static_cast<long>(i));
+    }
+    p.SetChildren(kids);
   }
 
   /// `group_slot` marks positions the grammar restricts to a group (or
@@ -351,15 +364,15 @@ class AstShrinker {
   bool ShrinkPattern(Pattern& p, bool group_slot = false) {
     bool changed = false;
     // Hoist: replace a wrapper by one of its children.
-    if (p.kind != PatternKind::kGroup || p.children.size() == 1) {
-      for (size_t i = 0; i < p.children.size(); ++i) {
-        PatternKind child_kind = p.children[i].kind;
+    if (p.kind() != PatternKind::kGroup || p.children().size() == 1) {
+      for (size_t i = 0; i < p.children().size(); ++i) {
+        PatternKind child_kind = p.children()[i].kind();
         if (group_slot && child_kind != PatternKind::kGroup &&
             child_kind != PatternKind::kSubSelect) {
           continue;
         }
         if (Attempt(p, [i](Pattern& x) {
-              Pattern child = sparqlog::testing::DeepCopy(x.children[i]);
+              Pattern child = sparqlog::testing::DeepCopy(x.children()[i]);
               x = std::move(child);
             })) {
           return true;
@@ -367,7 +380,7 @@ class AstShrinker {
       }
     }
     size_t min_children = 0;
-    switch (p.kind) {
+    switch (p.kind()) {
       case PatternKind::kUnion:
         min_children = 2;
         break;
@@ -381,54 +394,55 @@ class AstShrinker {
         break;
     }
     size_t i = 0;
-    while (p.children.size() > min_children && i < p.children.size() &&
+    while (p.children().size() > min_children && i < p.children().size() &&
            Budget()) {
-      Pattern removed = sparqlog::testing::DeepCopy(p.children[i]);
-      p.children.erase(p.children.begin() + static_cast<long>(i));
+      Pattern removed = sparqlog::testing::DeepCopy(p.children()[i]);
+      SpliceChild(p, i, nullptr);
       if (Test()) {
         changed = true;
         continue;
       }
-      p.children.insert(p.children.begin() + static_cast<long>(i),
-                        std::move(removed));
+      SpliceChild(p, i, &removed);
       ++i;
     }
-    switch (p.kind) {
+    switch (p.kind()) {
       case PatternKind::kTriple:
-        changed |= ShrinkTriple(p.triple);
+        changed |= ShrinkTriple(p.triple());
         break;
       case PatternKind::kFilter:
-        changed |= ShrinkExpr(p.expr);
+        changed |= ShrinkExpr(p.expr());
         break;
       case PatternKind::kBind:
-        changed |= ShrinkExpr(p.expr);
-        changed |= ShrinkTerm(p.var);
+        changed |= ShrinkExpr(p.expr());
+        changed |= ShrinkTerm(p.var());
         break;
       case PatternKind::kGraph:
       case PatternKind::kService:
-        changed |= ShrinkTerm(p.graph);
+        changed |= ShrinkTerm(p.graph());
         break;
       case PatternKind::kValues: {
+        // Attempt may swap in a restored payload: no reference to the
+        // table outlives a step.
         size_t r = 0;
-        while (r < p.values_rows.size() && Budget()) {
-          auto removed = p.values_rows[r];
-          p.values_rows.erase(p.values_rows.begin() + static_cast<long>(r));
+        while (r < p.values().rows.size() && Budget()) {
+          auto& rows = p.values().rows;
+          auto removed = rows[r];
+          rows.erase(rows.begin() + static_cast<long>(r));
           if (Test()) {
             changed = true;
             continue;
           }
-          p.values_rows.insert(p.values_rows.begin() + static_cast<long>(r),
-                               std::move(removed));
+          rows.insert(rows.begin() + static_cast<long>(r), std::move(removed));
           ++r;
         }
         // Drop a variable together with its column.
         size_t c = 0;
-        while (p.values_vars.size() > 1 && c < p.values_vars.size() &&
+        while (p.values().vars.size() > 1 && c < p.values().vars.size() &&
                Budget()) {
           if (Attempt(p, [c](Pattern& x) {
-                x.values_vars.erase(x.values_vars.begin() +
-                                    static_cast<long>(c));
-                for (auto& row : x.values_rows) {
+                x.values().vars.erase(x.values().vars.begin() +
+                                      static_cast<long>(c));
+                for (auto& row : x.values().rows) {
                   if (c < row.size()) {
                     row.erase(row.begin() + static_cast<long>(c));
                   }
@@ -439,8 +453,8 @@ class AstShrinker {
             ++c;
           }
         }
-        for (Term& v : p.values_vars) changed |= ShrinkTerm(v);
-        for (auto& row : p.values_rows) {
+        for (Term& v : p.values().vars) changed |= ShrinkTerm(v);
+        for (auto& row : p.values().rows) {
           for (auto& cell : row) {
             if (cell.has_value()) changed |= ShrinkTerm(*cell);
           }
@@ -448,15 +462,15 @@ class AstShrinker {
         break;
       }
       case PatternKind::kSubSelect:
-        if (p.subquery) changed |= ShrinkSubquery(*p.subquery);
+        changed |= ShrinkSubquery(p.subquery());
         break;
       default:
         break;
     }
     // Children of a group are unconstrained; bodies and branches of the
     // wrapper kinds must stay groups.
-    bool child_group_slot = p.kind != PatternKind::kGroup;
-    for (Pattern& c : p.children) {
+    bool child_group_slot = p.kind() != PatternKind::kGroup;
+    for (Pattern& c : p.children()) {
       changed |= ShrinkPattern(c, child_group_slot);
     }
     return changed;

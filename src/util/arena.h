@@ -10,6 +10,15 @@
 
 #include "util/fnv.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define SPARQLOG_ARENA_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define SPARQLOG_ARENA_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define SPARQLOG_ARENA_POISON(p, n) ((void)(p), (void)(n))
+#define SPARQLOG_ARENA_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace sparqlog::util {
 
 /// Epoch-reset bump allocator behind the std::pmr interface.
@@ -28,10 +37,21 @@ namespace sparqlog::util {
 /// that owns it. Copying such an AST (plain copy construction) detaches
 /// it: pmr copy construction always lands on the default resource, so
 /// copies are independent heap objects with no arena tie.
+///
+/// Under AddressSanitizer the arena poisons every byte it has not handed
+/// out in the current epoch (fresh chunks and everything `Reset()`
+/// rewinds), so reading a node after its scratch was reset fails the
+/// sanitizer build instead of silently reading stale bytes.
 class ArenaResource final : public std::pmr::memory_resource {
  public:
   explicit ArenaResource(size_t first_chunk_bytes = 4096)
       : first_chunk_bytes_(first_chunk_bytes < 64 ? 64 : first_chunk_bytes) {}
+
+  ~ArenaResource() override {
+    for (const Chunk& c : chunks_) {
+      SPARQLOG_ARENA_UNPOISON(c.data.get(), c.size);
+    }
+  }
 
   ArenaResource(const ArenaResource&) = delete;
   ArenaResource& operator=(const ArenaResource&) = delete;
@@ -41,6 +61,9 @@ class ArenaResource final : public std::pmr::memory_resource {
   /// so debugging/telemetry can tell generations apart. Everything ever
   /// allocated from this arena is invalid after this call.
   void Reset() {
+    for (size_t i = 0; i < chunks_.size() && i <= chunk_; ++i) {
+      SPARQLOG_ARENA_POISON(chunks_[i].data.get(), chunks_[i].size);
+    }
     chunk_ = 0;
     offset_ = 0;
     used_ = 0;
@@ -70,6 +93,7 @@ class ArenaResource final : public std::pmr::memory_resource {
       if (aligned + bytes <= c.size) {
         offset_ = aligned + bytes;
         used_ += bytes;
+        SPARQLOG_ARENA_UNPOISON(c.data.get() + aligned, bytes);
         return c.data.get() + aligned;
       }
       ++chunk_;
@@ -84,10 +108,12 @@ class ArenaResource final : public std::pmr::memory_resource {
     // would make the whole chunk resident at once.
     chunks_.push_back(
         Chunk{std::make_unique_for_overwrite<std::byte[]>(grow), grow});
+    SPARQLOG_ARENA_POISON(chunks_.back().data.get(), grow);
     chunk_ = chunks_.size() - 1;
     size_t aligned = AlignUp(0, alignment);
     offset_ = aligned + bytes;
     used_ += bytes;
+    SPARQLOG_ARENA_UNPOISON(chunks_.back().data.get() + aligned, bytes);
     return chunks_.back().data.get() + aligned;
   }
 

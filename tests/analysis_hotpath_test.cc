@@ -258,7 +258,7 @@ TEST(AnalysisEquivalenceTest, EveryUniquePaperCorpusQueryMatchesReference) {
   int max_edges = 0;
   for (const std::string& line : lines) {
     corpus::ParsedLine parsed =
-        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+        testing::ParseLogLine(parser, std::string_view(line), decode_buf);
     if (!parsed.valid || !seen.insert(parsed.canonical_hash).second) continue;
     ++checked;
     auto v = testing::CheckAnalysisEquivalence(

@@ -188,7 +188,7 @@ TEST(IngestTest, ParsedLineMatchesProcessLine) {
       "query=NOT%20SPARQL",
   };
   for (const std::string& line : lines) {
-    ParsedLine parsed = ParseLogLine(parser, line);
+    ParsedLine parsed = testing::ParseLogLine(parser, line);
     split.Ingest(parsed);
     serial.ProcessLine(line);
     EXPECT_EQ(parsed.is_query, line.rfind("query=", 0) == 0);

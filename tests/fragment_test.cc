@@ -265,8 +265,8 @@ TEST(SimpleFilterTest, Definitions) {
                                     "?a <q> ?b FILTER(") +
                         std::string(text) + ") }");
     EXPECT_TRUE(r.ok()) << text;
-    for (const auto& c : r.value().where.children) {
-      if (c.kind == sparql::PatternKind::kFilter) return c.expr;
+    for (const auto& c : r.value().where.children()) {
+      if (c.kind() == sparql::PatternKind::kFilter) return c.expr();
     }
     return sparql::Expr{};
   };

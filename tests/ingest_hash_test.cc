@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "fixture_queries.h"
 #include "corpus/generator.h"
 #include "corpus/ingest.h"
 #include "corpus/profile.h"
@@ -56,37 +57,9 @@ void ExpectSinksAgree(const std::string& text) {
 }
 
 TEST(IngestHashTest, FixtureQueries) {
-  const std::vector<std::string> fixtures = {
-      // Plain, escaped, long, and language/datatype literals.
-      "SELECT * WHERE { ?s ?p \"plain\" }",
-      "SELECT * WHERE { ?x <p> \"a\\\"b\\\\c\\nd\\te\" }",
-      "SELECT * WHERE { ?x <p> \"\"\"long\nstring\nliteral\"\"\" }",
-      "SELECT * WHERE { ?x <p> '''it''s long''' }",
-      "SELECT * WHERE { ?x <p> \"\" }",
-      "SELECT * WHERE { ?x <p> \"chat\"@fr ; <q> \"1\"^^xsd:int }",
-      // Prefixed names, incl. dots, percent escapes, default namespace.
-      "PREFIX ex: <http://e/> SELECT * WHERE { ex:a.b ex:p%20q ?o }",
-      "SELECT ?x WHERE { ?x rdf:type dbo:Person }",
-      "PREFIX : <http://d/> SELECT * WHERE { :s :p :o }",
-      // Numeric literals with signs and exponents.
-      "SELECT * WHERE { ?x <p> -4.5 ; <q> +2 ; <r> 1e6 ; <s> .5 }",
-      // Property paths.
-      "SELECT * WHERE { ?a <p>/<q>* ?b }",
-      "SELECT * WHERE { ?a !(<p>|^<q>) ?b }",
-      "SELECT * WHERE { ?a (^<p>)+ ?b }",
-      // Blank nodes, collections, IRIs.
-      "SELECT * WHERE { _:b1 <p> [ <q> ?v ] . ?l <r> (1 2 3) }",
-      "ASK { <http://example.org/a#b> a <http://t/> }",
-      // Aggregates, HAVING, subqueries, VALUES, FILTER.
-      "SELECT (GROUP_CONCAT(DISTINCT ?n; SEPARATOR=\", \") AS ?ns) "
-      "WHERE { ?x <name> ?n } GROUP BY ?x HAVING (COUNT(*) > 2)",
-      "SELECT ?x WHERE { ?x <p> ?y { SELECT ?y WHERE { ?y <q> ?z } "
-      "LIMIT 3 } } ORDER BY DESC(?x) LIMIT 10 OFFSET 5",
-      "SELECT * WHERE { VALUES (?v) { (<x>) (UNDEF) } "
-      "FILTER(?v IN (<x>, <y>) && !BOUND(?u) || STRLEN(STR(?v)) >= 3) }",
-      "SELECT * WHERE { ?x <p> ?y FILTER NOT EXISTS { ?x <q> ?y } }",
-  };
-  for (const std::string& text : fixtures) ExpectSinksAgree(text);
+  for (const std::string& text : fixtures::FixtureQueries()) {
+    ExpectSinksAgree(text);
+  }
 }
 
 TEST(IngestHashTest, GeneratedCorpusSinksAgree) {
@@ -105,7 +78,7 @@ TEST(IngestHashTest, GeneratedCorpusSinksAgree) {
 
 TEST(IngestHashTest, ParseLogLineScratchOverloadMatches) {
   sparql::Parser parser;
-  std::string scratch;
+  corpus::ParseScratch scratch;
   const std::vector<std::string> lines = {
       "query=" + util::PercentEncode(
                      "SELECT * WHERE { ?s ?p \"esc\\\"aped\" }") +
@@ -118,7 +91,7 @@ TEST(IngestHashTest, ParseLogLineScratchOverloadMatches) {
   for (const std::string& line : lines) {
     corpus::ParsedLine with_scratch =
         corpus::ParseLogLine(parser, std::string_view(line), scratch);
-    corpus::ParsedLine simple = corpus::ParseLogLine(parser, line);
+    corpus::ParsedLine simple = testing::ParseLogLine(parser, line);
     EXPECT_EQ(with_scratch.is_query, simple.is_query) << line;
     EXPECT_EQ(with_scratch.valid, simple.valid) << line;
     EXPECT_EQ(with_scratch.canonical_hash, simple.canonical_hash) << line;
@@ -158,7 +131,7 @@ TEST(IngestHashTest, ParseScratchSurvivesThousandsOfSequentialLines) {
     const std::string& line = pool[static_cast<size_t>(i) % pool.size()];
     corpus::ParsedLine arena =
         corpus::ParseLogLine(parser, std::string_view(line), scratch);
-    corpus::ParsedLine heap = corpus::ParseLogLine(parser, line);
+    corpus::ParsedLine heap = testing::ParseLogLine(parser, line);
     ASSERT_EQ(arena.is_query, heap.is_query) << "line " << i << ": " << line;
     ASSERT_EQ(arena.valid, heap.valid) << "line " << i << ": " << line;
     ASSERT_EQ(arena.canonical_hash, heap.canonical_hash)
@@ -195,8 +168,8 @@ void ExpectSameCounts(const corpus::CorpusStats& reference,
   EXPECT_EQ(got.stats.unique, reference.unique) << path;
 }
 
-// The 13-profile paper corpus through the decode-buffer ParseLogLine,
-// the arena ParseScratch overload, and the mmap chunk source: each must
+// The 13-profile paper corpus through the heap reference ParseLogLine,
+// the production ParseScratch one, and the mmap chunk source: each must
 // count the same Total/Valid/Unique as LogIngestor, and every valid
 // line's streamed hash must equal FNV-1a of its serialization.
 TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
@@ -213,7 +186,7 @@ TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
   uint64_t hash_mismatches = 0;
   for (const std::string& line : lines) {
     corpus::ParsedLine parsed =
-        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+        testing::ParseLogLine(parser, std::string_view(line), decode_buf);
     if (parsed.valid &&
         parsed.canonical_hash != HashBytes(Serialize(*parsed.query))) {
       ++hash_mismatches;
@@ -221,7 +194,7 @@ TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
     buffered.Add(parsed);
   }
   EXPECT_EQ(hash_mismatches, 0u) << "hashing sink != string sink";
-  ExpectSameCounts(reference, buffered, "decode-buffer ParseLogLine");
+  ExpectSameCounts(reference, buffered, "heap reference ParseLogLine");
 
   IngestCounter arena;
   corpus::ParseScratch scratch;
@@ -244,7 +217,7 @@ TEST(IngestHashTest, EveryIngestPathMatchesLogIngestorOnPaperCorpus) {
   pipeline::LineChunk chunk;
   while (source.value()->NextChunk(512, chunk)) {
     for (std::string_view line : chunk.lines) {
-      mapped.Add(corpus::ParseLogLine(parser, line, decode_buf));
+      mapped.Add(testing::ParseLogLine(parser, line, decode_buf));
     }
   }
   std::filesystem::remove(path);

@@ -206,8 +206,8 @@ TEST(ParserTest, OptionalPattern) {
   Query q = MustParse(
       "SELECT * WHERE { ?x <p> ?y OPTIONAL { ?x <q> ?z } }");
   bool found = false;
-  for (const Pattern& c : q.where.children) {
-    if (c.kind == PatternKind::kOptional) found = true;
+  for (const Pattern& c : q.where.children()) {
+    if (c.kind() == PatternKind::kOptional) found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -216,9 +216,9 @@ TEST(ParserTest, UnionPattern) {
   Query q = MustParse(
       "SELECT * WHERE { { ?x <p> ?y } UNION { ?x <q> ?y } UNION "
       "{ ?x <r> ?y } }");
-  ASSERT_EQ(q.where.children.size(), 1u);
-  EXPECT_EQ(q.where.children[0].kind, PatternKind::kUnion);
-  EXPECT_EQ(q.where.children[0].children.size(), 3u);
+  ASSERT_EQ(q.where.children().size(), 1u);
+  EXPECT_EQ(q.where.children()[0].kind(), PatternKind::kUnion);
+  EXPECT_EQ(q.where.children()[0].children().size(), 3u);
 }
 
 TEST(ParserTest, MinusGraphServiceBindValues) {
@@ -227,8 +227,8 @@ TEST(ParserTest, MinusGraphServiceBindValues) {
       "GRAPH ?g { ?s <r> ?t } SERVICE SILENT <http://endpoint/> "
       "{ ?s <u> ?v } BIND(STR(?o) AS ?str) VALUES ?w { <a> <b> } }");
   int kinds[12] = {0};
-  for (const Pattern& c : q.where.children) {
-    ++kinds[static_cast<int>(c.kind)];
+  for (const Pattern& c : q.where.children()) {
+    ++kinds[static_cast<int>(c.kind())];
   }
   EXPECT_EQ(kinds[static_cast<int>(PatternKind::kMinus)], 1);
   EXPECT_EQ(kinds[static_cast<int>(PatternKind::kGraph)], 1);
@@ -242,17 +242,16 @@ TEST(ParserTest, SubSelect) {
       "SELECT ?x WHERE { ?x <p> ?y { SELECT ?y WHERE { ?y <q> ?z } "
       "LIMIT 3 } }");
   bool found = false;
-  for (const Pattern& c : q.where.children) {
-    if (c.kind == PatternKind::kGroup) {
-      for (const Pattern& gc : c.children) {
-        if (gc.kind == PatternKind::kSubSelect) {
+  for (const Pattern& c : q.where.children()) {
+    if (c.kind() == PatternKind::kGroup) {
+      for (const Pattern& gc : c.children()) {
+        if (gc.kind() == PatternKind::kSubSelect) {
           found = true;
-          ASSERT_TRUE(gc.subquery != nullptr);
-          EXPECT_EQ(gc.subquery->limit, 3u);
+          EXPECT_EQ(gc.subquery().limit, 3u);
         }
       }
     }
-    if (c.kind == PatternKind::kSubSelect) found = true;
+    if (c.kind() == PatternKind::kSubSelect) found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -261,9 +260,9 @@ TEST(ParserTest, MultiVarValues) {
   Query q = MustParse(
       "SELECT * WHERE { ?x <p> ?y } VALUES (?x ?y) { (<a> 1) (UNDEF 2) }");
   ASSERT_TRUE(q.trailing_values.has_value());
-  EXPECT_EQ(q.trailing_values->values_vars.size(), 2u);
-  ASSERT_EQ(q.trailing_values->values_rows.size(), 2u);
-  EXPECT_FALSE(q.trailing_values->values_rows[1][0].has_value());  // UNDEF
+  EXPECT_EQ(q.trailing_values->values().vars.size(), 2u);
+  ASSERT_EQ(q.trailing_values->values().rows.size(), 2u);
+  EXPECT_FALSE(q.trailing_values->values().rows[1][0].has_value());  // UNDEF
 }
 
 // ---------------------------------------------------------------------------
@@ -274,14 +273,14 @@ TEST(ParserTest, FilterPrecedence) {
   Query q = MustParse(
       "SELECT * WHERE { ?x <p> ?y FILTER(?y > 1 && ?y < 5 || !BOUND(?x)) }");
   const Pattern* filter = nullptr;
-  for (const Pattern& c : q.where.children) {
-    if (c.kind == PatternKind::kFilter) filter = &c;
+  for (const Pattern& c : q.where.children()) {
+    if (c.kind() == PatternKind::kFilter) filter = &c;
   }
   ASSERT_NE(filter, nullptr);
-  EXPECT_EQ(filter->expr.kind, ExprKind::kOr);
-  ASSERT_EQ(filter->expr.args.size(), 2u);
-  EXPECT_EQ(filter->expr.args[0].kind, ExprKind::kAnd);
-  EXPECT_EQ(filter->expr.args[1].kind, ExprKind::kNot);
+  EXPECT_EQ(filter->expr().kind, ExprKind::kOr);
+  ASSERT_EQ(filter->expr().args.size(), 2u);
+  EXPECT_EQ(filter->expr().args[0].kind, ExprKind::kAnd);
+  EXPECT_EQ(filter->expr().args[1].kind, ExprKind::kNot);
 }
 
 TEST(ParserTest, ArithmeticPrecedence) {
@@ -297,12 +296,12 @@ TEST(ParserTest, InAndNotIn) {
       "SELECT * WHERE { ?x <p> ?y FILTER(?y IN (1, 2) && "
       "?x NOT IN (<a>)) }");
   const Pattern* filter = nullptr;
-  for (const Pattern& c : q.where.children) {
-    if (c.kind == PatternKind::kFilter) filter = &c;
+  for (const Pattern& c : q.where.children()) {
+    if (c.kind() == PatternKind::kFilter) filter = &c;
   }
   ASSERT_NE(filter, nullptr);
-  EXPECT_EQ(filter->expr.args[0].kind, ExprKind::kIn);
-  EXPECT_EQ(filter->expr.args[1].kind, ExprKind::kNotIn);
+  EXPECT_EQ(filter->expr().args[0].kind, ExprKind::kIn);
+  EXPECT_EQ(filter->expr().args[1].kind, ExprKind::kNotIn);
 }
 
 TEST(ParserTest, ExistsAndNotExists) {
@@ -310,10 +309,10 @@ TEST(ParserTest, ExistsAndNotExists) {
       "SELECT * WHERE { ?x <p> ?y FILTER EXISTS { ?x <q> ?z } "
       "FILTER NOT EXISTS { ?x <r> ?w } }");
   int exists = 0, not_exists = 0;
-  for (const Pattern& c : q.where.children) {
-    if (c.kind != PatternKind::kFilter) continue;
-    if (c.expr.kind == ExprKind::kExists) ++exists;
-    if (c.expr.kind == ExprKind::kNotExists) ++not_exists;
+  for (const Pattern& c : q.where.children()) {
+    if (c.kind() != PatternKind::kFilter) continue;
+    if (c.expr().kind == ExprKind::kExists) ++exists;
+    if (c.expr().kind == ExprKind::kNotExists) ++not_exists;
   }
   EXPECT_EQ(exists, 1);
   EXPECT_EQ(not_exists, 1);
@@ -377,23 +376,23 @@ TEST(ParserTest, PropertyPathForms) {
   std::vector<const TriplePattern*> triples;
   q.where.CollectTriples(triples);
   ASSERT_EQ(triples.size(), 8u);
-  EXPECT_EQ(triples[0]->path.kind, PathKind::kSeq);
-  EXPECT_EQ(triples[1]->path.kind, PathKind::kAlt);
-  EXPECT_EQ(triples[2]->path.kind, PathKind::kInverse);
-  EXPECT_EQ(triples[3]->path.kind, PathKind::kZeroOrMore);
-  EXPECT_EQ(triples[4]->path.kind, PathKind::kOneOrMore);
-  EXPECT_EQ(triples[5]->path.kind, PathKind::kZeroOrOne);
-  EXPECT_EQ(triples[6]->path.kind, PathKind::kNegated);
-  EXPECT_EQ(triples[6]->path.children.size(), 2u);
-  EXPECT_EQ(triples[7]->path.kind, PathKind::kZeroOrMore);
-  EXPECT_EQ(triples[7]->path.children[0].kind, PathKind::kSeq);
+  EXPECT_EQ(triples[0]->path().kind, PathKind::kSeq);
+  EXPECT_EQ(triples[1]->path().kind, PathKind::kAlt);
+  EXPECT_EQ(triples[2]->path().kind, PathKind::kInverse);
+  EXPECT_EQ(triples[3]->path().kind, PathKind::kZeroOrMore);
+  EXPECT_EQ(triples[4]->path().kind, PathKind::kOneOrMore);
+  EXPECT_EQ(triples[5]->path().kind, PathKind::kZeroOrOne);
+  EXPECT_EQ(triples[6]->path().kind, PathKind::kNegated);
+  EXPECT_EQ(triples[6]->path().children.size(), 2u);
+  EXPECT_EQ(triples[7]->path().kind, PathKind::kZeroOrMore);
+  EXPECT_EQ(triples[7]->path().children[0].kind, PathKind::kSeq);
 }
 
 TEST(ParserTest, BareIriPathIsPlainTriple) {
   Query q = MustParse("SELECT * WHERE { ?a <p> ?b }");
   std::vector<const TriplePattern*> triples;
   q.where.CollectTriples(triples);
-  EXPECT_FALSE(triples[0]->has_path);
+  EXPECT_FALSE(triples[0]->has_path());
 }
 
 TEST(ParserTest, WikidataExampleFromPaper) {
@@ -405,7 +404,7 @@ TEST(ParserTest, WikidataExampleFromPaper) {
   std::vector<const TriplePattern*> triples;
   q.where.CollectTriples(triples);
   ASSERT_EQ(triples.size(), 3u);
-  EXPECT_TRUE(triples[0]->has_path);
+  EXPECT_TRUE(triples[0]->has_path());
   EXPECT_EQ(q.select_items.size(), 3u);
 }
 
@@ -435,18 +434,17 @@ TEST(ParserTest, MalformedWikidataQueryFromPaper) {
 TEST(ParserTest, EmptyGroupIsValid) {
   Query q = MustParse("SELECT * WHERE { }");
   EXPECT_TRUE(q.has_body);
-  EXPECT_TRUE(q.where.children.empty());
+  EXPECT_TRUE(q.where.children().empty());
 }
 
 // ---------------------------------------------------------------------------
-// Deep-copy semantics of the shared_ptr AST payloads
+// Deep-copy semantics of the out-of-line AST payloads
 // ---------------------------------------------------------------------------
 
-// Regression: Expr/Pattern hold their recursive payloads (EXISTS
-// pattern, subquery) behind shared_ptr to stay copyable. The copy path
-// must clone the payload, not alias it — an aliasing copy lets a
-// mutation of the copy (the shrinker does this constantly) silently
-// rewrite the original.
+// Regression: Expr and Pattern hold their recursive payloads (EXISTS
+// pattern, subquery) out of line. The copy path must clone the payload,
+// not alias it — an aliasing copy lets a mutation of the copy (the
+// shrinker does this constantly) silently rewrite the original.
 
 TEST(ParserTest, CopiedExistsPatternIsIndependent) {
   Query q = MustParse(
@@ -457,15 +455,15 @@ TEST(ParserTest, CopiedExistsPatternIsIndependent) {
   // Find the FILTER child and gut its EXISTS payload.
   ASSERT_TRUE(copy.has_body);
   Pattern* filter = nullptr;
-  for (Pattern& child : copy.where.children) {
-    if (child.kind == PatternKind::kFilter) filter = &child;
+  for (Pattern& child : copy.where.children()) {
+    if (child.kind() == PatternKind::kFilter) filter = &child;
   }
   ASSERT_NE(filter, nullptr);
-  ASSERT_EQ(filter->expr.kind, ExprKind::kExists);
-  ASSERT_NE(filter->expr.pattern, nullptr);
-  ASSERT_NE(filter->expr.pattern, q.where.children.back().expr.pattern)
+  ASSERT_EQ(filter->expr().kind, ExprKind::kExists);
+  ASSERT_NE(filter->expr().pattern, nullptr);
+  ASSERT_NE(filter->expr().pattern, q.where.children().back().expr().pattern)
       << "copy aliases the original EXISTS payload";
-  filter->expr.pattern->children.clear();
+  filter->expr().pattern->SetChildren({});
 
   EXPECT_EQ(Serialize(q), before)
       << "mutating the copy's EXISTS pattern changed the original";
@@ -481,19 +479,18 @@ TEST(ParserTest, CopiedSubqueryIsIndependent) {
   Query copy = q;
   ASSERT_TRUE(copy.has_body);
   Pattern* sub = nullptr;
-  for (Pattern& child : copy.where.children) {
-    if (child.kind == PatternKind::kSubSelect) sub = &child;
+  for (Pattern& child : copy.where.children()) {
+    if (child.kind() == PatternKind::kSubSelect) sub = &child;
   }
   ASSERT_NE(sub, nullptr);
-  ASSERT_NE(sub->subquery, nullptr);
-  for (const Pattern& child : q.where.children) {
-    if (child.kind == PatternKind::kSubSelect) {
-      ASSERT_NE(sub->subquery, child.subquery)
+  for (const Pattern& child : q.where.children()) {
+    if (child.kind() == PatternKind::kSubSelect) {
+      ASSERT_NE(&sub->subquery(), &child.subquery())
           << "copy aliases the original subquery payload";
     }
   }
-  sub->subquery->limit = 99;
-  sub->subquery->where.children.clear();
+  sub->subquery().limit = 99;
+  sub->subquery().where.SetChildren({});
 
   EXPECT_EQ(Serialize(q), before)
       << "mutating the copy's subquery changed the original";

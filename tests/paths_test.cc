@@ -17,8 +17,8 @@ PathExpr PathOf(std::string_view path_syntax) {
   std::vector<const sparql::TriplePattern*> triples;
   r.value().where.CollectTriples(triples);
   EXPECT_EQ(triples.size(), 1u);
-  EXPECT_TRUE(triples[0]->has_path) << path_syntax;
-  return triples[0]->path;
+  EXPECT_TRUE(triples[0]->has_path()) << path_syntax;
+  return triples[0]->path();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "corpus/report.h"
 #include "obs/metrics.h"
 #include "pipeline/merge.h"
+#include "pipeline/parse_memo.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/shard.h"
 #include "testing/invariants.h"
@@ -251,9 +252,9 @@ TEST(PipelineDeterminismTest, RepeatedRunsAreIdentical) {
 
 TEST(ShardTest, FormattingVariantsRouteToSameShard) {
   sparql::Parser parser;
-  corpus::ParsedLine a = corpus::ParseLogLine(
+  corpus::ParsedLine a = testing::ParseLogLine(
       parser, "query=" + util::PercentEncode("SELECT * WHERE { ?s ?p ?o }"));
-  corpus::ParsedLine b = corpus::ParseLogLine(
+  corpus::ParsedLine b = testing::ParseLogLine(
       parser,
       "query=" + util::PercentEncode("SELECT *\nWHERE {\n ?s ?p ?o .\n}"));
   ASSERT_TRUE(a.valid);
@@ -267,7 +268,7 @@ TEST(ShardTest, FormattingVariantsRouteToSameShard) {
 TEST(ShardTest, MalformedEntriesRouteByLineHash) {
   sparql::Parser parser;
   corpus::ParsedLine p =
-      corpus::ParseLogLine(parser, "query=NOT%20SPARQL");
+      testing::ParseLogLine(parser, "query=NOT%20SPARQL");
   ASSERT_TRUE(p.is_query);
   ASSERT_FALSE(p.valid);
   for (size_t shards : {1u, 2u, 8u}) {
@@ -282,7 +283,7 @@ TEST(ShardTest, ShardCountsTableOneSemantics) {
   Shard shard(options);
   sparql::Parser parser;
   auto feed = [&](const std::string& line) {
-    shard.Consume(corpus::ParseLogLine(parser, line));
+    shard.Consume(testing::ParseLogLine(parser, line));
   };
   feed("GET /nonsense HTTP/1.1");
   feed("query=" + util::PercentEncode("SELECT * WHERE { ?s ?p ?o }"));
@@ -648,9 +649,9 @@ TEST(MergeTest, MergeShardsFoldsStatsAndAnalysis) {
   shards.push_back(std::make_unique<Shard>(options));
   shards.push_back(std::make_unique<Shard>(options));
   sparql::Parser parser;
-  shards[0]->Consume(corpus::ParseLogLine(
+  shards[0]->Consume(testing::ParseLogLine(
       parser, "query=" + util::PercentEncode("SELECT * WHERE { ?s ?p ?o }")));
-  shards[1]->Consume(corpus::ParseLogLine(
+  shards[1]->Consume(testing::ParseLogLine(
       parser, "query=" + util::PercentEncode("ASK { <a> <b> <c> }")));
   PipelineResult merged = MergeShards(shards);
   EXPECT_EQ(merged.stats.total, 2u);
@@ -853,7 +854,7 @@ uint64_t SerialTelemetryDigest(const std::vector<std::string>& lines,
     reader.bytes_in += line.size();
     ++parse.items_in;
     parse.bytes_in += line.size();
-    corpus::ParsedLine parsed = corpus::ParseLogLine(parser, line);
+    corpus::ParsedLine parsed = testing::ParseLogLine(parser, line);
     if (parsed.is_query) {
       ++parse.items_out;
       if (!parsed.valid) ++parse.malformed;
@@ -902,6 +903,61 @@ TEST(ParseMemoTest, PaperCorpusMatchesSerialOracleAtOneTwoAndEightThreads) {
   }
 }
 
+/// A distinct query line of about 600 bytes, like a deep-shapes entry.
+std::string UniqueMemoLine(uint64_t i) {
+  return "query=" + std::string(600, 'x') + std::to_string(i);
+}
+
+/// Finds `line` in `memo` and, on a miss, inserts a valid parse of it.
+bool FindOrInsert(ParseMemo& memo, const std::string& line) {
+  if (memo.Find(line).has_value()) return true;
+  corpus::ParsedLine parsed;
+  parsed.is_query = true;
+  parsed.valid = true;
+  parsed.canonical_hash = corpus::HashBytes(line);
+  memo.Insert(line, parsed);
+  return false;
+}
+
+// On a log without repeats the memo only costs: after one epoch (filled
+// to its byte budget and flushed) without a hit it tracks one line in
+// kSampleStride, so a second epoch's worth of lines inserts 1/64 of it.
+TEST(ParseMemoTest, AllUniqueLogStopsInsertingAfterOneEpoch) {
+  ParseMemo memo;
+  uint64_t i = 0;
+  while (!memo.sampling()) {
+    ASSERT_FALSE(FindOrInsert(memo, UniqueMemoLine(i++)));
+    ASSERT_LT(i, 100000u) << "the memo never flushed";
+  }
+  const uint64_t epoch = i;
+  EXPECT_EQ(memo.inserts(), epoch);
+  EXPECT_GT(epoch * 600, ParseMemo::kBytes / 2);
+  for (uint64_t k = 0; k < epoch; ++k) {
+    ASSERT_FALSE(FindOrInsert(memo, UniqueMemoLine(i++)));
+  }
+  EXPECT_TRUE(memo.sampling());
+  EXPECT_EQ(memo.inserts() - epoch, epoch / ParseMemo::kSampleStride);
+}
+
+// A log that turns repetitive after the back-off gets its hits back: a
+// sampled line that repeats an earlier sampled one hits, which turns
+// full memoization back on.
+TEST(ParseMemoTest, RepetitiveTailTurnsFullMemoizationBackOn) {
+  ParseMemo memo;
+  uint64_t i = 0;
+  while (!memo.sampling()) FindOrInsert(memo, UniqueMemoLine(i++));
+  constexpr uint64_t kTail = 2000, kDistinct = 10;
+  uint64_t hits = 0;
+  for (uint64_t k = 0; k < kTail; ++k) {
+    if (FindOrInsert(memo, UniqueMemoLine(k % kDistinct))) ++hits;
+  }
+  EXPECT_FALSE(memo.sampling());
+  // Sampling finds the first repeat within kSampleStride * (kDistinct + 1)
+  // lines; from then on only each line's first tracked sight misses.
+  EXPECT_GE(hits, kTail - ParseMemo::kSampleStride * (kDistinct + 1) -
+                      kDistinct);
+}
+
 TEST(ParseMemoTest, ValidCorpusNeverConsultsTheMemo) {
   const std::vector<std::string> lines = testing::PaperCorpusLog(150);
   const testing::SerialResult serial =
@@ -933,7 +989,7 @@ TEST(ParseMemoDeathTest, ValidEntryWithoutAstAtAGateAborts) {
 TEST(ParseMemoTest, BareRepeatOfASeenQueryCountsWithoutItsAst) {
   sparql::Parser parser;
   corpus::ParsedLine first =
-      corpus::ParseLogLine(parser, std::string("query=ASK { ?s ?p ?o }"));
+      testing::ParseLogLine(parser, std::string("query=ASK { ?s ?p ?o }"));
   ASSERT_TRUE(first.valid);
   corpus::ParsedLine bare;
   bare.is_query = true;

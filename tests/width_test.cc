@@ -358,7 +358,7 @@ TEST(GhwTest, WarmScratchAllocatesNothing) {
   std::vector<const sparql::Expr*> filters;
   for (const std::string& line : lines) {
     corpus::ParsedLine parsed =
-        corpus::ParseLogLine(parser, std::string_view(line), decode_buf);
+        testing::ParseLogLine(parser, std::string_view(line), decode_buf);
     if (!parsed.valid || !seen.insert(parsed.canonical_hash).second) continue;
     fragments::FragmentClass fc = fragments::ClassifyFragment(*parsed.query);
     if (!fc.var_predicate || !fc.cqof) continue;
